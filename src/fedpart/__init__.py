@@ -31,7 +31,7 @@ from .env import (  # noqa: F401
     StepOutcome,
     oracle_best_config,
 )
-from .agent import AgentSettings, DQNAgent, ReplayBuffer, Transition, ValidationProbe  # noqa: F401
+from .agent import AgentSettings, DQNAgent, ReplayBuffer, ValidationProbe  # noqa: F401
 from .network import QNetwork, load_checkpoint, save_checkpoint  # noqa: F401
 from .federation import (  # noqa: F401
     AggregationState,
@@ -41,6 +41,6 @@ from .federation import (  # noqa: F401
     run_federation,
 )
 from .baseline import BaselineObservation, neurosurgeon_select, run_baseline  # noqa: F401
-from .metrics import band, moving_avg_violations, validation_rate  # noqa: F401
+from .metrics import band, moving_avg_violations  # noqa: F401
 from .config import ExperimentConfig, ConfigError, load_config, parse_config  # noqa: F401
 from .runner import run_experiment, run_one, write_experiment  # noqa: F401

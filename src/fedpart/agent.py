@@ -17,16 +17,6 @@ from .env import OffloadEnv
 from .network import QNetwork, make_optimizer
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One experience tuple (state, action, reward, next state)."""
-
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-
-
 class ReplayBuffer:
     """Fixed-capacity FIFO ring over preallocated arrays."""
 

@@ -24,7 +24,7 @@ from .config import (
 )
 from .env import OffloadEnv
 from .metrics import band
-from .network import load_checkpoint, save_checkpoint
+from .network import load_checkpoint
 from .profiles import (
     ProfileError,
     config_count,

@@ -45,13 +45,6 @@ class ObservationBounds:
         return lows, highs
 
 
-def deep_latency_bounds() -> ObservationBounds:
-    """Bounds matching the deeper (yolov8-like) application profile."""
-    return ObservationBounds(
-        l_sew=(0.0, 660.0), l_phone=(0.0, 110.0), l_cloud=(0.0, 50.0)
-    )
-
-
 @dataclass(frozen=True)
 class CostWeights:
     """Weights and constants of the scalarized per-window cost.

@@ -319,6 +319,11 @@ def run_federation(
 
             jobs = [(m, next_init[m], steps[m]) for m in range(config.m_agents)]
             thetas = dict(runner.run_phases(jobs))
+            for m in range(config.m_agents):
+                if not np.isfinite(thetas[m]).all():
+                    raise FloatingPointError(
+                        f"agent {m} returned weights that are not finite in iteration {iteration}"
+                    )
 
             fast_ids = [m for m in range(config.m_agents) if not slow_mask[m]]
             slow_ids = sorted(

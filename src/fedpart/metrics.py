@@ -1,5 +1,5 @@
-"""Evaluation measures: sliding-window violation averages, validation rates,
-and multi-run min/mean/max bands."""
+"""Evaluation measures: sliding-window violation averages and multi-run
+min/mean/max bands."""
 
 from __future__ import annotations
 
@@ -28,14 +28,6 @@ def moving_avg_violations(history, window: int = 1000) -> np.ndarray:
     if tail.any():
         out[tail] = (prefix[t[tail]] - prefix[t[tail] - window]) / window
     return out
-
-
-def validation_rate(flags, expected_steps: int = 300) -> float:
-    """Fraction of violating steps in one validation phase of fixed length."""
-    flags = np.asarray(flags)
-    if flags.size != expected_steps:
-        raise ValueError(f"expected {expected_steps} validation flags, got {flags.size}")
-    return float(np.count_nonzero(flags)) / expected_steps
 
 
 def band(runs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

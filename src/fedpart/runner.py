@@ -19,6 +19,7 @@ from .config import ExperimentConfig, dump_config
 from .env import CostWeights, ObservationBounds, OffloadEnv
 from .federation import FederationConfig, run_federation
 from .metrics import band, moving_avg_violations
+from .network import QNetwork, save_checkpoint
 from .profiles import (
     ApplicationProfile,
     DeviceProfile,
@@ -135,6 +136,7 @@ class AgentBuilder:
 class RunResult:
     master_seed: int
     final_weights: np.ndarray
+    dims: tuple[int, ...]  # network layer widths, input to output
     agent_logs: list[dict]
     schedule_rows: list[dict]
     val_steps: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -208,19 +210,19 @@ def run_one(
         validation_steps=config.run.validation_steps,
         validation_initial=config.run.validation_initial,
     )
+    spec = builder.network_spec()
+    dims = (5, *spec["hidden"], spec["n_actions"])  # five observation entries
     if config.federation.steps_per_agent == 0:
-        from .network import QNetwork
-
         if initial_weights is None:
             from .federation import derive_seed_sequences
 
             fed = federation_config_from(config, master_seed)
             _, net_seq, _ = derive_seed_sequences(fed)
             initial_weights = QNetwork(
-                rng=np.random.default_rng(net_seq), **builder.network_spec()
+                rng=np.random.default_rng(net_seq), **spec
             ).get_weights()
         m = 1 if config.federation.mode == "single" else config.federation.agents
-        return RunResult(master_seed, np.asarray(initial_weights, dtype=np.float64),
+        return RunResult(master_seed, np.asarray(initial_weights, dtype=np.float64), dims,
                          [{} for _ in range(m)], [])
     fed = federation_config_from(config, master_seed)
     result = run_federation(
@@ -234,6 +236,7 @@ def run_one(
     return RunResult(
         master_seed=master_seed,
         final_weights=result.final_weights,
+        dims=dims,
         agent_logs=result.agent_logs,
         schedule_rows=result.schedule_rows,
         val_steps=steps,
@@ -366,6 +369,7 @@ def write_experiment(config: ExperimentConfig, result: ExperimentResult, out_dir
                 zip(run.val_steps, run.val_curve),
             )
         np.savetxt(os.path.join(run_dir, "final_weights.txt"), run.final_weights)
+        save_checkpoint(os.path.join(run_dir, "final_weights.ckpt"), run.dims, run.final_weights)
 
     if result.band_steps.size:
         _write_csv(

@@ -102,9 +102,15 @@ def synthesize_trace(spec: TraceSynthesisSpec, seed: int) -> Trace:
 
 
 def load_trace(path, source_label: str | None = None) -> Trace:
-    """Read a two-column ``timestamp_ms,throughput`` text file."""
+    """Read a two-column ``timestamp_ms,throughput`` text file.
+
+    Timestamps must increase by the same step throughout; the first two rows
+    set it (250 ms for a one-row file). A row that breaks this is rejected
+    with its line number, since the samples are replayed on a uniform grid.
+    """
     timestamps: list[float] = []
     values: list[float] = []
+    linenos: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -118,13 +124,24 @@ def load_trace(path, source_label: str | None = None) -> Trace:
                 values.append(float(parts[1]))
             except ValueError as exc:
                 raise TraceError(f"{path}: line {lineno}: {exc}") from exc
+            linenos.append(lineno)
     if not values:
         raise TraceError(f"{path}: empty trace file")
     if any(v < 0 for v in values):
         raise TraceError(f"{path}: negative throughput sample")
     granularity = timestamps[1] - timestamps[0] if len(timestamps) > 1 else 250.0
-    if granularity <= 0:
-        raise TraceError(f"{path}: timestamps must be strictly increasing")
+    for i in range(1, len(timestamps)):
+        step = timestamps[i] - timestamps[i - 1]
+        if step <= 0:
+            raise TraceError(
+                f"{path}: line {linenos[i]}: timestamp {timestamps[i]!r} does not increase"
+            )
+        # Rounding in decimal timestamps stays far below this tolerance.
+        if abs(step - granularity) > 1e-6 * granularity:
+            raise TraceError(
+                f"{path}: line {linenos[i]}: timestamp step {step!r} ms differs from the "
+                f"{granularity!r} ms of the first two rows"
+            )
     return Trace(
         samples=np.asarray(values),
         granularity_ms=granularity,

@@ -41,6 +41,11 @@ def tiny_settings():
     )
 
 
+def subnormal_count(a: np.ndarray) -> int:
+    """Number of nonzero entries smaller in magnitude than ``finfo(a.dtype).tiny``."""
+    return int(np.count_nonzero((a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)))
+
+
 def make_tiny_env(profile, seed=0, l_max=400.0, weights=None):
     wifi = synthesize_trace(
         TraceSynthesisSpec(length=60, mean=50.0, variability=10.0, max_value=580.0), seed=11

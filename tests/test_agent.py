@@ -12,7 +12,7 @@ from fedpart.agent import (
 )
 from fedpart.network import AdamOptimizer, QNetwork
 
-from conftest import make_tiny_env
+from conftest import make_tiny_env, subnormal_count
 
 
 class TestReplayBuffer:
@@ -169,13 +169,16 @@ class TestAgentLoop:
         assert agent.optimizer.t == 0
 
     def test_stability_at_default_hyperparameters(self, default_profile):
-        """No NaN/Inf parameters across a long run at the defaults."""
+        """No NaN/Inf parameters and no subnormal Adam moments across a long
+        run at the defaults."""
         env = make_tiny_env(default_profile)
         agent = DQNAgent(env, AgentSettings(), seed=3)
         for _ in range(21):
             agent.run_training_phase(1000)
             assert np.isfinite(agent.net.flat).all()
             assert np.isfinite(agent.target_net.flat).all()
+            assert subnormal_count(agent.optimizer.m) == 0
+            assert subnormal_count(agent.optimizer.v) == 0
 
 
 class TestValidationProbe:

@@ -1,7 +1,9 @@
 import numpy as np
 
 from fedpart import cli
+from fedpart.agent import AgentSettings
 from fedpart.config import ExperimentConfig
+from fedpart.network import load_checkpoint
 from fedpart.traces import load_trace, synthesize_trace
 
 
@@ -37,3 +39,24 @@ class TestTracesCommand:
         assert float(fields["var"]) == float(samples.var())
         assert float(fields["min"]) == float(samples.min())
         assert float(fields["max"]) == float(samples.max())
+
+
+class TestTrainTransfer:
+    def test_transfer_reads_the_checkpoint_train_writes(self, tmp_path):
+        tiny = ["--runs", "1", "--agents", "1", "--mode", "single"]
+        trained = tmp_path / "trained"
+        argv = ["train", *tiny, "--seed", "4", "--steps-per-agent", "40",
+                "--freq-updates", "40", "--output", str(trained)]
+        assert cli.main(argv) == 0
+        ckpt = trained / "run_4" / "final_weights.ckpt"
+        dims, weights = load_checkpoint(ckpt)
+        assert dims == (5, *AgentSettings().hidden, 106)
+        assert np.array_equal(weights, np.loadtxt(trained / "run_4" / "final_weights.txt"))
+
+        # Zero steps under another seed: the warm-started run ends on the
+        # checkpoint's weights, not on ones drawn from its own seed.
+        moved = tmp_path / "moved"
+        argv = ["transfer", *tiny, "--seed", "9", "--steps-per-agent", "0",
+                "--checkpoint", str(ckpt), "--output", str(moved)]
+        assert cli.main(argv) == 0
+        assert (moved / "run_9" / "final_weights.ckpt").read_bytes() == ckpt.read_bytes()

@@ -12,6 +12,8 @@ from fedpart.network import (
     save_checkpoint,
 )
 
+from conftest import subnormal_count
+
 
 def toy_net(n_actions=3, hidden=(4, 4, 3), dropout=(0.0, 0.0, 0.0), seed=0, dtype=np.float64):
     return QNetwork(
@@ -196,6 +198,36 @@ class TestOptimizers:
         opt.reset()
         assert opt.t == 0
         assert not opt.m.any() and not opt.v.any()
+
+    def test_adam_flushes_subnormal_moments_without_moving_weights(self):
+        """One gradient then 1500 zero ones: the moments decay past finfo.tiny.
+
+        The optimizer zeroes them; plain float32 Adam, written out here with
+        the same operation order, leaves them stuck at a few ulp of subnormal.
+        The parameters must agree bit for bit.
+        """
+        rng = np.random.default_rng(8)
+        start = rng.uniform(-1.0, 1.0, size=64).astype(np.float32)
+        grads = [rng.normal(size=64).astype(np.float32)] + [np.zeros(64, np.float32)] * 1500
+        lr, b1, b2, eps = 0.04, 0.9, 0.999, 1e-8
+
+        params = start.copy()
+        opt = AdamOptimizer(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for g in grads:
+            opt.step(params, g)
+
+        ref, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+        for t, g in enumerate(grads, start=1):
+            m = m * b1 + g * (1.0 - b1)
+            v = v * b2 + np.square(g) * (1.0 - b2)
+            mhat = m / (1.0 - b1**t)
+            vhat = np.sqrt(v / (1.0 - b2**t)) + eps
+            ref -= mhat / vhat * lr
+
+        assert subnormal_count(m) > 0  # the reference does reach the slow range
+        assert subnormal_count(opt.m) == 0
+        assert subnormal_count(opt.v) == 0
+        assert np.array_equal(params.view(np.uint32), ref.view(np.uint32))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):

@@ -65,6 +65,26 @@ class TestTraceFiles:
         with pytest.raises(TraceError, match=r"bad\.trace: line 1: expected"):
             load_trace(path)
 
+    @pytest.mark.parametrize(
+        "text, line, reason",
+        [
+            ("0,5\n250,6\n1000,7\n900,8\n", 3, "differs from the 250.0 ms"),
+            ("0,5\n250,6\n500,7\n400,8\n", 4, "does not increase"),
+            ("0,5\n0,6\n", 2, "does not increase"),
+        ],
+    )
+    def test_irregular_timestamps_rejected(self, tmp_path, text, line, reason):
+        path = tmp_path / "irregular.trace"
+        path.write_text(text)
+        with pytest.raises(TraceError, match=rf"irregular\.trace: line {line}: .*{reason}"):
+            load_trace(path)
+
+    def test_fractional_granularity_round_trips(self, tmp_path):
+        trace = Trace(samples=np.full(20000, 3.0), granularity_ms=100.0 / 3.0)
+        path = tmp_path / "frac.trace"
+        save_trace(trace, path)
+        assert load_trace(path).samples.size == 20000
+
     def test_length_matches_rows(self, tmp_path):
         path = tmp_path / "rows.trace"
         path.write_text("0.0,5.0\n250.0,6.0\n500.0,7.0\n")
