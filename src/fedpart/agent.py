@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import OffloadEnv
+from .env import STEP_LOG, OffloadEnv, log_step
 from .network import QNetwork, make_optimizer
 
 
@@ -187,7 +187,10 @@ class ValidationProbe:
 
 
 class DQNAgent:
-    """Per-agent inner training loop with persistent buffer and counters."""
+    """Per-agent inner training loop with persistent buffer and counters.
+
+    ``log`` holds one ``STEP_LOG`` row per training step, across phases.
+    """
 
     def __init__(
         self,
@@ -218,14 +221,7 @@ class DQNAgent:
         self._state_vec = env.observe()
         self.total_steps = 0
         self.grad_updates = 0
-        self.costs: list[float] = []
-        self.violations: list[bool] = []
-        self.actions: list[int] = []
-        self.config_ids: list[int] = []
-        self.e_sew: list[float] = []
-        self.e_phone: list[float] = []
-        self.c_5g: list[float] = []
-        self.l_total: list[float] = []
+        self.log = np.zeros(0, dtype=STEP_LOG)
 
     def get_weights(self) -> np.ndarray:
         return self.net.get_weights()
@@ -251,6 +247,7 @@ class DQNAgent:
         after every ``target_update_freq`` updates.
         """
         settings = self.settings
+        self.log = np.concatenate((self.log[: self.total_steps], np.zeros(steps, dtype=STEP_LOG)))
         for _ in range(steps):
             if self.validation is not None and self.validation.due(self.total_steps):
                 self.validation.run(self.net, self.total_steps)
@@ -260,15 +257,8 @@ class DQNAgent:
             next_state = self.env.observe()
             self.buffer.push(state, action, -outcome.cost, next_state)
             self._state_vec = next_state
+            log_step(self.log, self.total_steps, outcome)
             self.total_steps += 1
-            self.costs.append(outcome.cost)
-            self.violations.append(outcome.violated)
-            self.actions.append(action)
-            self.config_ids.append(outcome.config_id)
-            self.e_sew.append(outcome.components.e_sew)
-            self.e_phone.append(outcome.components.e_phone)
-            self.c_5g.append(outcome.components.c_5g)
-            self.l_total.append(outcome.components.l_total)
             if (
                 len(self.buffer) >= settings.batch_size
                 and self.total_steps % settings.train_every == 0

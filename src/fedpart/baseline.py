@@ -13,10 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import (
+    STEP_LOG,
     CostWeights,
     OffloadEnv,
     comm_cost_5g,
     energy_per_window,
+    log_step,
     throughput_floor,
     total_latency_ms,
 )
@@ -71,8 +73,8 @@ def neurosurgeon_select(
     return best_id
 
 
-def run_baseline(env: OffloadEnv, objective: str, steps: int) -> dict:
-    """Run the selector against the environment for ``steps`` decision epochs.
+def run_baseline(env: OffloadEnv, objective: str, steps: int) -> np.ndarray:
+    """Run the selector for ``steps`` decision epochs; return their ``STEP_LOG``.
 
     Epoch 1 bootstraps from the base-trace means and the mean cloud latency
     of the fully-offloaded config; afterwards the observation carries the
@@ -87,28 +89,15 @@ def run_baseline(env: OffloadEnv, objective: str, steps: int) -> dict:
         last_r_5g=env.fiveg_replay.base.mean,
         last_cloud_latency=profile.config_by_category(CATEGORY_FULL_CLOUD).t3,
     )
-    log = {
-        "cost": [], "violated": [], "action": [], "config_id": [],
-        "e_sew": [], "e_phone": [], "c_5g": [], "l_total": [],
-    }
-    for _ in range(steps):
+    log = np.zeros(steps, dtype=STEP_LOG)
+    for i in range(steps):
         choice = neurosurgeon_select(
             profile, obs, objective, env.devices, env.weights, wifi_floor, fiveg_floor
         )
         outcome = env.step(choice)
-        log["cost"].append(outcome.cost)
-        log["violated"].append(outcome.violated)
-        log["action"].append(choice)
-        log["config_id"].append(outcome.config_id)
-        log["e_sew"].append(outcome.components.e_sew)
-        log["e_phone"].append(outcome.components.e_phone)
-        log["c_5g"].append(outcome.components.c_5g)
-        log["l_total"].append(outcome.components.l_total)
+        log_step(log, i, outcome)
         obs.last_r_wifi = outcome.next_state.r_wifi
         obs.last_r_5g = outcome.next_state.r_5g
         if profile.configs[outcome.config_id].has_cloud_stage:
             obs.last_cloud_latency = outcome.cloud_latency
-    return {
-        key: np.asarray(vals, dtype=bool if key == "violated" else None)
-        for key, vals in log.items()
-    }
+    return log

@@ -37,6 +37,7 @@ from .runner import (
     master_seeds,
     run_baseline_suite,
     run_experiment,
+    write_csv,
     write_experiment,
 )
 from .traces import TraceError, load_trace, save_trace, synthesize_trace
@@ -119,17 +120,16 @@ def cmd_transfer(args) -> int:
 def cmd_baseline(args) -> int:
     config = _load_with_overrides(args)
     logs = run_baseline_suite(config, args.objective)
-    rates = [float(np.mean(log["violated"])) for log in logs]
+    rates = [float(np.mean(log["violated"])) for _, _, log in logs]
     out_dir = _resolve_output(args.output or config.run.output_dir)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"baseline_{args.objective}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("master_seed,agent,violation_rate,mean_e_sew,mean_e_phone\n")
-        for log, rate in zip(logs, rates):
-            fh.write(
-                f"{log['master_seed']},{log['agent']},{rate!r},"
-                f"{float(np.mean(log['e_sew']))!r},{float(np.mean(log['e_phone']))!r}\n"
-            )
+    write_csv(
+        path,
+        "master_seed,agent,violation_rate,mean_e_sew,mean_e_phone",
+        ((seed, agent, rate, np.mean(log["e_sew"]), np.mean(log["e_phone"]))
+         for (seed, agent, log), rate in zip(logs, rates)),
+    )
     print(
         f"baseline ({args.objective}): mean violation rate "
         f"{float(np.mean(rates)):.4f} over {len(rates)} episodes -> {path}"
@@ -198,17 +198,14 @@ def cmd_report(args) -> int:
             continue
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         curves.append(data[:, 1])
-        steps = data[:, 0] if steps is None else steps
+        steps = data[:, 0].astype(np.int64) if steps is None else steps
     if not curves:
         print(f"no run_validation.csv files under {args.run_dir}", file=sys.stderr)
         return 2
     n = min(c.size for c in curves)
     mean, mn, mx = band([c[:n] for c in curves])
     out = args.out or os.path.join(args.run_dir, "validation_band.csv")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("x,mean,min,max\n")
-        for row in zip(steps[:n], mean, mn, mx):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(out, "x,mean,min,max", zip(steps[:n], mean, mn, mx))
     print(f"band over {len(curves)} runs -> {out}")
     return 0
 

@@ -134,6 +134,29 @@ class StepOutcome:
     cloud_latency: float
 
 
+# One row per decision, shared by the agent, the baseline and the artifact
+# writer, which takes the steps.csv columns from these names. Aligned fields
+# reduce (np.sum, np.mean) to the same bits as a contiguous copy; packed,
+# unaligned ones are buffered in chunks that change the summation order.
+STEP_LOG = np.dtype([
+    ("cost", np.float64),
+    ("violated", np.bool_),
+    ("action", np.int64),
+    ("config_id", np.int64),
+    ("e_sew", np.float64),
+    ("e_phone", np.float64),
+    ("c_5g", np.float64),
+    ("l_total", np.float64),
+], align=True)
+
+
+def log_step(log: np.ndarray, i: int, outcome: StepOutcome) -> None:
+    """Fill row ``i`` of a ``STEP_LOG`` array from one step's outcome."""
+    c = outcome.components
+    log[i] = (outcome.cost, outcome.violated, outcome.action, outcome.config_id,
+              c.e_sew, c.e_phone, c.c_5g, c.l_total)
+
+
 def throughput_floor(bound_max: float, floor_frac: float = 0.001) -> float:
     """Positive floor applied to raw throughput before any division."""
     return floor_frac * bound_max

@@ -7,8 +7,9 @@ every slow agent back the aggregate that includes its own contribution.
 Already-distributed aggregates are never modified retroactively, so fast
 agents continue from the fast-group average.
 
-Results are independent of physical scheduling: agents can run sequentially
-or on worker processes and produce bit-identical weights and logs.
+Agents run in one ``AgentHost``: in the master with one worker, or one per
+forked worker process, each serving its partition of the agents over a
+pipe. Weights and logs are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import DQNAgent
+from .network import QNetwork
 
 
 def _round_half_up(x: float) -> int:
@@ -132,7 +133,6 @@ def slow_step_count(
 @dataclass
 class FederationResult:
     final_weights: np.ndarray
-    agents: list[DQNAgent] | None
     schedule_rows: list[dict] = field(default_factory=list)
     agent_logs: list[dict] = field(default_factory=list)
 
@@ -144,29 +144,22 @@ def derive_seed_sequences(config: FederationConfig):
     return children[: config.m_agents], children[config.m_agents], children[config.m_agents + 1]
 
 
-def _collect_log(agent: DQNAgent) -> dict:
-    log = {
-        "cost": np.asarray(agent.costs),
-        "violated": np.asarray(agent.violations, dtype=bool),
-        "action": np.asarray(agent.actions, dtype=np.int64),
-        "config_id": np.asarray(agent.config_ids, dtype=np.int64),
-        "e_sew": np.asarray(agent.e_sew),
-        "e_phone": np.asarray(agent.e_phone),
-        "c_5g": np.asarray(agent.c_5g),
-        "l_total": np.asarray(agent.l_total),
-    }
-    if agent.validation is not None:
-        log["val_k"] = np.asarray(agent.validation.phase_indices, dtype=np.int64)
-        log["val_steps"] = np.asarray(agent.validation.steps_trained, dtype=np.int64)
-        log["val_rate"] = np.asarray(agent.validation.rates)
-    return log
+def initial_global_weights(config: FederationConfig, network_spec: dict) -> np.ndarray:
+    """The weights a run starts from: a ``QNetwork`` drawn from the net-init stream."""
+    _, net_seq, _ = derive_seed_sequences(config)
+    return QNetwork(rng=np.random.default_rng(net_seq), **network_spec).get_weights()
 
 
-class _InlineRunner:
-    """Runs all agents in the master process."""
+class AgentHost:
+    """Owns some of the agents and runs their phases, in the master or a worker.
 
-    def __init__(self, builder, agent_seqs):
-        self.agents = {i: builder.build(i, seq) for i, seq in enumerate(agent_seqs)}
+    ``run_phases`` takes ``(agent_id, weights, steps)`` jobs and returns
+    ``(agent_id, weights)`` pairs; ``finalize`` returns each agent's step
+    log and validation series.
+    """
+
+    def __init__(self, builder, assignments):
+        self.agents = {i: builder.build(i, seq) for i, seq in assignments}
 
     def run_phases(self, jobs):
         out = []
@@ -178,51 +171,49 @@ class _InlineRunner:
         return out
 
     def finalize(self):
-        for agent in self.agents.values():
+        logs = {}
+        for i, agent in self.agents.items():
             agent.finalize_validation()
-        return {i: _collect_log(a) for i, a in self.agents.items()}
+            logs[i] = {"steps": agent.log}
+            if agent.validation is not None:
+                probe = agent.validation
+                logs[i].update(val_k=probe.phase_indices, val_steps=probe.steps_trained,
+                               val_rate=probe.rates)
+        return logs
 
     def close(self):
-        pass
+        """Nothing to release: the agents live in this process."""
 
 
 def _worker_main(conn, builder, assignments):
-    agents = {i: builder.build(i, seq) for i, seq in assignments}
+    """Pool worker: an ``AgentHost`` serving ``(method, *args)`` messages."""
+    host = AgentHost(builder, assignments)
     while True:
-        message = conn.recv()
-        kind = message[0]
-        if kind == "phase":
-            replies = []
-            for agent_id, weights, steps in message[1]:
-                agent = agents[agent_id]
-                agent.set_weights(weights)
-                agent.run_training_phase(steps)
-                replies.append((agent_id, agent.get_weights()))
-            conn.send(replies)
-        elif kind == "finalize":
-            for agent in agents.values():
-                agent.finalize_validation()
-            conn.send({i: _collect_log(a) for i, a in agents.items()})
-        elif kind == "stop":
+        method, *args = conn.recv()
+        if method == "stop":
             conn.close()
             return
+        conn.send(getattr(host, method)(*args))
 
 
-class _PoolRunner:
-    """Persistent worker processes, each owning a partition of the agents."""
+class _Pool:
+    """Persistent worker processes, each hosting a partition of the agents.
+
+    A worker that exits mid-run is reported as a ``RuntimeError`` naming its
+    agents and exit code.
+    """
 
     def __init__(self, builder, agent_seqs, workers: int):
-        n = len(agent_seqs)
-        workers = max(1, min(workers, n))
+        workers = min(workers, len(agent_seqs))
         ctx = mp.get_context("fork")
         self.conns = []
         self.procs = []
         self.owner = {}
-        partitions = [[] for _ in range(workers)]
+        self.partitions = [[] for _ in range(workers)]
         for i, seq in enumerate(agent_seqs):
-            partitions[i % workers].append((i, seq))
+            self.partitions[i % workers].append((i, seq))
             self.owner[i] = i % workers
-        for part in partitions:
+        for part in self.partitions:
             parent, child = ctx.Pipe()
             proc = ctx.Process(target=_worker_main, args=(child, builder, part), daemon=True)
             proc.start()
@@ -230,26 +221,34 @@ class _PoolRunner:
             self.conns.append(parent)
             self.procs.append(proc)
 
+    def _exchange(self, messages: dict) -> list:
+        """Send each worker ``w`` its ``messages[w]``, then collect the replies."""
+        try:
+            for w, message in messages.items():
+                self.conns[w].send(message)
+            replies = []
+            for w in messages:
+                replies.append(self.conns[w].recv())
+            return replies
+        except (EOFError, BrokenPipeError, ConnectionResetError) as exc:
+            proc = self.procs[w]
+            proc.join(timeout=10)
+            agents = [i for i, _ in self.partitions[w]]
+            raise RuntimeError(
+                f"pool worker {w} for agents {agents} exited with code {proc.exitcode}"
+            ) from exc
+
     def run_phases(self, jobs):
-        per_worker = [[] for _ in self.conns]
+        batches = {}
         for job in jobs:
-            per_worker[self.owner[job[0]]].append(job)
-        active = []
-        for conn, batch in zip(self.conns, per_worker):
-            if batch:
-                conn.send(("phase", batch))
-                active.append(conn)
-        out = []
-        for conn in active:
-            out.extend(conn.recv())
-        return out
+            batches.setdefault(self.owner[job[0]], []).append(job)
+        replies = self._exchange({w: ("run_phases", batch) for w, batch in batches.items()})
+        return [pair for reply in replies for pair in reply]
 
     def finalize(self):
         logs = {}
-        for conn in self.conns:
-            conn.send(("finalize",))
-        for conn in self.conns:
-            logs.update(conn.recv())
+        for reply in self._exchange({w: ("finalize",) for w in range(len(self.conns))}):
+            logs.update(reply)
         return logs
 
     def close(self):
@@ -267,7 +266,6 @@ def run_federation(
     builder,
     initial_weights: np.ndarray | None = None,
     workers: int = 1,
-    keep_agents: bool = True,
 ) -> FederationResult:
     """Execute the full federated training loop.
 
@@ -277,14 +275,11 @@ def run_federation(
     seeds derive from ``config.master_seed``, so repeated runs are
     bit-identical regardless of ``workers``.
     """
-    agent_seqs, net_seq, sched_seq = derive_seed_sequences(config)
+    agent_seqs, _, sched_seq = derive_seed_sequences(config)
     sched_rng = np.random.default_rng(sched_seq)
 
     if initial_weights is None:
-        from .network import QNetwork
-
-        master_net = QNetwork(rng=np.random.default_rng(net_seq), **builder.network_spec())
-        theta = master_net.get_weights()
+        theta = initial_global_weights(config, builder.network_spec())
     else:
         theta = np.asarray(initial_weights, dtype=np.float64).copy()
 
@@ -296,12 +291,10 @@ def run_federation(
         config.n_iterations,
     )
 
-    use_pool = workers > 1 and config.m_agents > 1
-    runner = (
-        _PoolRunner(builder, agent_seqs, workers)
-        if use_pool
-        else _InlineRunner(builder, agent_seqs)
-    )
+    if workers > 1 and config.m_agents > 1:
+        host = _Pool(builder, agent_seqs, workers)
+    else:
+        host = AgentHost(builder, enumerate(agent_seqs))
     schedule_rows: list[dict] = []
     next_init = [theta] * config.m_agents
 
@@ -318,7 +311,7 @@ def run_federation(
                     steps[m] = config.freq_updates
 
             jobs = [(m, next_init[m], steps[m]) for m in range(config.m_agents)]
-            thetas = dict(runner.run_phases(jobs))
+            thetas = dict(host.run_phases(jobs))
             for m in range(config.m_agents):
                 if not np.isfinite(thetas[m]).all():
                     raise FloatingPointError(
@@ -354,15 +347,12 @@ def run_federation(
                 )
             theta = agg_state.current
 
-        logs = runner.finalize()
+        logs = host.finalize()
     finally:
-        runner.close()
+        host.close()
 
-    agent_logs = [logs[m] for m in range(config.m_agents)]
-    agents = list(runner.agents.values()) if isinstance(runner, _InlineRunner) and keep_agents else None
     return FederationResult(
         final_weights=theta,
-        agents=agents,
         schedule_rows=schedule_rows,
-        agent_logs=agent_logs,
+        agent_logs=[logs[m] for m in range(config.m_agents)],
     )

@@ -239,27 +239,6 @@ class ProfileSpec:
     rng_seed: int = 0
 
 
-def yolov8_like_spec(rng_seed: int = 1) -> ProfileSpec:
-    """A deeper application: 18 cut points, 210 configs, higher latencies.
-
-    The full-SEW latency deliberately exceeds the 600 ms threshold used with
-    this profile, so purely local execution is not a safe fallback.
-    """
-    return ProfileSpec(
-        name="yolov8-like",
-        cut_points=18,
-        delta0=6.25,
-        total_flops=9800.0,
-        sew_mflops_per_ms=15.5,
-        phone_mflops_per_ms=95.0,
-        cloud_mflops_per_ms=210.0,
-        t1_max=660.0,
-        t2_max=110.0,
-        t3_max=50.0,
-        rng_seed=rng_seed,
-    )
-
-
 def synthesize_profile(spec: ProfileSpec) -> ApplicationProfile:
     """Build a profile from a monotone chain model.
 

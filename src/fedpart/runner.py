@@ -16,10 +16,15 @@ from . import __version__
 from .agent import AgentSettings, DQNAgent, ValidationProbe
 from .baseline import run_baseline
 from .config import ExperimentConfig, dump_config
-from .env import CostWeights, ObservationBounds, OffloadEnv
-from .federation import FederationConfig, run_federation
+from .env import STEP_LOG, CostWeights, ObservationBounds, OffloadEnv
+from .federation import (
+    FederationConfig,
+    derive_seed_sequences,
+    initial_global_weights,
+    run_federation,
+)
 from .metrics import band, moving_avg_violations
-from .network import QNetwork, save_checkpoint
+from .network import save_checkpoint
 from .profiles import (
     ApplicationProfile,
     DeviceProfile,
@@ -108,19 +113,16 @@ class AgentBuilder:
     validation_interval: int = 250
     validation_steps: int = 300
     validation_initial: bool = True
-    enable_validation: bool = True
 
     def build(self, index: int, seq: np.random.SeedSequence) -> DQNAgent:
         env_seq, val_seq, learner_seq = seq.spawn(3)
         env = make_env(self.scenario, env_seq)
-        probe = None
-        if self.enable_validation:
-            probe = ValidationProbe(
-                make_env(self.scenario, val_seq),
-                steps=self.validation_steps,
-                interval=self.validation_interval,
-                include_initial=self.validation_initial,
-            )
+        probe = ValidationProbe(
+            make_env(self.scenario, val_seq),
+            steps=self.validation_steps,
+            interval=self.validation_interval,
+            include_initial=self.validation_initial,
+        )
         return DQNAgent(env, self.settings, seed=learner_seq, validation=probe)
 
     def network_spec(self) -> dict:
@@ -200,7 +202,6 @@ def run_one(
     config: ExperimentConfig,
     master_seed: int,
     initial_weights: np.ndarray | None = None,
-    workers: int | None = None,
 ) -> RunResult:
     scenario = build_scenario(config)
     builder = AgentBuilder(
@@ -212,25 +213,13 @@ def run_one(
     )
     spec = builder.network_spec()
     dims = (5, *spec["hidden"], spec["n_actions"])  # five observation entries
+    fed = federation_config_from(config, master_seed)
     if config.federation.steps_per_agent == 0:
         if initial_weights is None:
-            from .federation import derive_seed_sequences
-
-            fed = federation_config_from(config, master_seed)
-            _, net_seq, _ = derive_seed_sequences(fed)
-            initial_weights = QNetwork(
-                rng=np.random.default_rng(net_seq), **spec
-            ).get_weights()
-        m = 1 if config.federation.mode == "single" else config.federation.agents
-        return RunResult(master_seed, np.asarray(initial_weights, dtype=np.float64), dims,
-                         [{} for _ in range(m)], [])
-    fed = federation_config_from(config, master_seed)
+            initial_weights = initial_global_weights(fed, spec)
+        return RunResult(master_seed, np.asarray(initial_weights, dtype=np.float64), dims, [], [])
     result = run_federation(
-        fed,
-        builder,
-        initial_weights=initial_weights,
-        workers=config.run.workers if workers is None else workers,
-        keep_agents=False,
+        fed, builder, initial_weights=initial_weights, workers=config.run.workers
     )
     steps, curve = _mean_validation_curve(result.agent_logs)
     return RunResult(
@@ -251,14 +240,9 @@ def master_seeds(config: ExperimentConfig) -> list[int]:
 def run_experiment(
     config: ExperimentConfig,
     initial_weights: np.ndarray | None = None,
-    progress=None,
 ) -> ExperimentResult:
     config.validate()
-    runs = []
-    for seed in master_seeds(config):
-        runs.append(run_one(config, seed, initial_weights=initial_weights))
-        if progress is not None:
-            progress(runs[-1])
+    runs = [run_one(config, seed, initial_weights=initial_weights) for seed in master_seeds(config)]
     curves = [r.val_curve for r in runs if r.val_curve.size]
     if curves:
         n = min(c.size for c in curves)
@@ -270,15 +254,16 @@ def run_experiment(
     return ExperimentResult(config, runs, steps, mean, mn, mx)
 
 
-def run_baseline_suite(config: ExperimentConfig, objective: str) -> list[dict]:
+def run_baseline_suite(
+    config: ExperimentConfig, objective: str
+) -> list[tuple[int, int, np.ndarray]]:
     """Run the baseline over the same per-agent env streams the trainer uses.
 
     For each run seed and each agent index, a fresh environment is derived
     exactly as the agent's training env would be, giving a paired comparison
-    on the same perturbed trace replays.
+    on the same perturbed trace replays. Returns ``(master_seed, agent,
+    step_log)`` triples.
     """
-    from .federation import derive_seed_sequences
-
     scenario = build_scenario(config)
     logs = []
     steps = config.federation.steps_per_agent
@@ -288,17 +273,15 @@ def run_baseline_suite(config: ExperimentConfig, objective: str) -> list[dict]:
         for m, seq in enumerate(agent_seqs):
             env_seq, _, _ = seq.spawn(3)
             env = make_env(scenario, env_seq)
-            log = run_baseline(env, objective, steps)
-            log["master_seed"] = seed
-            log["agent"] = m
-            logs.append(log)
+            logs.append((seed, m, run_baseline(env, objective, steps)))
     return logs
 
 
 # -- artifact writing -------------------------------------------------------
 
 
-def _write_csv(path, header: str, rows) -> None:
+def write_csv(path, header: str, rows) -> None:
+    """Write ``rows`` under ``header``: bools as 0/1, floats as their shortest repr."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -327,34 +310,22 @@ def write_experiment(config: ExperimentConfig, result: ExperimentResult, out_dir
         run_dir = os.path.join(out_dir, f"run_{run.master_seed}")
         os.makedirs(run_dir, exist_ok=True)
         for m, log in enumerate(run.agent_logs):
-            if "cost" not in log:
-                continue
-            ma = moving_avg_violations(log["violated"])
-            rows = zip(
-                range(1, len(log["cost"]) + 1),
-                log["cost"],
-                log["violated"],
-                ma,
-                log["action"],
-                log["config_id"],
-                log["e_sew"],
-                log["e_phone"],
-                log["c_5g"],
-                log["l_total"],
+            steps = log["steps"]
+            names = ["step", *STEP_LOG.names]
+            columns = [np.arange(1, len(steps) + 1), *(steps[name] for name in STEP_LOG.names)]
+            after_violated = names.index("violated") + 1
+            names.insert(after_violated, "ma_violations")
+            columns.insert(after_violated, moving_avg_violations(steps["violated"]))
+            write_csv(
+                os.path.join(run_dir, f"agent_{m}.steps.csv"), ",".join(names), zip(*columns)
             )
-            _write_csv(
-                os.path.join(run_dir, f"agent_{m}.steps.csv"),
-                "step,cost,violated,ma_violations,action,config_id,e_sew,e_phone,c_5g,l_total",
-                rows,
+            write_csv(
+                os.path.join(run_dir, f"agent_{m}.validation.csv"),
+                "k,steps_trained,c_lat",
+                zip(log["val_k"], log["val_steps"], log["val_rate"]),
             )
-            if "val_k" in log:
-                _write_csv(
-                    os.path.join(run_dir, f"agent_{m}.validation.csv"),
-                    "k,steps_trained,c_lat",
-                    zip(log["val_k"], log["val_steps"], log["val_rate"]),
-                )
         if run.schedule_rows:
-            _write_csv(
+            write_csv(
                 os.path.join(run_dir, "schedule.csv"),
                 "iteration,agent,role,steps,agg_index",
                 (
@@ -363,7 +334,7 @@ def write_experiment(config: ExperimentConfig, result: ExperimentResult, out_dir
                 ),
             )
         if run.val_steps.size:
-            _write_csv(
+            write_csv(
                 os.path.join(run_dir, "run_validation.csv"),
                 "steps_trained,c_lat",
                 zip(run.val_steps, run.val_curve),
@@ -372,7 +343,7 @@ def write_experiment(config: ExperimentConfig, result: ExperimentResult, out_dir
         save_checkpoint(os.path.join(run_dir, "final_weights.ckpt"), run.dims, run.final_weights)
 
     if result.band_steps.size:
-        _write_csv(
+        write_csv(
             os.path.join(out_dir, "validation_band.csv"),
             "x,mean,min,max",
             zip(result.band_steps, result.band_mean, result.band_min, result.band_max),

@@ -136,8 +136,8 @@ class TestAgentLoop:
         b = DQNAgent(make_tiny_env(tiny_profile, seed=3), tiny_settings, seed=11)
         a.run_training_phase(120)
         b.run_training_phase(120)
-        assert a.costs == b.costs
-        assert a.actions == b.actions
+        assert np.array_equal(a.log["cost"], b.log["cost"])
+        assert np.array_equal(a.log["action"], b.log["action"])
         assert np.array_equal(a.get_weights(), b.get_weights())
 
     def test_target_sync_schedule(self, tiny_profile, tiny_settings):
@@ -199,4 +199,4 @@ class TestValidationProbe:
         plain.run_training_phase(100)
         probed.run_training_phase(100)
         assert np.array_equal(plain.get_weights(), probed.get_weights())
-        assert plain.costs == probed.costs
+        assert np.array_equal(plain.log["cost"], probed.log["cost"])

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 
 from fedpart import cli
@@ -60,3 +62,62 @@ class TestTrainTransfer:
                 "--checkpoint", str(ckpt), "--output", str(moved)]
         assert cli.main(argv) == 0
         assert (moved / "run_9" / "final_weights.ckpt").read_bytes() == ckpt.read_bytes()
+
+
+TINY_INI = """\
+[profile]
+cut_points = 3
+
+[agent]
+hidden = 8,8
+dropout = 0.2,0.0
+batch_size = 16
+
+[run]
+validation_interval = 20
+validation_steps = 10
+"""
+
+
+class TestEndToEnd:
+    def test_train_report_transfer(self, tmp_path):
+        ini = tmp_path / "tiny.ini"
+        ini.write_text(TINY_INI, encoding="utf-8")
+        common = ["--config", str(ini), "--mode", "async", "--agents", "3",
+                  "--proportion-slow", "0.34", "--max-delay-slow", "0.5",
+                  "--steps-per-agent", "60", "--freq-updates", "20", "--runs", "2", "--seed", "7"]
+
+        def train(name, workers):
+            out = tmp_path / name
+            assert cli.main(["train", *common, "--workers", str(workers), "--output", str(out)]) == 0
+            return out
+
+        def artifacts(out):
+            """Every file but manifest.ini, which names the output directory."""
+            return {
+                p.relative_to(out): p.read_bytes()
+                for p in out.rglob("*") if p.is_file() and p.name != "manifest.ini"
+            }
+
+        first = artifacts(train("first", workers=1))
+        names = {str(p) for p in first}
+        for seed in (7, 8):
+            assert f"run_{seed}/final_weights.ckpt" in names
+            assert {f"run_{seed}/agent_{m}.steps.csv" for m in range(3)} <= names
+        assert first == artifacts(train("again", workers=1))
+        assert first == artifacts(train("pooled", workers=2))
+
+        band = tmp_path / "band.csv"
+        assert cli.main(["report", str(tmp_path / "first"), "--out", str(band)]) == 0
+        assert band.read_bytes() == first[Path("validation_band.csv")]
+
+        ckpt = tmp_path / "first" / "run_7" / "final_weights.ckpt"
+        moved = tmp_path / "moved"
+        argv = ["transfer", *common, "--checkpoint", str(ckpt), "--output", str(moved)]
+        assert cli.main(argv) == 0
+        dims, weights = load_checkpoint(moved / "run_7" / "final_weights.ckpt")
+        assert dims == load_checkpoint(ckpt)[0]
+        assert np.isfinite(weights).all()
+        # Had transfer ignored the checkpoint, seed 7 would reproduce the first
+        # run's final weights, which are the checkpoint's.
+        assert not np.array_equal(weights, load_checkpoint(ckpt)[1])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedpart.env import (
+    STEP_LOG,
     CostBreakdown,
     CostWeights,
     EnvState,
@@ -12,6 +13,7 @@ from fedpart.env import (
     comm_cost_5g,
     cost_from_components,
     energy_per_window,
+    log_step,
     oracle_best_config,
     resolve_cost_weights,
     step_cost,
@@ -206,6 +208,29 @@ class TestEnvStep:
         assert out.components.c_5g == 0.0
         assert out.cloud_latency == 0.0
         assert out.components.l_total == tiny_profile.configs[0].t1
+
+
+class TestStepLog:
+    def test_rows_hold_the_outcomes(self, tiny_profile):
+        env = make_tiny_env(tiny_profile, seed=5)
+        outcomes = [env.step(a) for a in (3, env.keep_action, 0)]
+        log = np.zeros(len(outcomes), dtype=STEP_LOG)
+        for i, out in enumerate(outcomes):
+            log_step(log, i, out)
+        for row, out in zip(log, outcomes):
+            assert (row["cost"], row["violated"]) == (out.cost, out.violated)
+            assert (row["action"], row["config_id"]) == (out.action, out.config_id)
+            for name in ("e_sew", "e_phone", "c_5g", "l_total"):
+                assert row[name] == getattr(out.components, name)
+
+    def test_field_means_match_a_contiguous_copy(self):
+        """The baseline's mean energies are taken over log fields, and must
+        read the same bits as over plain arrays at any episode length."""
+        rng = np.random.default_rng(3)
+        log = np.zeros(20000, dtype=STEP_LOG)
+        for name in ("cost", "e_sew", "e_phone", "c_5g", "l_total"):
+            log[name] = rng.random(log.size) * np.exp(rng.normal(scale=5.0, size=log.size))
+            assert np.mean(log[name]) == np.mean(log[name].copy())
 
 
 class TestOracle:

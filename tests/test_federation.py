@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,21 +45,27 @@ class TestAggregation:
 
 
 class _Builder:
-    """Tiny agents; agent ``poisoned`` returns a NaN weight after its second phase."""
+    """Tiny agents; in its second phase, agent ``poisoned`` returns a NaN
+    weight and agent ``exits`` ends its process with exit code 3."""
 
-    def __init__(self, profile, settings, poisoned):
+    def __init__(self, profile, settings, poisoned, exits=None):
         self.profile = profile
         self.settings = settings
         self.poisoned = poisoned
+        self.exits = exits
+        self.test_pid = os.getpid()
 
     def build(self, index, seq):
         agent = DQNAgent(make_tiny_env(self.profile, seed=index), self.settings, seed=seq)
-        if index == self.poisoned:
+        if index in (self.poisoned, self.exits):
             train = agent.run_training_phase
 
             def run_training_phase(steps):
                 train(steps)
                 if agent.total_steps > steps:
+                    if index == self.exits:
+                        assert os.getpid() != self.test_pid, "would end the test process"
+                        os._exit(3)
                     agent.net.flat[3] = np.nan
 
             agent.run_training_phase = run_training_phase
@@ -73,15 +81,27 @@ class _Builder:
 
 
 class TestRunFederation:
-    @pytest.mark.parametrize("mode, slow", [("sync", 0.0), ("async", 0.34)])
+    @pytest.mark.parametrize("mode, slow, workers", [
+        pytest.param("sync", 0.0, 1, id="sync-0.0"),
+        pytest.param("async", 0.34, 1, id="async-0.34"),
+        pytest.param("sync", 0.0, 2, id="sync-0.0-workers2"),
+        pytest.param("async", 0.34, 2, id="async-0.34-workers2"),
+    ])
     def test_non_finite_weights_name_agent_and_iteration(
-        self, tiny_profile, tiny_settings, mode, slow
+        self, tiny_profile, tiny_settings, mode, slow, workers
     ):
         config = FederationConfig(m_agents=3, n_iterations=3, freq_updates=20, mode=mode,
                                   proportion_slow=slow, master_seed=2)
         builder = _Builder(tiny_profile, tiny_settings, poisoned=1)
         with pytest.raises(FloatingPointError, match=r"agent 1 .* iteration 1$"):
-            run_federation(config, builder)
+            run_federation(config, builder, workers=workers)
+
+    def test_dead_pool_worker_names_its_agents_and_exit_code(self, tiny_profile, tiny_settings):
+        config = FederationConfig(m_agents=3, n_iterations=3, freq_updates=20, master_seed=2)
+        builder = _Builder(tiny_profile, tiny_settings, poisoned=None, exits=2)
+        # Two workers: agents 0 and 2 share worker 0, agent 1 has worker 1.
+        with pytest.raises(RuntimeError, match=r"worker 0 for agents \[0, 2\] exited with code 3$"):
+            run_federation(config, builder, workers=2)
 
     def test_finite_run_completes(self, tiny_profile, tiny_settings):
         config = FederationConfig(m_agents=3, n_iterations=3, freq_updates=20, master_seed=2)

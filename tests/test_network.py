@@ -3,6 +3,7 @@ import pytest
 
 from fedpart.agent import td_loss
 from fedpart.network import (
+    CHECKPOINT_CHUNK,
     AdamOptimizer,
     QNetwork,
     SGDOptimizer,
@@ -200,34 +201,46 @@ class TestOptimizers:
         assert not opt.m.any() and not opt.v.any()
 
     def test_adam_flushes_subnormal_moments_without_moving_weights(self):
-        """One gradient then 1500 zero ones: the moments decay past finfo.tiny.
+        """Moments decaying past finfo.tiny under zero gradients are zeroed.
 
-        The optimizer zeroes them; plain float32 Adam, written out here with
-        the same operation order, leaves them stuck at a few ulp of subnormal.
-        The parameters must agree bit for bit.
+        Two cases: one gradient then 1500 zero ones, where the first moment
+        gets there; and 1000 zero gradients from a small first moment and a
+        second moment of 1.5 * tiny. Plain float32 Adam, written out here
+        with the same operation order, leaves that moment stuck at a few ulp
+        of subnormal. The parameters must agree bit for bit.
         """
         rng = np.random.default_rng(8)
         start = rng.uniform(-1.0, 1.0, size=64).astype(np.float32)
-        grads = [rng.normal(size=64).astype(np.float32)] + [np.zeros(64, np.float32)] * 1500
+        zeros = np.zeros(64, np.float32)
+        tiny = np.finfo(np.float32).tiny
         lr, b1, b2, eps = 0.04, 0.9, 0.999, 1e-8
+        cases = [
+            ("m", zeros, zeros, [rng.normal(size=64).astype(np.float32)] + [zeros] * 1500),
+            ("v", rng.normal(scale=1e-12, size=64).astype(np.float32),
+             np.full(64, 1.5 * tiny, np.float32), [zeros] * 1000),
+        ]
+        for stuck, m0, v0, grads in cases:
+            params = start.copy()
+            opt = AdamOptimizer(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+            opt.m[...] = m0
+            opt.v[...] = v0
+            for g in grads:
+                opt.step(params, g)
 
-        params = start.copy()
-        opt = AdamOptimizer(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
-        for g in grads:
-            opt.step(params, g)
+            ref, m, v = start.copy(), m0.copy(), v0.copy()
+            for t, g in enumerate(grads, start=1):
+                m = m * b1 + g * (1.0 - b1)
+                v = v * b2 + np.square(g) * (1.0 - b2)
+                mhat = m / (1.0 - b1**t)
+                vhat = np.sqrt(v / (1.0 - b2**t)) + eps
+                ref -= mhat / vhat * lr
 
-        ref, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
-        for t, g in enumerate(grads, start=1):
-            m = m * b1 + g * (1.0 - b1)
-            v = v * b2 + np.square(g) * (1.0 - b2)
-            mhat = m / (1.0 - b1**t)
-            vhat = np.sqrt(v / (1.0 - b2**t)) + eps
-            ref -= mhat / vhat * lr
-
-        assert subnormal_count(m) > 0  # the reference does reach the slow range
-        assert subnormal_count(opt.m) == 0
-        assert subnormal_count(opt.v) == 0
-        assert np.array_equal(params.view(np.uint32), ref.view(np.uint32))
+            # the reference does reach the slow range
+            assert subnormal_count({"m": m, "v": v}[stuck]) > 0, stuck
+            assert subnormal_count(opt.m) == 0, stuck
+            assert subnormal_count(opt.v) == 0, stuck
+            assert not np.array_equal(ref, start), stuck
+            assert np.array_equal(params.view(np.uint32), ref.view(np.uint32)), stuck
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -242,6 +255,11 @@ class TestCheckpoints:
         dims, weights = load_checkpoint(path)
         assert dims == net.dims
         assert np.array_equal(weights, net.get_weights())
+
+        # Longer than one chunk: the text is one shortest repr per line.
+        assert weights.size > CHECKPOINT_CHUNK
+        expected = "dims=5,100,100,60,11\n" + "".join(f"{float(w)!r}\n" for w in weights)
+        assert path.read_text(encoding="utf-8") == expected
 
     def test_wrong_count_rejected(self, tmp_path):
         net = QNetwork(3, hidden=(4, 4, 4))
