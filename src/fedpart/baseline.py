@@ -16,7 +16,6 @@ from .env import (
     STEP_LOG,
     CostWeights,
     OffloadEnv,
-    comm_cost_5g,
     energy_per_window,
     log_step,
     throughput_floor,
@@ -82,8 +81,8 @@ def run_baseline(env: OffloadEnv, objective: str, steps: int) -> np.ndarray:
     cloud, the latest sampled cloud latency.
     """
     profile = env.profile
-    wifi_floor = throughput_floor(env.bounds.wifi[1], env.floor_frac)
-    fiveg_floor = throughput_floor(env.bounds.fiveg[1], env.floor_frac)
+    wifi_floor = throughput_floor(env.bounds.wifi, env.floor_frac)
+    fiveg_floor = throughput_floor(env.bounds.fiveg, env.floor_frac)
     obs = BaselineObservation(
         last_r_wifi=env.wifi_replay.base.mean,
         last_r_5g=env.fiveg_replay.base.mean,

@@ -1,9 +1,15 @@
 """Command-line experiment driver.
 
 Subcommands: train, transfer, baseline, enumerate, profile, traces, report.
-All heavy settings live in an INI config file; a handful of flags override
-the most commonly swept parameters. FEDPART_OUTPUT_ROOT, when set, prefixes
-relative output directories.
+Settings come from an INI config file (see :mod:`fedpart.config`); the
+train, transfer and baseline flags override keys of its ``[run]`` and
+``[federation]`` sections. ``profile synth`` and ``traces synth`` write what
+the config's ``[profile]``, ``[wifi]`` and ``[fiveg]`` sections synthesize.
+``train`` and ``transfer`` write ``manifest.ini`` (the resolved config),
+per-agent step and validation CSVs and the final weights as text and as a
+checkpoint that ``transfer --checkpoint`` reads. A bad config, profile or
+trace, or a missing file, prints ``error: ...`` and returns 2.
+FEDPART_OUTPUT_ROOT, when set, prefixes relative output directories.
 """
 
 from __future__ import annotations
@@ -15,26 +21,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    apply_overrides,
-    dump_config,
-    load_config,
-)
-from .env import OffloadEnv
+from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 from .metrics import band
 from .network import load_checkpoint
-from .profiles import (
-    ProfileError,
-    config_count,
-    enumerate_configs,
-    load_profile,
-    save_profile,
-)
+from .profiles import ProfileError, enumerate_configs, load_profile, save_profile
 from .runner import (
     build_scenario,
-    master_seeds,
     run_baseline_suite,
     run_experiment,
     write_csv,
@@ -173,8 +165,8 @@ def cmd_profile(args) -> int:
 def cmd_traces(args) -> int:
     if args.traces_command == "synth":
         config = load_config(args.config) if args.config else ExperimentConfig()
-        wifi = synthesize_trace(config.traces.wifi_spec(), seed=config.traces.trace_seed)
-        fiveg = synthesize_trace(config.traces.fiveg_spec(), seed=config.traces.trace_seed + 1)
+        wifi = synthesize_trace(config.wifi, seed=config.inputs.trace_seed)
+        fiveg = synthesize_trace(config.fiveg, seed=config.inputs.trace_seed + 1)
         save_trace(wifi, args.wifi_out)
         save_trace(fiveg, args.fiveg_out)
         print(f"wrote {wifi.samples.size} wifi samples and {fiveg.samples.size} 5g samples")

@@ -1,10 +1,24 @@
-"""Experiment configuration: typed sections, strict parsing, round-tripping.
+"""Experiment configuration: one INI section per domain object, strict parsing.
 
 The on-disk format is INI (`[section]` headers, `key = value` lines) parsed
-with :mod:`configparser`. Every key must match a field of its section
-dataclass; unknown sections or keys are rejected with a field-level
-diagnostic. Values are coerced from the type of the field's default, so a
-resolved config serializes and re-parses to an identical object.
+with :mod:`configparser`. Each section is one object, and its keys are that
+object's field names:
+
+- ``[profile]``: :class:`~fedpart.profiles.ProfileSpec`
+- ``[wifi]`` and ``[fiveg]``: :class:`~fedpart.traces.TraceSynthesisSpec`
+- ``[cost]``: :class:`~fedpart.env.CostWeights`
+- ``[bounds]``: :class:`~fedpart.env.ObservationBounds`
+- ``[devices]``: :class:`~fedpart.profiles.DeviceProfile`
+- ``[agent]``: :class:`~fedpart.agent.AgentSettings`
+- ``[inputs]``, ``[federation]`` and ``[run]``: the config-only
+  :class:`InputsSection`, :class:`FederationSection` and :class:`RunSection`
+
+A section lists only the keys it changes; the rest keep the values of
+``ExperimentConfig()``, so a partial ``[wifi]`` keeps the Wi-Fi defaults.
+Values are coerced from the field's type annotation, and an empty value
+means None. Unknown sections or keys are rejected, and a value the domain
+object refuses is reported as ``[section] <reason>``. A dumped config
+re-parses to an identical object.
 """
 
 from __future__ import annotations
@@ -12,10 +26,12 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import typing
 from dataclasses import dataclass, field
 
 from .agent import AgentSettings
 from .env import CostWeights, ObservationBounds
+from .federation import FederationConfig
 from .profiles import DeviceProfile, ProfileSpec
 from .traces import TraceSynthesisSpec
 
@@ -25,195 +41,28 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ProfileSection:
-    source: str = "synthetic"  # synthetic | file
-    path: str = ""
-    name: str = "yolov5-like"
-    cut_points: int = 12
-    delta0: float = 6.25
-    total_flops: float = 5427.0
-    sew_mflops_per_ms: float = 12.6
-    phone_mflops_per_ms: float = 90.5
-    cloud_mflops_per_ms: float = 217.0
-    tensor_decay: float = 0.85
-    tensor_noise: float = 0.10
-    t1_max: float = 450.0
-    t2_max: float = 65.0
-    t3_max: float = 30.0
-    seed: int = 0
+class InputsSection:
+    """Where the profile and traces come from and how traces are replayed.
+
+    An unset path means the object is synthesized from its section;
+    ``extend_to = 0`` keeps the profile's own config count.
+    """
+
+    profile_path: str | None = None
     extend_to: int = 0
-
-    def to_spec(self) -> ProfileSpec:
-        return ProfileSpec(
-            name=self.name,
-            cut_points=self.cut_points,
-            delta0=self.delta0,
-            total_flops=self.total_flops,
-            sew_mflops_per_ms=self.sew_mflops_per_ms,
-            phone_mflops_per_ms=self.phone_mflops_per_ms,
-            cloud_mflops_per_ms=self.cloud_mflops_per_ms,
-            tensor_decay=self.tensor_decay,
-            tensor_noise=self.tensor_noise,
-            t1_max=self.t1_max,
-            t2_max=self.t2_max,
-            t3_max=self.t3_max,
-            rng_seed=self.seed,
-        )
-
-
-@dataclass(frozen=True)
-class TracesSection:
-    wifi_source: str = "synthetic"
-    wifi_path: str = ""
-    wifi_length: int = 3000
-    wifi_granularity_ms: float = 250.0
-    wifi_mean: float = 180.0
-    wifi_variability: float = 35.0
-    wifi_correlation: float = 0.98
-    wifi_max: float = 580.0
-    wifi_outage_rate: float = 0.0015
-    wifi_outage_depth: float = 0.2
-    wifi_outage_duration: float = 160.0
-    fiveg_source: str = "synthetic"
-    fiveg_path: str = ""
-    fiveg_length: int = 11024
-    fiveg_granularity_ms: float = 250.0
-    fiveg_mean: float = 24.0
-    fiveg_variability: float = 7.0
-    fiveg_correlation: float = 0.98
-    fiveg_max: float = 350.0
-    fiveg_outage_rate: float = 0.002
-    fiveg_outage_depth: float = 0.2
-    fiveg_outage_duration: float = 160.0
+    wifi_path: str | None = None
+    fiveg_path: str | None = None
     trace_seed: int = 7
     noise_rel: float = 0.10
     shift: bool = True
     inversion: bool = True
-
-    def wifi_spec(self) -> TraceSynthesisSpec:
-        return TraceSynthesisSpec(
-            length=self.wifi_length,
-            granularity_ms=self.wifi_granularity_ms,
-            mean=self.wifi_mean,
-            variability=self.wifi_variability,
-            correlation=self.wifi_correlation,
-            max_value=self.wifi_max,
-            outage_rate=self.wifi_outage_rate,
-            outage_depth=self.wifi_outage_depth,
-            outage_duration_mean=self.wifi_outage_duration,
-            label="wifi-synthetic",
-        )
-
-    def fiveg_spec(self) -> TraceSynthesisSpec:
-        return TraceSynthesisSpec(
-            length=self.fiveg_length,
-            granularity_ms=self.fiveg_granularity_ms,
-            mean=self.fiveg_mean,
-            variability=self.fiveg_variability,
-            correlation=self.fiveg_correlation,
-            max_value=self.fiveg_max,
-            outage_rate=self.fiveg_outage_rate,
-            outage_depth=self.fiveg_outage_depth,
-            outage_duration_mean=self.fiveg_outage_duration,
-            label="fiveg-synthetic",
-        )
-
-
-@dataclass(frozen=True)
-class EnvironmentSection:
-    w_sew: float = 0.03
-    w_phone: float = 0.02
-    w_5g: float = 0.0
-    w_lat: float = 0.93
-    w_rcfg: float = 0.02
-    alpha: float = 1.0
-    g: float = 0.1
-    lambda_fps: float = 1.0
-    tau_normal: float = 10.0
-    tau_fast: float = 1.0
-    l_max: float = 400.0
-    c_sew_max: float = 0.0  # 0 = resolve from the profile
-    c_phone_max: float = 0.0
-    c_5g_max: float = 0.0
-    bound_wifi_max: float = 580.0
-    bound_fiveg_max: float = 350.0
-    bound_l_sew_max: float = 450.0
-    bound_l_phone_max: float = 65.0
-    bound_l_cloud_max: float = 30.0
     floor_frac: float = 0.001
-    z_sew: float = 1.5e-3
-    z_phone: float = 8.0e-4
-    theta_sew: float = 7.9
-    theta_phone: float = 4.5
-
-    def to_weights(self) -> CostWeights:
-        return CostWeights(
-            w_sew=self.w_sew,
-            w_phone=self.w_phone,
-            w_5g=self.w_5g,
-            w_lat=self.w_lat,
-            w_rcfg=self.w_rcfg,
-            c_sew_max=self.c_sew_max or None,
-            c_phone_max=self.c_phone_max or None,
-            c_5g_max=self.c_5g_max or None,
-            alpha=self.alpha,
-            g=self.g,
-            lambda_fps=self.lambda_fps,
-            tau_normal=self.tau_normal,
-            tau_fast=self.tau_fast,
-            l_max=self.l_max,
-        )
-
-    def to_bounds(self) -> ObservationBounds:
-        return ObservationBounds(
-            wifi=(0.0, self.bound_wifi_max),
-            fiveg=(0.0, self.bound_fiveg_max),
-            l_sew=(0.0, self.bound_l_sew_max),
-            l_phone=(0.0, self.bound_l_phone_max),
-            l_cloud=(0.0, self.bound_l_cloud_max),
-        )
-
-    def to_devices(self) -> DeviceProfile:
-        return DeviceProfile(
-            z_sew=self.z_sew,
-            z_phone=self.z_phone,
-            theta_sew=self.theta_sew,
-            theta_phone=self.theta_phone,
-        )
-
-
-@dataclass(frozen=True)
-class AgentSection:
-    hidden: tuple[int, ...] = (100, 100, 60)
-    dropout: tuple[float, ...] = (0.4, 0.3, 0.0)
-    lr: float = 0.04
-    gamma: float = 0.99
-    epsilon: float = 0.05
-    batch_size: int = 512
-    buffer_capacity: int = 10000
-    target_update_freq: int = 400
-    train_every: int = 1
-    optimizer: str = "adam"
-    dtype: str = "float32"
-
-    def to_settings(self) -> AgentSettings:
-        return AgentSettings(
-            hidden=self.hidden,
-            dropout_rates=self.dropout,
-            lr=self.lr,
-            gamma=self.gamma,
-            epsilon=self.epsilon,
-            batch_size=self.batch_size,
-            buffer_capacity=self.buffer_capacity,
-            target_update_freq=self.target_update_freq,
-            train_every=self.train_every,
-            optimizer=self.optimizer,
-            dtype=self.dtype,
-        )
 
 
 @dataclass(frozen=True)
 class FederationSection:
+    """The federation schedule; ``single`` runs one agent synchronously."""
+
     mode: str = "sync"
     agents: int = 10
     steps_per_agent: int = 21000
@@ -221,6 +70,20 @@ class FederationSection:
     proportion_slow: float = 0.0
     max_delay_slow: float = 0.0
     role_policy: str = "fixed"
+
+    def federation_config(self, master_seed: int = 0) -> FederationConfig:
+        single = self.mode == "single"
+        return FederationConfig(
+            m_agents=1 if single else self.agents,
+            # FederationConfig itself rejects freq_updates < 1
+            n_iterations=max(1, self.steps_per_agent // max(1, self.freq_updates)),
+            freq_updates=self.freq_updates,
+            mode="sync" if single else self.mode,
+            proportion_slow=self.proportion_slow,
+            max_delay_slow_relative=self.max_delay_slow,
+            role_policy=self.role_policy,
+            master_seed=master_seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -234,169 +97,141 @@ class RunSection:
     validation_initial: bool = True
 
 
-_SECTION_TYPES = {
-    "profile": ProfileSection,
-    "traces": TracesSection,
-    "environment": EnvironmentSection,
-    "agent": AgentSection,
-    "federation": FederationSection,
-    "run": RunSection,
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    profile: ProfileSection = field(default_factory=ProfileSection)
-    traces: TracesSection = field(default_factory=TracesSection)
-    environment: EnvironmentSection = field(default_factory=EnvironmentSection)
-    agent: AgentSection = field(default_factory=AgentSection)
+    profile: ProfileSpec = field(default_factory=ProfileSpec)
+    wifi: TraceSynthesisSpec = field(default_factory=lambda: TraceSynthesisSpec(
+        length=3000, mean=180.0, variability=35.0, max_value=580.0,
+        outage_rate=0.0015, outage_depth=0.2, outage_duration_mean=160.0,
+    ))
+    fiveg: TraceSynthesisSpec = field(default_factory=lambda: TraceSynthesisSpec(
+        length=11024, mean=24.0, variability=7.0, max_value=350.0,
+        outage_rate=0.002, outage_depth=0.2, outage_duration_mean=160.0,
+    ))
+    cost: CostWeights = field(default_factory=CostWeights)
+    bounds: ObservationBounds = field(default_factory=ObservationBounds)
+    devices: DeviceProfile = field(default_factory=DeviceProfile)
+    agent: AgentSettings = field(default_factory=AgentSettings)
+    inputs: InputsSection = field(default_factory=InputsSection)
     federation: FederationSection = field(default_factory=FederationSection)
     run: RunSection = field(default_factory=RunSection)
 
     def validate(self) -> None:
+        """Check the rules that no domain object checks on construction."""
         fed = self.federation
         if fed.mode not in ("sync", "async", "single"):
             raise ConfigError(f"[federation] mode: expected sync|async|single, got {fed.mode!r}")
-        if fed.agents < 1:
-            raise ConfigError("[federation] agents must be >= 1")
-        if fed.steps_per_agent < 0:
-            raise ConfigError("[federation] steps_per_agent must be >= 0")
-        if fed.freq_updates < 1:
-            raise ConfigError("[federation] freq_updates must be >= 1")
-        if fed.steps_per_agent % fed.freq_updates != 0:
+        try:
+            fed.federation_config()
+        except ValueError as exc:
+            raise ConfigError(f"[federation] {exc}") from exc
+        if fed.steps_per_agent < 0 or fed.steps_per_agent % fed.freq_updates != 0:
             raise ConfigError(
-                "[federation] steps_per_agent must be a multiple of freq_updates "
-                f"({fed.steps_per_agent} % {fed.freq_updates} != 0)"
+                "[federation] steps_per_agent must be a nonnegative multiple of freq_updates "
+                f"(got {fed.steps_per_agent} and {fed.freq_updates})"
             )
-        if not (0.0 <= fed.proportion_slow <= 1.0):
-            raise ConfigError("[federation] proportion_slow must be in [0, 1]")
-        if fed.max_delay_slow < 0:
-            raise ConfigError("[federation] max_delay_slow must be >= 0")
-        if fed.role_policy not in ("fixed", "redraw"):
-            raise ConfigError("[federation] role_policy must be fixed|redraw")
         if self.run.n_runs < 1:
             raise ConfigError("[run] n_runs must be >= 1")
-        if self.profile.source not in ("synthetic", "file"):
-            raise ConfigError("[profile] source must be synthetic|file")
-        if self.profile.source == "file" and not self.profile.path:
-            raise ConfigError("[profile] path required when source = file")
-        for prefix in ("wifi", "fiveg"):
-            source = getattr(self.traces, f"{prefix}_source")
-            if source not in ("synthetic", "file"):
-                raise ConfigError(f"[traces] {prefix}_source must be synthetic|file")
-            if source == "file" and not getattr(self.traces, f"{prefix}_path"):
-                raise ConfigError(f"[traces] {prefix}_path required when source = file")
-        # construct derived objects so their own validation fires early
-        self.environment.to_weights()
-        self.environment.to_bounds()
-        self.environment.to_devices()
-        self.agent.to_settings()
 
 
-def _coerce(section: str, key: str, text: str, default):
-    text = text.strip()
-    try:
-        if isinstance(default, bool):
-            lowered = text.lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
-        if isinstance(default, int):
-            return int(text)
-        if isinstance(default, float):
-            return float(text)
-        if isinstance(default, tuple):
-            element = default[0] if default else 0.0
-            parts = [p for p in (s.strip() for s in text.split(",")) if p]
-            return tuple(type(element)(p) for p in parts)
-        return text
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+_SECTIONS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
-def _parse_ini(text: str) -> ExperimentConfig:
+def _coerce(hint, text: str):
+    """Turn INI text into a value of the annotated type (None if empty and allowed)."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return tuple(_coerce(args[0], p.strip()) for p in text.split(","))
+    if type(None) in args:  # X | None
+        if not text:
+            return None
+        hint = args[0]
+    if hint is bool:
+        lowered = text.lower()
+        if lowered in ("true", "yes", "1", "on"):
+            return True
+        if lowered in ("false", "no", "0", "off"):
+            return False
+        raise ValueError(f"not a boolean: {text!r}")
+    return hint(text)
+
+
+def _format_value(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(_format_value(v) for v in value)
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _section(config: ExperimentConfig, name: str):
+    if name not in _SECTIONS:
+        raise ConfigError(f"unknown section [{name}]; expected one of {list(_SECTIONS)}")
+    return getattr(config, name)
+
+
+def _replace(config: ExperimentConfig, updates: dict[str, dict]) -> ExperimentConfig:
+    """Replace fields section by section; the result is validated."""
+    sections = {}
+    for name, values in updates.items():
+        section = _section(config, name)
+        try:
+            sections[name] = dataclasses.replace(section, **values)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"[{name}] {exc}") from exc
+    config = dataclasses.replace(config, **sections)
+    config.validate()
+    return config
+
+
+def parse_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep keys case-sensitive
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
-    sections = {}
+    base = ExperimentConfig()
+    updates = {}
     for name in parser.sections():
-        if name not in _SECTION_TYPES:
-            raise ConfigError(
-                f"unknown section [{name}]; expected one of {sorted(_SECTION_TYPES)}"
-            )
-        cls = _SECTION_TYPES[name]
-        known = {f.name: f for f in dataclasses.fields(cls)}
-        defaults = cls()
-        values = {}
+        hints = typing.get_type_hints(type(_section(base, name)))
+        values = updates[name] = {}
         for key, raw in parser.items(name):
-            if key not in known:
+            if key not in hints:
                 raise ConfigError(f"unknown key {key!r} in section [{name}]")
-            values[key] = _coerce(name, key, raw, getattr(defaults, key))
-        sections[name] = cls(**values)
-    config = ExperimentConfig(**sections)
-    config.validate()
-    return config
+            try:
+                values[key] = _coerce(hints[key], raw.strip())
+            except ValueError as exc:
+                raise ConfigError(f"[{name}] {key}: {exc}") from exc
+    return _replace(base, updates)
 
 
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse_ini(fh.read())
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    return _parse_ini(text)
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-    return str(value)
+        return parse_config(fh.read())
 
 
 def dump_config(config: ExperimentConfig) -> str:
     """Serialize the resolved config; parsing the output reproduces it."""
     out = io.StringIO()
-    for section_name in _SECTION_TYPES:
-        section = getattr(config, section_name)
-        out.write(f"[{section_name}]\n")
+    for name in _SECTIONS:
+        section = getattr(config, name)
+        out.write(f"[{name}]\n")
         for f in dataclasses.fields(section):
-            out.write(f"{f.name} = {_format_value(getattr(section, f.name))}\n")
+            out.write(f"{f.name} = {_format_value(getattr(section, f.name))}".rstrip() + "\n")
         out.write("\n")
     return out.getvalue()
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_config(config))
 
 
 def apply_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:
     """Apply `section__key=value` overrides (None values are skipped)."""
     updates: dict[str, dict] = {}
     for dotted, value in overrides.items():
-        if value is None:
-            continue
-        section_name, key = dotted.split("__", 1)
-        if section_name not in _SECTION_TYPES:
-            raise ConfigError(f"unknown section {section_name!r} in override")
-        updates.setdefault(section_name, {})[key] = value
-    replaced = {}
-    for section_name, kv in updates.items():
-        section = getattr(config, section_name)
-        known = {f.name for f in dataclasses.fields(section)}
-        unknown = set(kv) - known
-        if unknown:
-            raise ConfigError(f"unknown key(s) {sorted(unknown)} in section [{section_name}]")
-        replaced[section_name] = dataclasses.replace(section, **kv)
-    config = dataclasses.replace(config, **replaced)
-    config.validate()
-    return config
+        if value is not None:
+            name, key = dotted.split("__", 1)
+            updates.setdefault(name, {})[key] = value
+    return _replace(config, updates)

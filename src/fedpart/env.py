@@ -24,25 +24,21 @@ from .traces import PerturbedReplay, sample_cloud_latency
 
 @dataclass(frozen=True)
 class ObservationBounds:
-    """Per-dimension [min, max] used for min-max state normalization."""
+    """Per-dimension maxima for state normalization; every minimum is 0."""
 
-    wifi: tuple[float, float] = (0.0, 580.0)
-    fiveg: tuple[float, float] = (0.0, 350.0)
-    l_sew: tuple[float, float] = (0.0, 450.0)
-    l_phone: tuple[float, float] = (0.0, 65.0)
-    l_cloud: tuple[float, float] = (0.0, 30.0)
+    wifi: float = 580.0
+    fiveg: float = 350.0
+    l_sew: float = 450.0
+    l_phone: float = 65.0
+    l_cloud: float = 30.0
 
     def __post_init__(self) -> None:
         for name in ("wifi", "fiveg", "l_sew", "l_phone", "l_cloud"):
-            lo, hi = getattr(self, name)
-            if hi <= lo:
-                raise ValueError(f"bounds for {name} must satisfy max > min")
+            if getattr(self, name) <= 0:
+                raise ValueError(f"bound {name} must be positive")
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        pairs = (self.wifi, self.fiveg, self.l_sew, self.l_phone, self.l_cloud)
-        lows = np.array([p[0] for p in pairs])
-        highs = np.array([p[1] for p in pairs])
-        return lows, highs
+    def highs(self) -> np.ndarray:
+        return np.array([self.wifi, self.fiveg, self.l_sew, self.l_phone, self.l_cloud])
 
 
 @dataclass(frozen=True)
@@ -103,9 +99,8 @@ class EnvState:
     bounds: ObservationBounds
 
     def normalized(self) -> np.ndarray:
-        lows, highs = self.bounds.as_arrays()
         raw = np.array([self.r_wifi, self.r_5g, self.l_sew, self.l_phone, self.l_cloud])
-        return np.clip((raw - lows) / (highs - lows), 0.0, 1.0)
+        return np.clip(raw / self.bounds.highs(), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -267,8 +262,8 @@ def resolve_cost_weights(
     """
     if weights.resolved:
         return weights
-    r_wifi = throughput_floor(bounds.wifi[1], floor_frac)
-    r_5g = throughput_floor(bounds.fiveg[1], floor_frac)
+    r_wifi = throughput_floor(bounds.wifi, floor_frac)
+    r_5g = throughput_floor(bounds.fiveg, floor_frac)
     e_sew_max = 0.0
     e_phone_max = 0.0
     c5_max = 0.0
@@ -295,8 +290,6 @@ class OffloadEnv:
     profile, the replay seeds and the action sequence.
     """
 
-    KEEP_ACTION_NAME = "keep-current"
-
     def __init__(
         self,
         profile: ApplicationProfile,
@@ -319,8 +312,8 @@ class OffloadEnv:
         self.cloud_rng = cloud_rng
         self.floor_frac = floor_frac
         self.fast_mode_after = fast_mode_after
-        self._wifi_floor = throughput_floor(bounds.wifi[1], floor_frac)
-        self._fiveg_floor = throughput_floor(bounds.fiveg[1], floor_frac)
+        self._wifi_floor = throughput_floor(bounds.wifi, floor_frac)
+        self._fiveg_floor = throughput_floor(bounds.fiveg, floor_frac)
         self.reset()
 
     @classmethod
@@ -359,10 +352,6 @@ class OffloadEnv:
     @property
     def keep_action(self) -> int:
         return self.profile.n_configs
-
-    @property
-    def current_config(self) -> PartitionConfig:
-        return self._config
 
     def reset(self) -> EnvState:
         """Deploy the fully-local config and observe the first trace samples."""
@@ -456,8 +445,8 @@ def oracle_best_config(
     minimizer.
     """
     weights = resolve_cost_weights(weights, profile, devices, bounds, floor_frac)
-    r_wifi = max(r_wifi, throughput_floor(bounds.wifi[1], floor_frac))
-    r_5g = max(r_5g, throughput_floor(bounds.fiveg[1], floor_frac))
+    r_wifi = max(r_wifi, throughput_floor(bounds.wifi, floor_frac))
+    r_5g = max(r_5g, throughput_floor(bounds.fiveg, floor_frac))
     best_id = -1
     best_objective = np.inf
     fallback_id = -1

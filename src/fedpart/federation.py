@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing as mp
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,21 +187,34 @@ class AgentHost:
 
 
 def _worker_main(conn, builder, assignments):
-    """Pool worker: an ``AgentHost`` serving ``(method, *args)`` messages."""
-    host = AgentHost(builder, assignments)
+    """Pool worker: an ``AgentHost`` serving ``(method, *args)`` messages.
+
+    Each reply is ``(error, result)``: an exception raised while building or
+    running the agents is printed with its traceback and comes back as
+    ``"Type: message"`` for the master to raise; the worker then waits for
+    the master's stop.
+    """
+    host = None
     while True:
         method, *args = conn.recv()
         if method == "stop":
             conn.close()
             return
-        conn.send(getattr(host, method)(*args))
+        try:
+            if host is None:
+                host = AgentHost(builder, assignments)
+            reply = (None, getattr(host, method)(*args))
+        except Exception as exc:
+            traceback.print_exc()
+            reply = (f"{type(exc).__name__}: {exc}", None)
+        conn.send(reply)
 
 
 class _Pool:
     """Persistent worker processes, each hosting a partition of the agents.
 
-    A worker that exits mid-run is reported as a ``RuntimeError`` naming its
-    agents and exit code.
+    A worker that exits mid-run, or whose agents raise, is reported as a
+    ``RuntimeError`` naming its agents and the exit code or the exception.
     """
 
     def __init__(self, builder, agent_seqs, workers: int):
@@ -221,22 +235,31 @@ class _Pool:
             self.conns.append(parent)
             self.procs.append(proc)
 
+    def _agents(self, w: int) -> list[int]:
+        return [i for i, _ in self.partitions[w]]
+
     def _exchange(self, messages: dict) -> list:
-        """Send each worker ``w`` its ``messages[w]``, then collect the replies."""
+        """Send each worker ``w`` its ``messages[w]``, then collect the replies.
+
+        Every reply is read before a worker's error is raised, so no worker
+        is left blocked on sending its reply.
+        """
         try:
             for w, message in messages.items():
                 self.conns[w].send(message)
             replies = []
             for w in messages:
                 replies.append(self.conns[w].recv())
-            return replies
         except (EOFError, BrokenPipeError, ConnectionResetError) as exc:
             proc = self.procs[w]
             proc.join(timeout=10)
-            agents = [i for i, _ in self.partitions[w]]
             raise RuntimeError(
-                f"pool worker {w} for agents {agents} exited with code {proc.exitcode}"
+                f"pool worker {w} for agents {self._agents(w)} exited with code {proc.exitcode}"
             ) from exc
+        for w, (error, _) in zip(messages, replies):
+            if error is not None:
+                raise RuntimeError(f"pool worker {w} for agents {self._agents(w)} raised {error}")
+        return [result for _, result in replies]
 
     def run_phases(self, jobs):
         batches = {}

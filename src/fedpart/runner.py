@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .agent import AgentSettings, DQNAgent, ValidationProbe
+from .agent import DQNAgent, ValidationProbe
 from .baseline import run_baseline
 from .config import ExperimentConfig, dump_config
-from .env import STEP_LOG, CostWeights, ObservationBounds, OffloadEnv
+from .env import STEP_LOG, OffloadEnv
 from .federation import (
-    FederationConfig,
     derive_seed_sequences,
     initial_global_weights,
     run_federation,
@@ -27,7 +26,6 @@ from .metrics import band, moving_avg_violations
 from .network import save_checkpoint
 from .profiles import (
     ApplicationProfile,
-    DeviceProfile,
     extend_profile,
     load_profile,
     synthesize_profile,
@@ -37,66 +35,48 @@ from .traces import Trace, load_trace, synthesize_trace
 
 @dataclass(frozen=True)
 class Scenario:
-    """Immutable experiment ingredients shared by every agent and run."""
+    """The experiment config with the profile and base traces it resolves to."""
 
+    config: ExperimentConfig
     profile: ApplicationProfile
-    devices: DeviceProfile
-    weights: CostWeights
-    bounds: ObservationBounds
     wifi_trace: Trace
     fiveg_trace: Trace
-    noise_rel: float
-    shift: bool
-    inversion: bool
-    floor_frac: float
 
 
 def build_scenario(config: ExperimentConfig) -> Scenario:
-    p = config.profile
-    if p.source == "file":
-        profile = load_profile(p.path)
+    inputs = config.inputs
+    if inputs.profile_path:
+        profile = load_profile(inputs.profile_path)
     else:
-        profile = synthesize_profile(p.to_spec())
-    if p.extend_to:
-        profile = extend_profile(profile, p.extend_to)
-
-    t = config.traces
-    if t.wifi_source == "file":
-        wifi = load_trace(t.wifi_path)
+        profile = synthesize_profile(config.profile)
+    if inputs.extend_to:
+        profile = extend_profile(profile, inputs.extend_to)
+    if inputs.wifi_path:
+        wifi = load_trace(inputs.wifi_path)
     else:
-        wifi = synthesize_trace(t.wifi_spec(), seed=t.trace_seed)
-    if t.fiveg_source == "file":
-        fiveg = load_trace(t.fiveg_path)
+        wifi = synthesize_trace(config.wifi, seed=inputs.trace_seed)
+    if inputs.fiveg_path:
+        fiveg = load_trace(inputs.fiveg_path)
     else:
-        fiveg = synthesize_trace(t.fiveg_spec(), seed=t.trace_seed + 1)
-
-    return Scenario(
-        profile=profile,
-        devices=config.environment.to_devices(),
-        weights=config.environment.to_weights(),
-        bounds=config.environment.to_bounds(),
-        wifi_trace=wifi,
-        fiveg_trace=fiveg,
-        noise_rel=t.noise_rel,
-        shift=t.shift,
-        inversion=t.inversion,
-        floor_frac=config.environment.floor_frac,
-    )
+        fiveg = synthesize_trace(config.fiveg, seed=inputs.trace_seed + 1)
+    return Scenario(config, profile, wifi, fiveg)
 
 
 def make_env(scenario: Scenario, seed) -> OffloadEnv:
+    config = scenario.config
+    inputs = config.inputs
     return OffloadEnv.from_seed(
         scenario.profile,
-        scenario.devices,
-        scenario.weights,
-        scenario.bounds,
+        config.devices,
+        config.cost,
+        config.bounds,
         scenario.wifi_trace,
         scenario.fiveg_trace,
         seed,
-        noise_rel=scenario.noise_rel,
-        shift_enabled=scenario.shift,
-        inversion_enabled=scenario.inversion,
-        floor_frac=scenario.floor_frac,
+        noise_rel=inputs.noise_rel,
+        shift_enabled=inputs.shift,
+        inversion_enabled=inputs.inversion,
+        floor_frac=inputs.floor_frac,
     )
 
 
@@ -109,28 +89,26 @@ class AgentBuilder:
     """
 
     scenario: Scenario
-    settings: AgentSettings
-    validation_interval: int = 250
-    validation_steps: int = 300
-    validation_initial: bool = True
 
     def build(self, index: int, seq: np.random.SeedSequence) -> DQNAgent:
         env_seq, val_seq, learner_seq = seq.spawn(3)
+        config = self.scenario.config
         env = make_env(self.scenario, env_seq)
         probe = ValidationProbe(
             make_env(self.scenario, val_seq),
-            steps=self.validation_steps,
-            interval=self.validation_interval,
-            include_initial=self.validation_initial,
+            steps=config.run.validation_steps,
+            interval=config.run.validation_interval,
+            include_initial=config.run.validation_initial,
         )
-        return DQNAgent(env, self.settings, seed=learner_seq, validation=probe)
+        return DQNAgent(env, config.agent, seed=learner_seq, validation=probe)
 
     def network_spec(self) -> dict:
+        settings = self.scenario.config.agent
         return {
             "n_actions": self.scenario.profile.n_configs + 1,
-            "hidden": self.settings.hidden,
-            "dropout_rates": self.settings.dropout_rates,
-            "dtype": np.dtype(self.settings.dtype),
+            "hidden": settings.hidden,
+            "dropout_rates": settings.dropout_rates,
+            "dtype": np.dtype(settings.dtype),
         }
 
 
@@ -180,40 +158,15 @@ def _mean_validation_curve(agent_logs: list[dict]) -> tuple[np.ndarray, np.ndarr
     return steps, rates.mean(axis=0)
 
 
-def federation_config_from(config: ExperimentConfig, master_seed: int) -> FederationConfig:
-    fed = config.federation
-    mode = fed.mode
-    agents = fed.agents
-    if mode == "single":
-        mode, agents = "sync", 1
-    return FederationConfig(
-        m_agents=agents,
-        n_iterations=max(1, fed.steps_per_agent // fed.freq_updates),
-        freq_updates=fed.freq_updates,
-        mode=mode,
-        proportion_slow=fed.proportion_slow,
-        max_delay_slow_relative=fed.max_delay_slow,
-        role_policy=fed.role_policy,
-        master_seed=master_seed,
-    )
-
-
 def run_one(
     config: ExperimentConfig,
     master_seed: int,
     initial_weights: np.ndarray | None = None,
 ) -> RunResult:
-    scenario = build_scenario(config)
-    builder = AgentBuilder(
-        scenario,
-        config.agent.to_settings(),
-        validation_interval=config.run.validation_interval,
-        validation_steps=config.run.validation_steps,
-        validation_initial=config.run.validation_initial,
-    )
+    builder = AgentBuilder(build_scenario(config))
     spec = builder.network_spec()
     dims = (5, *spec["hidden"], spec["n_actions"])  # five observation entries
-    fed = federation_config_from(config, master_seed)
+    fed = config.federation.federation_config(master_seed)
     if config.federation.steps_per_agent == 0:
         if initial_weights is None:
             initial_weights = initial_global_weights(fed, spec)
@@ -268,7 +221,7 @@ def run_baseline_suite(
     logs = []
     steps = config.federation.steps_per_agent
     for seed in master_seeds(config):
-        fed = federation_config_from(config, seed)
+        fed = config.federation.federation_config(seed)
         agent_seqs, _, _ = derive_seed_sequences(fed)
         for m, seq in enumerate(agent_seqs):
             env_seq, _, _ = seq.spawn(3)

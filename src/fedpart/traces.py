@@ -10,7 +10,7 @@ periodic signal twice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class Trace:
 
     samples: np.ndarray
     granularity_ms: float = 250.0
-    source_label: str = ""
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -47,7 +46,7 @@ class TraceSynthesisSpec:
     """Parameters for a synthetic throughput trace.
 
     The signal is a stationary AR(1) process around ``mean`` with standard
-    deviation ``variability``, clipped to ``[min_value, max_value]``.
+    deviation ``variability``, clipped to ``[0, max_value]``.
     Optional outages model bursts of degraded connectivity: entered with
     probability ``outage_rate`` per sample, lasting a geometric number of
     samples with the given mean, scaling throughput by ``outage_depth``.
@@ -58,12 +57,10 @@ class TraceSynthesisSpec:
     mean: float = 100.0
     variability: float = 20.0
     correlation: float = 0.98
-    min_value: float = 0.0
     max_value: float = 580.0
     outage_rate: float = 0.0
     outage_depth: float = 0.05
     outage_duration_mean: float = 120.0
-    label: str = "synthetic"
 
 
 def synthesize_trace(spec: TraceSynthesisSpec, seed: int) -> Trace:
@@ -97,11 +94,11 @@ def synthesize_trace(spec: TraceSynthesisSpec, seed: int) -> Trace:
                 in_outage = int(durations[t])
                 level[t] *= spec.outage_depth
 
-    samples = np.clip(level, spec.min_value, spec.max_value)
-    return Trace(samples=samples, granularity_ms=spec.granularity_ms, source_label=spec.label)
+    samples = np.clip(level, 0.0, spec.max_value)
+    return Trace(samples=samples, granularity_ms=spec.granularity_ms)
 
 
-def load_trace(path, source_label: str | None = None) -> Trace:
+def load_trace(path) -> Trace:
     """Read a two-column ``timestamp_ms,throughput`` text file.
 
     Timestamps must increase by the same step throughout; the first two rows
@@ -142,11 +139,7 @@ def load_trace(path, source_label: str | None = None) -> Trace:
                 f"{path}: line {linenos[i]}: timestamp step {step!r} ms differs from the "
                 f"{granularity!r} ms of the first two rows"
             )
-    return Trace(
-        samples=np.asarray(values),
-        granularity_ms=granularity,
-        source_label=source_label or str(path),
-    )
+    return Trace(samples=np.asarray(values), granularity_ms=granularity)
 
 
 def save_trace(trace: Trace, path) -> None:

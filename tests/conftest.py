@@ -71,4 +71,4 @@ def tiny_env(tiny_profile):
 
 @pytest.fixture(scope="session")
 def constant_trace():
-    return Trace(samples=np.full(40, 25.0), granularity_ms=250.0, source_label="const")
+    return Trace(samples=np.full(40, 25.0), granularity_ms=250.0)

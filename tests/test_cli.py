@@ -19,10 +19,10 @@ def _synth(tmp_path):
 class TestTracesCommand:
     def test_synth_files_load_back_exactly(self, tmp_path):
         wifi, fiveg = _synth(tmp_path)
-        traces = ExperimentConfig().traces
+        config = ExperimentConfig()
         for path, spec, seed in (
-            (wifi, traces.wifi_spec(), traces.trace_seed),
-            (fiveg, traces.fiveg_spec(), traces.trace_seed + 1),
+            (wifi, config.wifi, config.inputs.trace_seed),
+            (fiveg, config.fiveg, config.inputs.trace_seed + 1),
         ):
             expected = synthesize_trace(spec, seed=seed)
             loaded = load_trace(path)
@@ -70,7 +70,7 @@ cut_points = 3
 
 [agent]
 hidden = 8,8
-dropout = 0.2,0.0
+dropout_rates = 0.2,0.0
 batch_size = 16
 
 [run]

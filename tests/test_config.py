@@ -1,0 +1,173 @@
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fedpart import cli
+from fedpart.agent import AgentSettings
+from fedpart.config import (
+    ConfigError,
+    ExperimentConfig,
+    FederationSection,
+    InputsSection,
+    RunSection,
+    dump_config,
+    load_config,
+    parse_config,
+)
+from fedpart.env import CostWeights, ObservationBounds
+from fedpart.profiles import DeviceProfile, ProfileSpec
+from fedpart.traces import TraceSynthesisSpec
+
+positive = st.floats(1e-3, 1e4, allow_nan=False, allow_infinity=False)
+unit = st.floats(0.0, 1.0, allow_nan=False)
+names = st.text("abcdefghijklmnopqrstuvwxyz0123456789-_./", min_size=1, max_size=12)
+
+
+@st.composite
+def cost_weights(draw):
+    raw = draw(st.lists(st.integers(0, 100), min_size=5, max_size=5).filter(any))
+    weights = [r / sum(raw) for r in raw]
+    weights[3] = 1.0 - sum(weights[:3]) - weights[4]  # sum to 1 within rounding
+    maxima = st.none() | positive
+    return CostWeights(*(max(w, 0.0) for w in weights),
+                       c_sew_max=draw(maxima), c_phone_max=draw(maxima), c_5g_max=draw(maxima),
+                       alpha=draw(positive), g=draw(positive), lambda_fps=draw(positive),
+                       tau_normal=draw(positive), tau_fast=draw(positive), l_max=draw(positive))
+
+
+@st.composite
+def traces(draw):
+    return TraceSynthesisSpec(
+        length=draw(st.integers(1, 20000)), granularity_ms=draw(positive), mean=draw(positive),
+        variability=draw(positive), correlation=draw(unit), max_value=draw(positive),
+        outage_rate=draw(unit), outage_depth=draw(unit), outage_duration_mean=draw(positive),
+    )
+
+
+@st.composite
+def configs(draw):
+    layers = draw(st.integers(1, 4))
+    batch = draw(st.integers(1, 1024))
+    freq = draw(st.integers(1, 1000))
+    return ExperimentConfig(
+        profile=ProfileSpec(draw(names), *draw(st.tuples(st.integers(1, 30), *[positive] * 10)),
+                            rng_seed=draw(st.integers(0, 2**32))),
+        wifi=draw(traces()),
+        fiveg=draw(traces()),
+        cost=draw(cost_weights()),
+        bounds=ObservationBounds(*draw(st.tuples(*[positive] * 5))),
+        devices=DeviceProfile(*draw(st.tuples(*[positive] * 4))),
+        agent=AgentSettings(
+            hidden=tuple(draw(st.lists(st.integers(1, 512), min_size=layers, max_size=layers))),
+            dropout_rates=tuple(draw(st.lists(unit, min_size=layers, max_size=layers))),
+            lr=draw(positive), gamma=draw(unit), epsilon=draw(unit), batch_size=batch,
+            buffer_capacity=draw(st.integers(batch, 100000)),
+            target_update_freq=draw(st.integers(1, 1000)), train_every=draw(st.integers(1, 8)),
+            optimizer=draw(st.sampled_from(("adam", "sgd"))),
+            dtype=draw(st.sampled_from(("float32", "float64"))),
+        ),
+        inputs=InputsSection(
+            profile_path=draw(st.none() | names), extend_to=draw(st.integers(0, 500)),
+            wifi_path=draw(st.none() | names), fiveg_path=draw(st.none() | names),
+            trace_seed=draw(st.integers(0, 2**32)), noise_rel=draw(unit),
+            shift=draw(st.booleans()), inversion=draw(st.booleans()), floor_frac=draw(unit),
+        ),
+        federation=FederationSection(
+            mode=draw(st.sampled_from(("sync", "async", "single"))),
+            agents=draw(st.integers(1, 50)),
+            steps_per_agent=freq * draw(st.integers(0, 50)), freq_updates=freq,
+            proportion_slow=draw(unit), max_delay_slow=draw(positive),
+            role_policy=draw(st.sampled_from(("fixed", "redraw"))),
+        ),
+        run=RunSection(
+            n_runs=draw(st.integers(1, 10)), base_seed=draw(st.integers(0, 2**32)),
+            output_dir=draw(names), workers=draw(st.integers(1, 8)),
+            validation_interval=draw(st.integers(1, 1000)),
+            validation_steps=draw(st.integers(1, 1000)), validation_initial=draw(st.booleans()),
+        ),
+    )
+
+
+class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(configs())
+    def test_dump_then_parse_is_the_identity(self, config):
+        assert parse_config(dump_config(config)) == config
+
+    def test_manifest_parses_back_to_the_config_the_run_used(self, tmp_path, monkeypatch):
+        used = []
+        write = cli.write_experiment
+
+        def record(config, result, out_dir):
+            used.append(config)
+            write(config, result, out_dir)
+
+        monkeypatch.setattr(cli, "write_experiment", record)
+        ini = tmp_path / "tiny.ini"
+        ini.write_text("[profile]\ncut_points = 2\n[agent]\nhidden = 4\ndropout_rates = 0.1\n"
+                       "batch_size = 8\n[cost]\nc_5g_max = 2.5\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["train", "--config", str(ini), "--mode", "single", "--runs", "1",
+                "--steps-per-agent", "20", "--freq-updates", "20", "--output", str(out)]
+        assert cli.main(argv) == 0
+        assert load_config(out / "manifest.ini") == used[0]
+        assert used[0].cost.c_5g_max == 2.5 and used[0].agent.hidden == (4,)
+
+
+class TestParse:
+    def test_partial_section_keeps_that_sections_defaults(self):
+        config = parse_config("[wifi]\nmean = 200\n")
+        defaults = ExperimentConfig()
+        assert config.wifi == dataclasses.replace(defaults.wifi, mean=200.0)
+        assert config.wifi.length == 3000 and config.wifi.outage_rate == 0.0015
+        assert config.fiveg == defaults.fiveg
+
+    def test_empty_value_means_none(self):
+        config = parse_config("[cost]\nc_sew_max = 3.0\n[inputs]\nwifi_path = w.trace\n")
+        assert config.cost.c_sew_max == 3.0
+        assert parse_config("[cost]\nc_sew_max =\n").cost.c_sew_max is None
+        assert parse_config("[inputs]\nwifi_path =\n").inputs.wifi_path is None
+
+    @pytest.mark.parametrize("text, name", [
+        ("[traces]\nwifi_mean = 1\n", "[traces]"),
+        ("[environment]\nw_lat = 0.93\n", "[environment]"),
+        ("[wifi]\nwifi_mean = 1\n", "'wifi_mean'"),
+        ("[profile]\nsource = file\n", "'source'"),
+        ("[agent]\ndropout = 0.1,0.1,0.0\n", "'dropout'"),
+    ])
+    def test_unknown_sections_and_keys_are_rejected_by_name(self, text, name):
+        with pytest.raises(ConfigError, match=r"unknown .*" + name.replace("[", r"\[")):
+            parse_config(text)
+
+    @pytest.mark.parametrize("text, prefix", [
+        ("[cost]\nw_lat = 0.5\n", "[cost] cost weights must sum to 1"),
+        ("[agent]\ngamma = 2.0\n", "[agent] gamma must be in [0, 1]"),
+        ("[bounds]\nwifi = 0\n", "[bounds] bound wifi must be positive"),
+        ("[federation]\nproportion_slow = 2\n", "[federation] proportion_slow"),
+        ("[federation]\nfreq_updates = 0\n", "[federation] freq_updates must be >= 1"),
+        ("[federation]\nsteps_per_agent = 7\n", "[federation] steps_per_agent"),
+        ("[federation]\nmode = solo\n", "[federation] mode"),
+        ("[run]\nn_runs = 0\n", "[run] n_runs"),
+        ("[agent]\nhidden = 8,x\n", "[agent] hidden:"),
+        ("[inputs]\nshift = maybe\n", "[inputs] shift: not a boolean"),
+    ])
+    def test_rejected_values_name_their_section(self, text, prefix):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value).startswith(prefix)
+
+
+class TestCliErrors:
+    @pytest.mark.parametrize("text, prefix", [
+        ("[cost]\nw_lat = 0.5\n", "error: [cost] "),
+        ("[agent]\ngamma = 2.0\n", "error: [agent] "),
+    ])
+    def test_domain_rejected_value_is_an_error_not_a_traceback(
+        self, tmp_path, capsys, text, prefix
+    ):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text, encoding="utf-8")
+        assert cli.main(["train", "--config", str(ini), "--output", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(prefix)

@@ -108,3 +108,32 @@ class TestRunFederation:
         result = run_federation(config, _Builder(tiny_profile, tiny_settings, poisoned=None))
         assert np.isfinite(result.final_weights).all()
         assert len(result.schedule_rows) == 9
+
+
+class _RaisingBuilder(_Builder):
+    """Agent 1 raises ``ValueError`` in its first phase."""
+
+    def build(self, index, seq):
+        agent = super().build(index, seq)
+        if index == 1:
+            def run_training_phase(steps):
+                raise ValueError("agent-side failure")
+
+            agent.run_training_phase = run_training_phase
+        return agent
+
+
+class TestAgentErrors:
+    def test_inline_agent_error_propagates(self, tiny_profile, tiny_settings):
+        config = FederationConfig(m_agents=3, n_iterations=2, freq_updates=20, master_seed=2)
+        builder = _RaisingBuilder(tiny_profile, tiny_settings, poisoned=None)
+        with pytest.raises(ValueError, match=r"^agent-side failure$"):
+            run_federation(config, builder, workers=1)
+
+    def test_pool_worker_reports_its_agents_exception(self, tiny_profile, tiny_settings):
+        config = FederationConfig(m_agents=3, n_iterations=2, freq_updates=20, master_seed=2)
+        builder = _RaisingBuilder(tiny_profile, tiny_settings, poisoned=None)
+        # Two workers: agent 1 has worker 1 to itself.
+        with pytest.raises(RuntimeError,
+                           match=r"^pool worker 1 for agents \[1\] raised ValueError: agent-side failure$"):
+            run_federation(config, builder, workers=2)
