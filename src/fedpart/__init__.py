@@ -23,14 +23,7 @@ from .traces import (  # noqa: F401
     save_trace,
     synthesize_trace,
 )
-from .env import (  # noqa: F401
-    CostWeights,
-    EnvState,
-    ObservationBounds,
-    OffloadEnv,
-    StepOutcome,
-    oracle_best_config,
-)
+from .env import CostWeights, ObservationBounds, OffloadEnv  # noqa: F401
 from .agent import AgentSettings, DQNAgent, ReplayBuffer, ValidationProbe  # noqa: F401
 from .network import QNetwork, load_checkpoint, save_checkpoint  # noqa: F401
 from .federation import (  # noqa: F401

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import STEP_LOG, OffloadEnv, log_step
-from .network import QNetwork, make_optimizer
+from .env import STEP_LOG, OffloadEnv
+from .network import AdamOptimizer, QNetwork
 
 
 class ReplayBuffer:
@@ -67,16 +67,6 @@ def select_action(
     return int(np.argmax(net.forward(state)))
 
 
-def td_loss(net: QNetwork, target_net: QNetwork, batch, gamma: float) -> float:
-    """Mean squared TD error of a batch, eval-mode (no dropout), no update."""
-    states, actions, rewards, next_states = batch
-    q_next = target_net.forward(np.asarray(next_states, dtype=target_net.dtype))
-    targets = np.asarray(rewards, dtype=net.dtype) + gamma * q_next.max(axis=1)
-    q = net.forward(np.asarray(states, dtype=net.dtype))
-    chosen = q[np.arange(len(actions)), actions]
-    return float(np.mean((chosen - targets) ** 2))
-
-
 def train_step(
     net: QNetwork,
     target_net: QNetwork,
@@ -124,7 +114,6 @@ class AgentSettings:
     buffer_capacity: int = 10000
     target_update_freq: int = 400
     train_every: int = 1
-    optimizer: str = "adam"
     dtype: str = "float32"
 
     def __post_init__(self) -> None:
@@ -147,37 +136,25 @@ class ValidationProbe:
     probe attached.
     """
 
-    def __init__(
-        self,
-        env: OffloadEnv,
-        steps: int = 300,
-        interval: int = 250,
-        include_initial: bool = True,
-    ):
+    def __init__(self, env: OffloadEnv, steps: int = 300, interval: int = 250):
         if steps < 1 or interval < 1:
             raise ValueError("steps and interval must be >= 1")
         self.env = env
         self.steps = steps
         self.interval = interval
-        self.include_initial = include_initial
         self.phase_indices: list[int] = []
         self.steps_trained: list[int] = []
         self.rates: list[float] = []
         self._last_run_at = -1
 
     def due(self, total_steps: int) -> bool:
-        if total_steps % self.interval != 0 or total_steps == self._last_run_at:
-            return False
-        if total_steps == 0 and not self.include_initial:
-            return False
-        return True
+        return total_steps % self.interval == 0 and total_steps != self._last_run_at
 
     def run(self, net: QNetwork, total_steps: int) -> float:
         violations = 0
         for _ in range(self.steps):
             action = int(np.argmax(net.forward(self.env.observe())))
-            outcome = self.env.step(action)
-            violations += int(outcome.violated)
+            violations += int(self.env.step(action).violated)
         rate = violations / self.steps
         self.phase_indices.append(total_steps // self.interval)
         self.steps_trained.append(total_steps)
@@ -212,7 +189,7 @@ class DQNAgent:
             dtype=dtype,
         )
         self.target_net = self.net.clone()
-        self.optimizer = make_optimizer(settings.optimizer, self.net.flat, settings.lr)
+        self.optimizer = AdamOptimizer(self.net.flat, lr=settings.lr)
         self.buffer = ReplayBuffer(settings.buffer_capacity, state_dim=5, dtype=dtype)
         self.validation = validation
         self._action_rng = np.random.default_rng(action_seq)
@@ -253,11 +230,11 @@ class DQNAgent:
                 self.validation.run(self.net, self.total_steps)
             state = self._state_vec
             action = select_action(self.net, state, settings.epsilon, self._action_rng)
-            outcome = self.env.step(action)
+            step = self.env.step(action)
+            self.log[self.total_steps] = step
             next_state = self.env.observe()
-            self.buffer.push(state, action, -outcome.cost, next_state)
+            self.buffer.push(state, action, -step.cost, next_state)
             self._state_vec = next_state
-            log_step(self.log, self.total_steps, outcome)
             self.total_steps += 1
             if (
                 len(self.buffer) >= settings.batch_size

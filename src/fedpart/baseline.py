@@ -17,7 +17,6 @@ from .env import (
     CostWeights,
     OffloadEnv,
     energy_per_window,
-    log_step,
     throughput_floor,
     total_latency_ms,
 )
@@ -93,10 +92,8 @@ def run_baseline(env: OffloadEnv, objective: str, steps: int) -> np.ndarray:
         choice = neurosurgeon_select(
             profile, obs, objective, env.devices, env.weights, wifi_floor, fiveg_floor
         )
-        outcome = env.step(choice)
-        log_step(log, i, outcome)
-        obs.last_r_wifi = outcome.next_state.r_wifi
-        obs.last_r_5g = outcome.next_state.r_5g
-        if profile.configs[outcome.config_id].has_cloud_stage:
-            obs.last_cloud_latency = outcome.cloud_latency
+        log[i] = env.step(choice)
+        obs.last_r_wifi, obs.last_r_5g = env.raw[:2].tolist()
+        if profile.configs[choice].has_cloud_stage:
+            obs.last_cloud_latency = float(env.raw[4])
     return log

@@ -94,7 +94,11 @@ class RunSection:
     workers: int = 1
     validation_interval: int = 250
     validation_steps: int = 300
-    validation_initial: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("n_runs", "validation_interval", "validation_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -130,8 +134,6 @@ class ExperimentConfig:
                 "[federation] steps_per_agent must be a nonnegative multiple of freq_updates "
                 f"(got {fed.steps_per_agent} and {fed.freq_updates})"
             )
-        if self.run.n_runs < 1:
-            raise ConfigError("[run] n_runs must be >= 1")
 
 
 _SECTIONS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))

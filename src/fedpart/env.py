@@ -1,11 +1,14 @@
 """MDP environment for runtime selection of partition configurations.
 
 State is (wifi throughput, 5G throughput, SEW latency, phone latency, cloud
-latency); actions are configuration indices plus a final "keep current"
-action. Each step advances the throughput replays by one decision window,
-samples cloud latency for the deployed configuration, and scores the window
-with a weighted sum of normalized energy and 5G cost plus latency-violation
-and reconfiguration indicators.
+latency), kept raw in ``OffloadEnv.raw`` and normalized by
+:meth:`ObservationBounds.normalize`; actions are configuration indices plus
+a final "keep current" action. Each step advances the throughput replays by
+one decision window, samples cloud latency for the deployed configuration,
+and scores the window with a weighted sum of normalized energy and 5G cost
+plus latency-violation and reconfiguration indicators. A step returns one
+:class:`Step`, which is also one row of the ``STEP_LOG`` array every caller
+keeps.
 
 Unit conventions: latencies in ms, transfer sizes in MB, throughput in MB/s
 (so transfer latency is ``1000 * delta / r`` ms and transmit energy uses
@@ -15,6 +18,7 @@ Unit conventions: latencies in ms, transfer sizes in MB, throughput in MB/s
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -37,8 +41,10 @@ class ObservationBounds:
             if getattr(self, name) <= 0:
                 raise ValueError(f"bound {name} must be positive")
 
-    def highs(self) -> np.ndarray:
-        return np.array([self.wifi, self.fiveg, self.l_sew, self.l_phone, self.l_cloud])
+    def normalize(self, raw: np.ndarray) -> np.ndarray:
+        """Scale a raw observation into [0, 1], clipping values out of bounds."""
+        highs = np.array([self.wifi, self.fiveg, self.l_sew, self.l_phone, self.l_cloud])
+        return np.clip(raw / highs, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -87,69 +93,27 @@ class CostWeights:
         return None not in (self.c_sew_max, self.c_phone_max, self.c_5g_max)
 
 
-@dataclass(frozen=True)
-class EnvState:
-    """Raw (unnormalized) observation plus the bounds used to normalize it."""
+class Step(NamedTuple):
+    """One decision, as the ``STEP_LOG`` row that records it."""
 
-    r_wifi: float
-    r_5g: float
-    l_sew: float
-    l_phone: float
-    l_cloud: float
-    bounds: ObservationBounds
-
-    def normalized(self) -> np.ndarray:
-        raw = np.array([self.r_wifi, self.r_5g, self.l_sew, self.l_phone, self.l_cloud])
-        return np.clip(raw / self.bounds.highs(), 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    """All terms entering the scalar cost, recomputable into it exactly."""
-
-    c_sew: float
-    c_phone: float
-    c_5g: float
-    c_lat: float
-    c_rcfg: float
-    l_total: float
-    e_sew: float
-    e_phone: float
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    next_state: EnvState
     cost: float
     violated: bool
-    components: CostBreakdown
-    config_id: int
     action: int
-    tau: float
-    cloud_latency: float
+    config_id: int
+    e_sew: float
+    e_phone: float
+    c_5g: float
+    l_total: float
 
 
 # One row per decision, shared by the agent, the baseline and the artifact
 # writer, which takes the steps.csv columns from these names. Aligned fields
 # reduce (np.sum, np.mean) to the same bits as a contiguous copy; packed,
 # unaligned ones are buffered in chunks that change the summation order.
-STEP_LOG = np.dtype([
-    ("cost", np.float64),
-    ("violated", np.bool_),
-    ("action", np.int64),
-    ("config_id", np.int64),
-    ("e_sew", np.float64),
-    ("e_phone", np.float64),
-    ("c_5g", np.float64),
-    ("l_total", np.float64),
-], align=True)
-
-
-def log_step(log: np.ndarray, i: int, outcome: StepOutcome) -> None:
-    """Fill row ``i`` of a ``STEP_LOG`` array from one step's outcome."""
-    c = outcome.components
-    log[i] = (outcome.cost, outcome.violated, outcome.action, outcome.config_id,
-              c.e_sew, c.e_phone, c.c_5g, c.l_total)
+_LOG_TYPES = {float: np.float64, bool: np.bool_, int: np.int64}
+STEP_LOG = np.dtype(
+    [(name, _LOG_TYPES[kind]) for name, kind in get_type_hints(Step).items()], align=True
+)
 
 
 def throughput_floor(bound_max: float, floor_frac: float = 0.001) -> float:
@@ -235,18 +199,6 @@ def step_cost(
     )
 
 
-def cost_from_components(components: CostBreakdown, weights: CostWeights) -> float:
-    """Recompute the scalar cost from a step's component breakdown."""
-    return step_cost(
-        components.c_sew,
-        components.c_phone,
-        components.c_5g,
-        components.c_lat > 0.0,
-        components.c_rcfg > 0.0,
-        weights,
-    )
-
-
 def resolve_cost_weights(
     weights: CostWeights,
     profile: ApplicationProfile,
@@ -280,14 +232,24 @@ def resolve_cost_weights(
     )
 
 
+# Consecutive latency violations after which the window shrinks to tau_fast.
+FAST_MODE_AFTER = 5
+
+
 class OffloadEnv:
     """Single-agent decision environment over perturbed trace replays.
 
     The special action ``n_configs`` keeps the current configuration and
-    avoids the reconfiguration penalty. After five consecutive latency
-    violations the decision window shrinks to ``tau_fast`` until a
-    non-violating window occurs. Trajectories are fully determined by the
-    profile, the replay seeds and the action sequence.
+    avoids the reconfiguration penalty. After ``FAST_MODE_AFTER``
+    consecutive latency violations the decision window shrinks to
+    ``tau_fast`` until a non-violating window occurs. Trajectories are fully
+    determined by the profile, the replay seeds and the action sequence.
+
+    ``step`` returns the decision's :class:`Step`, ready to store as a
+    ``STEP_LOG`` row. ``raw`` holds the unnormalized state after the last
+    step: the Wi-Fi and 5G throughputs as replayed (before the floor), the
+    deployed config's SEW and phone latencies, and the sampled cloud latency
+    (0 without a cloud stage). ``observe`` returns it normalized.
     """
 
     def __init__(
@@ -300,7 +262,6 @@ class OffloadEnv:
         fiveg_replay: PerturbedReplay,
         cloud_rng: np.random.Generator,
         floor_frac: float = 0.001,
-        fast_mode_after: int = 5,
     ):
         profile.validate()
         self.profile = profile
@@ -311,7 +272,6 @@ class OffloadEnv:
         self.fiveg_replay = fiveg_replay
         self.cloud_rng = cloud_rng
         self.floor_frac = floor_frac
-        self.fast_mode_after = fast_mode_after
         self._wifi_floor = throughput_floor(bounds.wifi, floor_frac)
         self._fiveg_floor = throughput_floor(bounds.fiveg, floor_frac)
         self.reset()
@@ -353,26 +313,19 @@ class OffloadEnv:
     def keep_action(self) -> int:
         return self.profile.n_configs
 
-    def reset(self) -> EnvState:
+    def reset(self) -> None:
         """Deploy the fully-local config and observe the first trace samples."""
         self._config = self.profile.configs[0]
         self._consecutive_violations = 0
         r_wifi = self.wifi_replay.next_sample()
         r_5g = self.fiveg_replay.next_sample()
-        self._state = EnvState(
-            r_wifi, r_5g, self._config.t1, self._config.t2, 0.0, self.bounds
-        )
-        return self._state
-
-    @property
-    def state(self) -> EnvState:
-        return self._state
+        self.raw = np.array([r_wifi, r_5g, self._config.t1, self._config.t2, 0.0])
 
     def observe(self) -> np.ndarray:
-        return self._state.normalized()
+        return self.bounds.normalize(self.raw)
 
     def current_tau(self) -> float:
-        if self._consecutive_violations >= self.fast_mode_after:
+        if self._consecutive_violations >= FAST_MODE_AFTER:
             return self.weights.tau_fast
         return self.weights.tau_normal
 
@@ -380,7 +333,7 @@ class OffloadEnv:
         n = max(1, round(tau * 1000.0 / replay.granularity_ms))
         return float(replay.next_window(n)[-1])
 
-    def step(self, action: int) -> StepOutcome:
+    def step(self, action: int) -> Step:
         n_configs = self.profile.n_configs
         if not (0 <= action <= n_configs):
             raise ValueError(f"action {action} out of range [0, {n_configs}]")
@@ -398,70 +351,13 @@ class OffloadEnv:
         cloud = sample_cloud_latency(cfg.t3, self.cloud_rng) if cfg.has_cloud_stage else 0.0
         l_total = total_latency_ms(cfg, r_wifi, r_5g, cloud)
         e_sew, e_phone = energy_per_window(cfg, r_wifi, r_5g, self.devices, self.weights, tau)
-        c_sew = self.weights.alpha * e_sew
-        c_phone = self.weights.alpha * e_phone
         c_5g = comm_cost_5g(cfg, self.weights, tau)
         violated = l_total > self.weights.l_max
-        cost = step_cost(c_sew, c_phone, c_5g, violated, reconfigured, self.weights)
-
-        self._consecutive_violations = self._consecutive_violations + 1 if violated else 0
-        self._state = EnvState(r_wifi_raw, r_5g_raw, cfg.t1, cfg.t2, cloud, self.bounds)
-        return StepOutcome(
-            next_state=self._state,
-            cost=cost,
-            violated=violated,
-            components=CostBreakdown(
-                c_sew=c_sew,
-                c_phone=c_phone,
-                c_5g=c_5g,
-                c_lat=1.0 if violated else 0.0,
-                c_rcfg=1.0 if reconfigured else 0.0,
-                l_total=l_total,
-                e_sew=e_sew,
-                e_phone=e_phone,
-            ),
-            config_id=cfg.id,
-            action=action,
-            tau=tau,
-            cloud_latency=cloud,
+        cost = step_cost(
+            self.weights.alpha * e_sew, self.weights.alpha * e_phone, c_5g,
+            violated, reconfigured, self.weights,
         )
 
-
-def oracle_best_config(
-    profile: ApplicationProfile,
-    devices: DeviceProfile,
-    weights: CostWeights,
-    bounds: ObservationBounds,
-    r_wifi: float,
-    r_5g: float,
-    floor_frac: float = 0.001,
-) -> int:
-    """Exhaustive minimizer of per-window cost under the latency constraint.
-
-    Evaluates every config at the given (floored) throughputs using mean
-    cloud latencies; among configs whose total latency does not violate the
-    threshold, returns the one with the lowest energy-plus-5G objective
-    (ties to the lowest id). With no feasible config, returns the latency
-    minimizer.
-    """
-    weights = resolve_cost_weights(weights, profile, devices, bounds, floor_frac)
-    r_wifi = max(r_wifi, throughput_floor(bounds.wifi, floor_frac))
-    r_5g = max(r_5g, throughput_floor(bounds.fiveg, floor_frac))
-    best_id = -1
-    best_objective = np.inf
-    fallback_id = -1
-    fallback_latency = np.inf
-    for cfg in profile.configs:
-        cloud = cfg.t3 if cfg.has_cloud_stage else 0.0
-        latency = total_latency_ms(cfg, r_wifi, r_5g, cloud)
-        if latency < fallback_latency:
-            fallback_latency = latency
-            fallback_id = cfg.id
-        if latency > weights.l_max:
-            continue
-        e_sew, e_phone = energy_per_window(cfg, r_wifi, r_5g, devices, weights)
-        objective = weights.alpha * (e_sew + e_phone) + comm_cost_5g(cfg, weights)
-        if objective < best_objective:
-            best_objective = objective
-            best_id = cfg.id
-    return best_id if best_id >= 0 else fallback_id
+        self._consecutive_violations = self._consecutive_violations + 1 if violated else 0
+        self.raw = np.array([r_wifi_raw, r_5g_raw, cfg.t1, cfg.t2, cloud])
+        return Step(cost, violated, action, cfg.id, e_sew, e_phone, c_5g, l_total)

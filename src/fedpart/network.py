@@ -292,27 +292,6 @@ class AdamOptimizer:
         params -= self._mhat
 
 
-class SGDOptimizer:
-    """Plain gradient descent, selectable instead of Adam."""
-
-    def __init__(self, params: np.ndarray, lr: float = 0.04):
-        self.lr = lr
-
-    def reset(self) -> None:
-        pass
-
-    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
-        params -= self.lr * grad
-
-
-def make_optimizer(name: str, params: np.ndarray, lr: float):
-    if name == "adam":
-        return AdamOptimizer(params, lr=lr)
-    if name == "sgd":
-        return SGDOptimizer(params, lr=lr)
-    raise ValueError(f"unknown optimizer {name!r} (expected 'adam' or 'sgd')")
-
-
 CHECKPOINT_CHUNK = 4096  # values converted to Python floats at a time
 
 

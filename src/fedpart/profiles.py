@@ -150,10 +150,6 @@ class ApplicationProfile:
     def base_config_count(self) -> int:
         return config_count(self.cut_points)
 
-    @property
-    def is_extended(self) -> bool:
-        return len(self.configs) > self.base_config_count
-
     def config_by_category(self, category: str) -> PartitionConfig:
         """First config matching an enumeration category (full-device lookup)."""
         skeletons = enumerate_configs(self.cut_points)

@@ -98,7 +98,6 @@ class AgentBuilder:
             make_env(self.scenario, val_seq),
             steps=config.run.validation_steps,
             interval=config.run.validation_interval,
-            include_initial=config.run.validation_initial,
         )
         return DQNAgent(env, config.agent, seed=learner_seq, validation=probe)
 

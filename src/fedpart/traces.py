@@ -62,15 +62,17 @@ class TraceSynthesisSpec:
     outage_depth: float = 0.05
     outage_duration_mean: float = 120.0
 
+    def __post_init__(self) -> None:
+        if self.length < 1:
+            raise TraceError("length must be >= 1")
+        if not (0.0 <= self.correlation < 1.0):
+            raise TraceError("correlation must be in [0, 1)")
+        if self.variability < 0 or self.mean < 0:
+            raise TraceError("mean and variability must be >= 0")
+
 
 def synthesize_trace(spec: TraceSynthesisSpec, seed: int) -> Trace:
     """Generate a trace deterministically from ``(spec, seed)``."""
-    if spec.length < 1:
-        raise TraceError("length must be >= 1")
-    if not (0.0 <= spec.correlation < 1.0):
-        raise TraceError("correlation must be in [0, 1)")
-    if spec.variability < 0 or spec.mean < 0:
-        raise TraceError("mean and variability must be >= 0")
     rng = np.random.default_rng(seed)
     phi = spec.correlation
     innovation = spec.variability * math.sqrt(1.0 - phi * phi)

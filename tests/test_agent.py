@@ -7,7 +7,6 @@ from fedpart.agent import (
     ReplayBuffer,
     ValidationProbe,
     select_action,
-    td_loss,
     train_step,
 )
 from fedpart.network import AdamOptimizer, QNetwork

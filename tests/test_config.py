@@ -41,7 +41,8 @@ def cost_weights(draw):
 def traces(draw):
     return TraceSynthesisSpec(
         length=draw(st.integers(1, 20000)), granularity_ms=draw(positive), mean=draw(positive),
-        variability=draw(positive), correlation=draw(unit), max_value=draw(positive),
+        variability=draw(positive), correlation=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        max_value=draw(positive),
         outage_rate=draw(unit), outage_depth=draw(unit), outage_duration_mean=draw(positive),
     )
 
@@ -65,7 +66,6 @@ def configs(draw):
             lr=draw(positive), gamma=draw(unit), epsilon=draw(unit), batch_size=batch,
             buffer_capacity=draw(st.integers(batch, 100000)),
             target_update_freq=draw(st.integers(1, 1000)), train_every=draw(st.integers(1, 8)),
-            optimizer=draw(st.sampled_from(("adam", "sgd"))),
             dtype=draw(st.sampled_from(("float32", "float64"))),
         ),
         inputs=InputsSection(
@@ -85,7 +85,7 @@ def configs(draw):
             n_runs=draw(st.integers(1, 10)), base_seed=draw(st.integers(0, 2**32)),
             output_dir=draw(names), workers=draw(st.integers(1, 8)),
             validation_interval=draw(st.integers(1, 1000)),
-            validation_steps=draw(st.integers(1, 1000)), validation_initial=draw(st.booleans()),
+            validation_steps=draw(st.integers(1, 1000)),
         ),
     )
 
@@ -150,6 +150,9 @@ class TestParse:
         ("[federation]\nsteps_per_agent = 7\n", "[federation] steps_per_agent"),
         ("[federation]\nmode = solo\n", "[federation] mode"),
         ("[run]\nn_runs = 0\n", "[run] n_runs"),
+        ("[run]\nvalidation_steps = 0\n", "[run] validation_steps must be >= 1"),
+        ("[run]\nvalidation_interval = 0\n", "[run] validation_interval must be >= 1"),
+        ("[fiveg]\ncorrelation = 1.0\n", "[fiveg] correlation must be in [0, 1)"),
         ("[agent]\nhidden = 8,x\n", "[agent] hidden:"),
         ("[inputs]\nshift = maybe\n", "[inputs] shift: not a boolean"),
     ])
@@ -163,6 +166,10 @@ class TestCliErrors:
     @pytest.mark.parametrize("text, prefix", [
         ("[cost]\nw_lat = 0.5\n", "error: [cost] "),
         ("[agent]\ngamma = 2.0\n", "error: [agent] "),
+        ("[run]\nvalidation_steps = 0\n", "error: [run] "),
+        ("[run]\nvalidation_interval = 0\n", "error: [run] "),
+        ("[wifi]\ncorrelation = 1.0\n", "error: [wifi] "),
+        ("[agent]\noptimizer = rmsprop\n", "error: unknown key 'optimizer'"),
     ])
     def test_domain_rejected_value_is_an_error_not_a_traceback(
         self, tmp_path, capsys, text, prefix

@@ -5,22 +5,17 @@ import pytest
 
 from fedpart.env import (
     STEP_LOG,
-    CostBreakdown,
     CostWeights,
-    EnvState,
     ObservationBounds,
-    OffloadEnv,
+    Step,
     comm_cost_5g,
-    cost_from_components,
     energy_per_window,
-    log_step,
-    oracle_best_config,
     resolve_cost_weights,
     step_cost,
     throughput_floor,
     total_latency_ms,
 )
-from fedpart.profiles import ApplicationProfile, DeviceProfile, PartitionConfig
+from fedpart.profiles import DeviceProfile, PartitionConfig
 
 from conftest import make_tiny_env
 
@@ -32,6 +27,19 @@ def make_config(**kw):
     )
     base.update(kw)
     return PartitionConfig(**base)
+
+
+def recomputed_cost(env, step, reconfigured=None):
+    """The step's cost from its row, via ``step_cost``.
+
+    Any action other than keep-current counts as a reconfiguration, even one
+    that redeploys the config already in place.
+    """
+    if reconfigured is None:
+        reconfigured = step.action != env.keep_action
+    w = env.weights
+    return step_cost(w.alpha * step.e_sew, w.alpha * step.e_phone, step.c_5g, step.violated,
+                     reconfigured, w)
 
 
 class TestTotalLatency:
@@ -138,21 +146,20 @@ class TestObservation:
     BOUNDS = ObservationBounds()
 
     def test_min_bounds_map_to_zero(self):
-        state = EnvState(0.0, 0.0, 0.0, 0.0, 0.0, self.BOUNDS)
-        assert np.array_equal(state.normalized(), np.zeros(5))
+        assert np.array_equal(self.BOUNDS.normalize(np.zeros(5)), np.zeros(5))
 
     def test_max_bounds_map_to_one(self):
-        state = EnvState(580.0, 350.0, 450.0, 65.0, 30.0, self.BOUNDS)
-        assert np.array_equal(state.normalized(), np.ones(5))
+        raw = np.array([580.0, 350.0, 450.0, 65.0, 30.0])
+        assert np.array_equal(self.BOUNDS.normalize(raw), np.ones(5))
 
     def test_wifi_midpoint(self):
-        state = EnvState(290.0, 0.0, 0.0, 0.0, 0.0, self.BOUNDS)
-        assert state.normalized()[0] == pytest.approx(0.5)
+        raw = np.array([290.0, 0.0, 0.0, 0.0, 0.0])
+        assert self.BOUNDS.normalize(raw)[0] == pytest.approx(0.5)
 
     def test_out_of_bounds_clamped(self):
-        state = EnvState(1000.0, -5.0, 500.0, 70.0, 1000.0, self.BOUNDS)
-        assert np.all(state.normalized() <= 1.0)
-        assert np.all(state.normalized() >= 0.0)
+        normalized = self.BOUNDS.normalize(np.array([1000.0, -5.0, 500.0, 70.0, 1000.0]))
+        assert np.all(normalized <= 1.0)
+        assert np.all(normalized >= 0.0)
 
 
 class TestEnvStep:
@@ -161,8 +168,8 @@ class TestEnvStep:
         keep = env.keep_action
         out1 = env.step(keep)
         out2 = env.step(keep)
-        assert out1.components.c_rcfg == 0.0
-        assert out2.components.c_rcfg == 0.0
+        assert out1.cost == recomputed_cost(env, out1, reconfigured=False)
+        assert out2.cost == recomputed_cost(env, out2, reconfigured=False)
         assert out1.config_id == out2.config_id == 0  # still the initial local config
 
     def test_cost_recomputable_from_components(self, tiny_profile):
@@ -170,15 +177,16 @@ class TestEnvStep:
         rng = np.random.default_rng(1)
         for _ in range(60):
             out = env.step(int(rng.integers(env.n_actions)))
-            assert cost_from_components(out.components, env.weights) == out.cost
-            assert out.violated == (out.components.l_total > env.weights.l_max)
+            assert recomputed_cost(env, out) == out.cost
+            assert out.violated == (out.l_total > env.weights.l_max)
             assert 0.0 <= out.cost <= 1.0
 
     def test_fast_mode_after_five_violations(self, tiny_profile):
         env = make_tiny_env(tiny_profile, l_max=1e-6)  # everything violates
         taus = []
         for _ in range(7):
-            taus.append(env.step(env.keep_action).tau)
+            taus.append(env.current_tau())
+            env.step(env.keep_action)
         assert taus[:5] == [env.weights.tau_normal] * 5
         assert taus[5] == env.weights.tau_fast
         assert taus[6] == env.weights.tau_fast
@@ -197,6 +205,7 @@ class TestEnvStep:
         for act in actions:
             oa, ob = a.step(int(act)), b.step(int(act))
             assert oa == ob
+            assert np.array_equal(a.raw, b.raw)
 
     def test_out_of_range_action_rejected(self, tiny_env):
         with pytest.raises(ValueError):
@@ -205,23 +214,47 @@ class TestEnvStep:
     def test_local_config_pays_no_5g_or_cloud(self, tiny_profile):
         env = make_tiny_env(tiny_profile)
         out = env.step(0)  # fully-local config id 0
-        assert out.components.c_5g == 0.0
-        assert out.cloud_latency == 0.0
-        assert out.components.l_total == tiny_profile.configs[0].t1
+        assert out.c_5g == 0.0
+        assert env.raw[4] == 0.0  # no cloud latency
+        assert out.l_total == tiny_profile.configs[0].t1
+
+    def test_raw_state_explains_the_row(self, tiny_profile):
+        """``raw`` holds the unfloored throughputs, the deployed config's
+        latencies and the cloud latency the row's total latency used."""
+        env = make_tiny_env(tiny_profile, seed=4)
+        assert np.array_equal(env.raw[2:], [tiny_profile.configs[0].t1,
+                                            tiny_profile.configs[0].t2, 0.0])
+        wifi_floor = throughput_floor(env.bounds.wifi)
+        fiveg_floor = throughput_floor(env.bounds.fiveg)
+        rng = np.random.default_rng(6)
+        clouds = 0
+        for _ in range(80):
+            out = env.step(int(rng.integers(env.n_actions)))
+            cfg = tiny_profile.configs[out.config_id]
+            r_wifi, r_5g, l_sew, l_phone, cloud = env.raw.tolist()
+            assert (l_sew, l_phone) == (cfg.t1, cfg.t2)
+            assert (cloud > 0.0) == cfg.has_cloud_stage
+            clouds += cfg.has_cloud_stage
+            assert out.l_total == total_latency_ms(
+                cfg, max(r_wifi, wifi_floor), max(r_5g, fiveg_floor), cloud
+            )
+            assert np.array_equal(env.observe(), env.bounds.normalize(env.raw))
+        assert clouds > 0
 
 
 class TestStepLog:
     def test_rows_hold_the_outcomes(self, tiny_profile):
+        assert STEP_LOG.names == Step._fields
         env = make_tiny_env(tiny_profile, seed=5)
-        outcomes = [env.step(a) for a in (3, env.keep_action, 0)]
-        log = np.zeros(len(outcomes), dtype=STEP_LOG)
-        for i, out in enumerate(outcomes):
-            log_step(log, i, out)
-        for row, out in zip(log, outcomes):
-            assert (row["cost"], row["violated"]) == (out.cost, out.violated)
-            assert (row["action"], row["config_id"]) == (out.action, out.config_id)
-            for name in ("e_sew", "e_phone", "c_5g", "l_total"):
-                assert row[name] == getattr(out.components, name)
+        actions = (3, env.keep_action, 0)
+        log = np.zeros(len(actions), dtype=STEP_LOG)
+        steps = []
+        for i, action in enumerate(actions):
+            steps.append(env.step(action))
+            log[i] = steps[-1]
+        for row, out, action in zip(log, steps, actions):
+            assert row.item() == tuple(out)
+            assert (row["action"], row["config_id"]) == (action, out.config_id)
 
     def test_field_means_match_a_contiguous_copy(self):
         """The baseline's mean energies are taken over log fields, and must
@@ -231,54 +264,6 @@ class TestStepLog:
         for name in ("cost", "e_sew", "e_phone", "c_5g", "l_total"):
             log[name] = rng.random(log.size) * np.exp(rng.normal(scale=5.0, size=log.size))
             assert np.mean(log[name]) == np.mean(log[name].copy())
-
-
-class TestOracle:
-    def test_single_config_space(self):
-        cfg = make_config(t1=100.0, mu1=10.0)
-        profile = ApplicationProfile(
-            name="one", cut_points=0, delta0=1.0, total_flops=10.0, configs=(cfg,)
-        )
-        choice = oracle_best_config(
-            profile, DeviceProfile(), CostWeights(), ObservationBounds(), 10.0, 10.0
-        )
-        assert choice == 0
-
-    def test_floored_throughput_prefers_local(self, default_profile):
-        """At the throughput floor every transfer is huge; local is feasible."""
-        local_t1 = default_profile.configs[0].t1
-        choice = oracle_best_config(
-            default_profile, DeviceProfile(), CostWeights(l_max=local_t1 + 50.0),
-            ObservationBounds(), 0.0, 0.0,
-        )
-        assert choice == 0
-
-    def test_matches_brute_force(self, default_profile):
-        devices = DeviceProfile()
-        bounds = ObservationBounds()
-        weights = resolve_cost_weights(CostWeights(), default_profile, devices, bounds)
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            r_w = float(rng.uniform(0.0, 580.0))
-            r_5 = float(rng.uniform(0.0, 350.0))
-            got = oracle_best_config(default_profile, devices, weights, bounds, r_w, r_5)
-
-            fw = max(r_w, throughput_floor(580.0))
-            f5 = max(r_5, throughput_floor(350.0))
-            best, best_obj = None, np.inf
-            fallback, fallback_lat = None, np.inf
-            for cfg in default_profile.configs:
-                cloud = cfg.t3 if cfg.has_cloud_stage else 0.0
-                lat = total_latency_ms(cfg, fw, f5, cloud)
-                if lat < fallback_lat:
-                    fallback, fallback_lat = cfg.id, lat
-                if lat > weights.l_max:
-                    continue
-                e_sew, e_phone = energy_per_window(cfg, fw, f5, devices, weights)
-                obj = weights.alpha * (e_sew + e_phone) + comm_cost_5g(cfg, weights)
-                if obj < best_obj:
-                    best, best_obj = cfg.id, obj
-            assert got == (best if best is not None else fallback)
 
 
 def test_resolved_constants_are_positive(default_profile):

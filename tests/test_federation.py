@@ -1,8 +1,9 @@
+import math
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -13,6 +14,8 @@ from fedpart.federation import (
     aggregate_incremental,
     aggregate_mean,
     run_federation,
+    schedule_roles,
+    slow_step_count,
 )
 
 from conftest import make_tiny_env
@@ -42,6 +45,31 @@ class TestAggregation:
         scale = max(float(np.abs(v).max()) for v in vectors)
         tol = 4 * len(vectors) * (info.eps * scale + info.smallest_subnormal)
         assert np.abs(state.current - aggregate_mean(vectors)).max() <= tol
+
+
+# Proportions in eighths are exact, so m * p lands on halves.
+proportions = st.integers(0, 8).map(lambda k: k / 8) | st.floats(0.0, 1.0)
+
+
+class TestSchedule:
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 40), p=proportions, policy=st.sampled_from(("fixed", "redraw")),
+           n=st.integers(1, 12), seed=st.integers(0, 2**32))
+    @example(m=3, p=0.5, policy="fixed", n=2, seed=0)  # 1.5 slow agents round up to 2
+    def test_round_half_up_slow_agents_per_row(self, m, p, policy, n, seed):
+        roles = schedule_roles(m, p, policy, np.random.default_rng(seed), n)
+        assert roles.shape == (n, m)
+        assert (roles.sum(axis=1) == math.floor(m * p + 0.5)).all()
+        if policy == "fixed":
+            assert (roles == roles[0]).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(freq=st.integers(1, 5000), delay=st.floats(0.0, 3.0), seed=st.integers(0, 2**32))
+    def test_slow_step_count_within_bounds(self, freq, delay, seed):
+        rng = np.random.default_rng(seed)
+        counts = [slow_step_count(freq, delay, rng) for _ in range(20)]
+        assert all(freq <= c <= math.floor(freq * (1.0 + delay) + 0.5) for c in counts)
+        assert slow_step_count(freq, 0.0, rng) == freq
 
 
 class _Builder:

@@ -1,15 +1,17 @@
-"""Every name a module under ``src/fedpart/`` imports is used in that module.
+"""Names under ``src/fedpart/`` are used: no unused imports, no test-only API.
 
-No linter is installed, so this is a stdlib ``ast`` check. Re-exports in
+No linter is installed, so these are stdlib ``ast`` checks. Re-exports in
 ``__init__.py`` are exempt when their import line carries ``# noqa: F401``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fedpart"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fedpart"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -39,3 +41,60 @@ def test_the_check_sees_an_unused_import(tmp_path):
     module = tmp_path / "mod.py"
     module.write_text("import os\nfrom sys import argv, path\nprint(path)\n", encoding="utf-8")
     assert unused_imports(module) == ["mod.py:1: os", "mod.py:2: argv"]
+
+
+def definitions(tree: ast.Module):
+    """Top-level functions and classes, and their methods not named ``__*__``."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def mentions(node: ast.AST) -> Counter:
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def unused_definitions(sources: list[Path], definers: list[Path]) -> list[str]:
+    """Definitions in ``definers`` that no file of ``sources`` mentions by name
+    outside the definition itself; ``__init__.py`` re-exports do not count."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    used = sum((mentions(tree) for path, tree in trees.items()
+                if path.name != "__init__.py"), Counter())
+    unused = []
+    for path in definers:
+        for qualname, node in definitions(trees[path]):
+            name = qualname.rsplit(".", 1)[-1]
+            if used[name] - mentions(node)[name] <= 0:
+                unused.append(f"{path.name}: {qualname}")
+    return unused
+
+
+def test_every_definition_has_a_user_outside_the_tests():
+    sources = sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    assert unused_definitions(sources, sorted(SRC.glob("*.py"))) == []
+
+
+def test_the_check_sees_test_only_api(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "def helper():\n    return helper()\n\n"
+        "class Box:\n    def __init__(self):\n        self.size = 1\n\n"
+        "    def used(self):\n        return self.size\n\n"
+        "    def unused(self):\n        return self.used()\n\n"
+        "Box()\n",
+        encoding="utf-8",
+    )
+    init = tmp_path / "__init__.py"
+    init.write_text("from .mod import Box, helper\nhelper()\n", encoding="utf-8")
+    assert unused_definitions([module, init], [module]) == ["mod.py: helper", "mod.py: Box.unused"]
