@@ -5,6 +5,18 @@ federation rounds) and two networks (online and frozen target). Rewards are
 negated environment costs. An optional validation probe runs a greedy,
 learning-free evaluation episode on a separate environment at a fixed
 training-step schedule, leaving the training trajectory untouched.
+
+TD targets bootstrap from ``max_a Q_target(s')``, which the replay buffer
+caches per slot. The target weights change only when the agent syncs them
+from the online network or installs new weights, and the agent invalidates
+the cache at exactly those two points. The cached values equal, bit for bit,
+those of one eval-mode target forward over a batch of 512 sampled rows,
+because they are computed in zero-padded blocks of ``TARGET_BLOCK`` = 128
+rows: with NumPy's bundled OpenBLAS 0.3.31 (``DYNAMIC_ARCH``) on a 2-core
+x86-64 Xeon, a row's result is the same in blocks of 128, 256 and 512 rows,
+while unpadded forwards of a few rows take other kernels and differ in the
+last bits. On another CPU or BLAS the equality has to be checked again
+(``tests/test_agent.py`` pins it).
 """
 
 from __future__ import annotations
@@ -17,8 +29,21 @@ from .env import STEP_LOG, OffloadEnv
 from .network import AdamOptimizer, QNetwork
 
 
+TARGET_BLOCK = 128  # rows per zero-padded target forward that refreshes the cache
+
+
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring over preallocated arrays."""
+    """Fixed-capacity FIFO ring over preallocated arrays, with cached targets.
+
+    Next to each slot's next state, ``next_q`` holds the target network's
+    ``max_a Q_target(s')`` for it, valid where ``stale`` is False. ``push``
+    marks the slot it writes stale, and ``invalidate`` marks every slot stale;
+    call it whenever the target weights change. When ``sample`` draws a stale
+    slot, it first recomputes every stale slot in eval-mode forwards of
+    ``TARGET_BLOCK`` rows, zero-padded. Blocks of at least 128 rows give the
+    same bits as a 512-row forward on the OpenBLAS this was measured with
+    (module docstring); unpadded small batches do not.
+    """
 
     def __init__(self, capacity: int = 10000, state_dim: int = 5, dtype=np.float32):
         if capacity < 1:
@@ -28,6 +53,8 @@ class ReplayBuffer:
         self.actions = np.zeros(capacity, dtype=np.int64)
         self.rewards = np.zeros(capacity, dtype=dtype)
         self.next_states = np.zeros((capacity, state_dim), dtype=dtype)
+        self.next_q = np.zeros(capacity, dtype=dtype)
+        self.stale = np.ones(capacity, dtype=bool)
         self.size = 0
         self._head = 0
 
@@ -40,20 +67,33 @@ class ReplayBuffer:
         self.actions[i] = action
         self.rewards[i] = reward
         self.next_states[i] = next_state
+        self.stale[i] = True
         self._head = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def sample(self, batch_size: int, rng: np.random.Generator):
-        """Uniform sample with replacement as (states, actions, rewards, next_states)."""
+    def invalidate(self) -> None:
+        self.stale.fill(True)
+
+    def sample(self, batch_size: int, rng: np.random.Generator, target_net: QNetwork):
+        """Uniform sample with replacement as (states, actions, rewards, next_q).
+
+        ``next_q`` is ``max_a Q_target(s')`` under ``target_net``, whose
+        weights must not have changed since the last ``invalidate``.
+        """
         if batch_size > self.size:
             raise ValueError(f"batch size {batch_size} exceeds buffer size {self.size}")
         idx = rng.integers(0, self.size, size=batch_size)
-        return (
-            self.states[idx],
-            self.actions[idx],
-            self.rewards[idx],
-            self.next_states[idx],
-        )
+        if self.stale[idx].any():
+            stale = np.flatnonzero(self.stale[: self.size])
+            block_shape = (TARGET_BLOCK, self.next_states.shape[1])
+            for start in range(0, stale.size, TARGET_BLOCK):
+                rows = stale[start : start + TARGET_BLOCK]
+                block = np.zeros(block_shape, dtype=self.next_states.dtype)
+                block[: rows.size] = self.next_states[rows]
+                q, _ = target_net.forward_cached(block, train=False)
+                self.next_q[rows] = q[: rows.size].max(axis=1)
+            self.stale[stale] = False
+        return self.states[idx], self.actions[idx], self.rewards[idx], self.next_q[idx]
 
 
 def select_action(
@@ -69,7 +109,6 @@ def select_action(
 
 def train_step(
     net: QNetwork,
-    target_net: QNetwork,
     batch,
     gamma: float,
     optimizer,
@@ -77,17 +116,17 @@ def train_step(
 ) -> float:
     """One gradient step on the squared TD error; returns the pre-update loss.
 
-    Targets come from the frozen target network (eval mode, treated as
-    constant); the online forward runs in training mode so dropout is
+    ``batch`` is (states, actions, rewards, next_q), where ``next_q`` holds
+    ``max_a Q_target(s')`` per row from the frozen target network, as
+    ``ReplayBuffer.sample`` returns it from its cache. The target is a
+    constant here; the online forward runs in training mode so dropout is
     active. The task is continuing, so targets always bootstrap.
     """
-    states, actions, rewards, next_states = batch
+    states, actions, rewards, next_q = batch
     states = np.asarray(states, dtype=net.dtype)
     actions = np.asarray(actions)
-    q_next, _ = target_net.forward_cached(
-        np.asarray(next_states, dtype=target_net.dtype), train=False
-    )
-    targets = np.asarray(rewards, dtype=net.dtype) + net.dtype.type(gamma) * q_next.max(axis=1)
+    next_q = np.asarray(next_q, dtype=net.dtype)
+    targets = np.asarray(rewards, dtype=net.dtype) + net.dtype.type(gamma) * next_q
 
     q, cache = net.forward_cached(states, train=True, rng=rng)
     rows = np.arange(len(actions))
@@ -125,6 +164,10 @@ class AgentSettings:
             raise ValueError("need buffer_capacity >= batch_size >= 1")
         if self.target_update_freq < 1 or self.train_every < 1:
             raise ValueError("target_update_freq and train_every must be >= 1")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
 
 class ValidationProbe:
@@ -207,10 +250,12 @@ class DQNAgent:
         """Install weights into both networks and restart optimizer moments."""
         self.net.set_weights(flat)
         self.target_net.set_weights(flat)
+        self.buffer.invalidate()
         self.optimizer.reset()
 
     def sync_target(self) -> None:
         self.target_net.copy_weights_from(self.net)
+        self.buffer.invalidate()
 
     def run_training_phase(self, steps: int) -> None:
         """Interact, store, and learn for ``steps`` environment decisions.
@@ -240,15 +285,8 @@ class DQNAgent:
                 len(self.buffer) >= settings.batch_size
                 and self.total_steps % settings.train_every == 0
             ):
-                batch = self.buffer.sample(settings.batch_size, self._sample_rng)
-                train_step(
-                    self.net,
-                    self.target_net,
-                    batch,
-                    settings.gamma,
-                    self.optimizer,
-                    self._dropout_rng,
-                )
+                batch = self.buffer.sample(settings.batch_size, self._sample_rng, self.target_net)
+                train_step(self.net, batch, settings.gamma, self.optimizer, self._dropout_rng)
                 self.grad_updates += 1
                 if self.grad_updates % settings.target_update_freq == 0:
                     self.sync_target()

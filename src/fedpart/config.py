@@ -58,6 +58,10 @@ class InputsSection:
     inversion: bool = True
     floor_frac: float = 0.001
 
+    def __post_init__(self) -> None:
+        if not (0.0 < self.floor_frac <= 1.0):
+            raise ValueError(f"floor_frac must be in (0, 1], got {self.floor_frac}")
+
 
 @dataclass(frozen=True)
 class FederationSection:

@@ -9,6 +9,7 @@ from fedpart.agent import (
     select_action,
     train_step,
 )
+from fedpart.env import STEP_LOG
 from fedpart.network import AdamOptimizer, QNetwork
 
 from conftest import make_tiny_env, subnormal_count
@@ -31,16 +32,22 @@ class TestReplayBuffer:
     def test_sample_too_large_rejected(self):
         buf = ReplayBuffer(capacity=8, state_dim=2)
         buf.push([0, 0], 0, 0.0, [0, 0])
+        target = QNetwork(3, hidden=(4,), dropout_rates=(0.0,), input_dim=2)
         with pytest.raises(ValueError):
-            buf.sample(2, np.random.default_rng(0))
+            buf.sample(2, np.random.default_rng(0), target)
 
     def test_sample_shapes(self):
+        target = QNetwork(3, hidden=(4,), dropout_rates=(0.0,), rng=np.random.default_rng(0))
         buf = ReplayBuffer(capacity=8, state_dim=5)
         for i in range(6):
             buf.push(np.full(5, i), i, float(i), np.full(5, i + 1))
-        s, a, r, s2 = buf.sample(4, np.random.default_rng(1))
-        assert s.shape == (4, 5) and s2.shape == (4, 5)
+        s, a, r, next_q = buf.sample(4, np.random.default_rng(1), target)
+        assert s.shape == (4, 5) and next_q.shape == (4,)
         assert a.shape == (4,) and r.shape == (4,)
+        # rows stay transitions: the bootstrap value belongs to the row's next state
+        assert np.array_equal(s, np.repeat(a[:, None], 5, axis=1)) and np.array_equal(r, a)
+        expected = [target.forward(np.full(5, i + 1)).max() for i in a]
+        np.testing.assert_allclose(next_q, expected, rtol=1e-6)
 
 
 class TestSelectAction:
@@ -81,6 +88,11 @@ class TestSelectAction:
             select_action(net, np.zeros(5), 1.5, np.random.default_rng(0))
 
 
+def max_target_q(target: QNetwork, next_states) -> np.ndarray:
+    """Uncached bootstrap values: one eval-mode target forward over the rows."""
+    return target.forward(np.asarray(next_states, dtype=target.dtype)).max(axis=1)
+
+
 class TestTrainStep:
     def test_gamma_zero_single_transition_loss(self):
         net = QNetwork(3, hidden=(4, 4, 3), dropout_rates=(0.0, 0.0, 0.0),
@@ -88,9 +100,9 @@ class TestTrainStep:
         target = net.clone()
         opt = AdamOptimizer(net.flat, lr=0.0)  # lr 0: measure loss only
         s = np.random.default_rng(6).random((1, 5))
-        batch = (s, np.array([1]), np.array([0.7]), s)
+        batch = (s, np.array([1]), np.array([0.7]), max_target_q(target, s))
         q_before = net.forward(s[0])
-        loss = train_step(net, target, batch, 0.0, opt)
+        loss = train_step(net, batch, 0.0, opt)
         assert loss == pytest.approx((0.7 - q_before[1]) ** 2, rel=1e-9)
 
     def test_single_transition_converges_to_reward(self):
@@ -100,8 +112,8 @@ class TestTrainStep:
         target = net.clone()
         opt = AdamOptimizer(net.flat, lr=0.01)
         s = np.random.default_rng(8).random((1, 5))
-        batch = (s, np.array([2]), np.array([-0.4]), s)
-        losses = [train_step(net, target, batch, 0.0, opt) for _ in range(5000)]
+        batch = (s, np.array([2]), np.array([-0.4]), max_target_q(target, s))
+        losses = [train_step(net, batch, 0.0, opt) for _ in range(5000)]
         assert abs(net.forward(s[0])[2] - (-0.4)) < 1e-3
         # coarse monotonicity: block means of the loss decrease to convergence
         blocks = np.asarray(losses[:2000]).reshape(20, 100).mean(axis=1)
@@ -112,9 +124,100 @@ class TestTrainStep:
         target = net.clone()
         before = target.get_weights()
         rng = np.random.default_rng(10)
-        batch = (rng.random((4, 5)), rng.integers(0, 3, 4), rng.random(4), rng.random((4, 5)))
-        train_step(net, target, batch, 0.99, AdamOptimizer(net.flat), rng)
+        buf = ReplayBuffer(capacity=4)
+        for _ in range(4):
+            buf.push(rng.random(5), rng.integers(0, 3), rng.random(), rng.random(5))
+        for _ in range(3):
+            batch = buf.sample(4, rng, target)
+            train_step(net, batch, 0.99, AdamOptimizer(net.flat), rng)
         assert np.array_equal(target.get_weights(), before)
+        assert not np.array_equal(net.get_weights(), before)
+
+
+# Default dims and float32, as in a paper run; the small ring wraps and the
+# short sync period gives several target changes in a few hundred updates.
+CACHE_SETTINGS = AgentSettings(buffer_capacity=600, target_update_freq=50)
+
+
+def averaged_weights(agent: DQNAgent, seed: int) -> np.ndarray:
+    """Weights as a federated round installs them: a mean with another agent's."""
+    other = DQNAgent(make_tiny_env(agent.env.profile, seed=seed), agent.settings, seed=seed)
+    return (agent.get_weights() + other.get_weights()) / 2.0
+
+
+def fresh_512_row_max_q(target: QNetwork, next_states: np.ndarray) -> np.ndarray:
+    """max_a Q_target of each row from zero-padded 512-row eval forwards."""
+    out = np.empty(len(next_states), dtype=target.dtype)
+    for start in range(0, len(next_states), 512):
+        rows = next_states[start : start + 512]
+        block = np.zeros((512, rows.shape[1]), dtype=target.dtype)
+        block[: len(rows)] = rows
+        q, _ = target.forward_cached(block, train=False)
+        out[start : start + len(rows)] = q[: len(rows)].max(axis=1)
+    return out
+
+
+def run_uncached_phase(agent: DQNAgent, steps: int) -> np.ndarray:
+    """Reference for ``run_training_phase``: the target net runs on every
+    update's 512 sampled next states, and the buffer's cache is never read."""
+    s, buf = agent.settings, agent.buffer
+    log = np.zeros(steps, dtype=STEP_LOG)
+    for i in range(steps):
+        state = agent._state_vec
+        action = select_action(agent.net, state, s.epsilon, agent._action_rng)
+        log[i] = step = agent.env.step(action)
+        agent._state_vec = agent.env.observe()
+        buf.push(state, action, -step.cost, agent._state_vec)
+        agent.total_steps += 1
+        if len(buf) >= s.batch_size and agent.total_steps % s.train_every == 0:
+            idx = agent._sample_rng.integers(0, len(buf), size=s.batch_size)
+            q_next, _ = agent.target_net.forward_cached(buf.next_states[idx], train=False)
+            batch = (buf.states[idx], buf.actions[idx], buf.rewards[idx], q_next.max(axis=1))
+            train_step(agent.net, batch, s.gamma, agent.optimizer, agent._dropout_rng)
+            agent.grad_updates += 1
+            if agent.grad_updates % s.target_update_freq == 0:
+                agent.target_net.copy_weights_from(agent.net)
+    return log
+
+
+class TestTargetCache:
+    def check_cache(self, agent: DQNAgent) -> None:
+        buf = agent.buffer
+        fresh = ~buf.stale[: len(buf)]
+        assert fresh.sum() >= CACHE_SETTINGS.batch_size  # the check covers most slots
+        expected = fresh_512_row_max_q(agent.target_net, buf.next_states[: len(buf)][fresh])
+        assert np.array_equal(buf.next_q[: len(buf)][fresh], expected)
+
+    def test_cached_targets_equal_a_fresh_512_row_forward(self, default_profile):
+        agent = DQNAgent(make_tiny_env(default_profile, seed=8), CACHE_SETTINGS, seed=21)
+        batch, freq = CACHE_SETTINGS.batch_size, CACHE_SETTINGS.target_update_freq
+        agent.run_training_phase(batch - 1 + 2 * freq + 10)  # two syncs, ring wrapped
+        assert agent.total_steps > CACHE_SETTINGS.buffer_capacity
+        assert agent.grad_updates == 2 * freq + 10
+        self.check_cache(agent)
+        agent.set_weights(averaged_weights(agent, seed=9))
+        assert agent.buffer.stale.all()
+        agent.run_training_phase(freq - 20)
+        assert 2 * freq < agent.grad_updates < 3 * freq  # no sync since set_weights
+        self.check_cache(agent)
+
+    def test_cached_agent_equals_uncached_reference(self, default_profile):
+        cached = DQNAgent(make_tiny_env(default_profile, seed=8), CACHE_SETTINGS, seed=21)
+        plain = DQNAgent(make_tiny_env(default_profile, seed=8), CACHE_SETTINGS, seed=21)
+        freq = CACHE_SETTINGS.target_update_freq
+        ref_logs = []
+        for steps in (CACHE_SETTINGS.batch_size - 1 + 2 * freq + 10, freq - 20, freq):
+            cached.run_training_phase(steps)
+            ref_logs.append(run_uncached_phase(plain, steps))
+            assert np.array_equal(cached.net.flat, plain.net.flat)
+            assert np.array_equal(cached.target_net.flat, plain.target_net.flat)
+            weights = averaged_weights(cached, seed=9)
+            cached.set_weights(weights)
+            plain.set_weights(weights)
+        ref_log = np.concatenate(ref_logs)
+        assert cached.grad_updates == plain.grad_updates > 3 * freq
+        for name in STEP_LOG.names:
+            assert np.array_equal(cached.log[name], ref_log[name]), name
 
 
 class TestAgentLoop:

@@ -72,7 +72,8 @@ def configs(draw):
             profile_path=draw(st.none() | names), extend_to=draw(st.integers(0, 500)),
             wifi_path=draw(st.none() | names), fiveg_path=draw(st.none() | names),
             trace_seed=draw(st.integers(0, 2**32)), noise_rel=draw(unit),
-            shift=draw(st.booleans()), inversion=draw(st.booleans()), floor_frac=draw(unit),
+            shift=draw(st.booleans()), inversion=draw(st.booleans()),
+            floor_frac=draw(st.floats(0.0, 1.0, exclude_min=True)),
         ),
         federation=FederationSection(
             mode=draw(st.sampled_from(("sync", "async", "single"))),
@@ -153,6 +154,11 @@ class TestParse:
         ("[run]\nvalidation_steps = 0\n", "[run] validation_steps must be >= 1"),
         ("[run]\nvalidation_interval = 0\n", "[run] validation_interval must be >= 1"),
         ("[fiveg]\ncorrelation = 1.0\n", "[fiveg] correlation must be in [0, 1)"),
+        ("[agent]\nlr = -1\n", "[agent] lr must be > 0"),
+        ("[agent]\nlr = 0\n", "[agent] lr must be > 0"),
+        ("[agent]\ndtype = float16\n", "[agent] dtype must be float32 or float64"),
+        ("[inputs]\nfloor_frac = 0\n", "[inputs] floor_frac must be in (0, 1]"),
+        ("[inputs]\nfloor_frac = 1.5\n", "[inputs] floor_frac must be in (0, 1]"),
         ("[agent]\nhidden = 8,x\n", "[agent] hidden:"),
         ("[inputs]\nshift = maybe\n", "[inputs] shift: not a boolean"),
     ])
@@ -169,6 +175,9 @@ class TestCliErrors:
         ("[run]\nvalidation_steps = 0\n", "error: [run] "),
         ("[run]\nvalidation_interval = 0\n", "error: [run] "),
         ("[wifi]\ncorrelation = 1.0\n", "error: [wifi] "),
+        ("[agent]\nlr = -1\n", "error: [agent] lr"),
+        ("[agent]\ndtype = float16\n", "error: [agent] dtype"),
+        ("[inputs]\nfloor_frac = 0\n", "error: [inputs] floor_frac"),
         ("[agent]\noptimizer = rmsprop\n", "error: unknown key 'optimizer'"),
     ])
     def test_domain_rejected_value_is_an_error_not_a_traceback(
