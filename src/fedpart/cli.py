@@ -8,7 +8,8 @@ the config's ``[profile]``, ``[wifi]`` and ``[fiveg]`` sections synthesize.
 ``train`` and ``transfer`` write ``manifest.ini`` (the resolved config),
 per-agent step and validation CSVs and the final weights as text and as a
 checkpoint that ``transfer --checkpoint`` reads. A bad config, profile or
-trace, or a missing file, prints ``error: ...`` and returns 2.
+trace, a missing file, or a checkpoint whose network dims differ from the
+config's prints ``error: ...`` and returns 2.
 FEDPART_OUTPUT_ROOT, when set, prefixes relative output directories.
 """
 
@@ -26,6 +27,7 @@ from .metrics import band
 from .network import load_checkpoint
 from .profiles import ProfileError, enumerate_configs, load_profile, save_profile
 from .runner import (
+    AgentBuilder,
     build_scenario,
     run_baseline_suite,
     run_experiment,
@@ -89,14 +91,10 @@ def cmd_train(args) -> int:
 def cmd_transfer(args) -> int:
     config = _load_with_overrides(args)
     dims, weights = load_checkpoint(args.checkpoint)
-    scenario = build_scenario(config)
-    n_actions = scenario.profile.n_configs + 1
-    if dims[-1] != n_actions:
-        print(
-            f"error: checkpoint has {dims[-1]} actions but the target profile "
-            f"needs {n_actions} ({scenario.profile.n_configs} configs + keep-current)",
-            file=sys.stderr,
-        )
+    expected = AgentBuilder(build_scenario(config)).dims()
+    if dims != expected:
+        print(f"error: checkpoint dims {dims} do not match the config's {expected}",
+              file=sys.stderr)
         return 2
     result = run_experiment(config, initial_weights=weights)
     out_dir = _resolve_output(config.run.output_dir)

@@ -10,8 +10,9 @@ object's field names:
 - ``[bounds]``: :class:`~fedpart.env.ObservationBounds`
 - ``[devices]``: :class:`~fedpart.profiles.DeviceProfile`
 - ``[agent]``: :class:`~fedpart.agent.AgentSettings`
-- ``[inputs]``, ``[federation]`` and ``[run]``: the config-only
-  :class:`InputsSection`, :class:`FederationSection` and :class:`RunSection`
+- ``[federation]``: :class:`~fedpart.federation.FederationConfig`
+- ``[inputs]`` and ``[run]``: the config-only :class:`InputsSection` and
+  :class:`RunSection`
 
 A section lists only the keys it changes; the rest keep the values of
 ``ExperimentConfig()``, so a partial ``[wifi]`` keeps the Wi-Fi defaults.
@@ -64,33 +65,6 @@ class InputsSection:
 
 
 @dataclass(frozen=True)
-class FederationSection:
-    """The federation schedule; ``single`` runs one agent synchronously."""
-
-    mode: str = "sync"
-    agents: int = 10
-    steps_per_agent: int = 21000
-    freq_updates: int = 500
-    proportion_slow: float = 0.0
-    max_delay_slow: float = 0.0
-    role_policy: str = "fixed"
-
-    def federation_config(self, master_seed: int = 0) -> FederationConfig:
-        single = self.mode == "single"
-        return FederationConfig(
-            m_agents=1 if single else self.agents,
-            # FederationConfig itself rejects freq_updates < 1
-            n_iterations=max(1, self.steps_per_agent // max(1, self.freq_updates)),
-            freq_updates=self.freq_updates,
-            mode="sync" if single else self.mode,
-            proportion_slow=self.proportion_slow,
-            max_delay_slow_relative=self.max_delay_slow,
-            role_policy=self.role_policy,
-            master_seed=master_seed,
-        )
-
-
-@dataclass(frozen=True)
 class RunSection:
     n_runs: int = 5
     base_seed: int = 1000
@@ -100,7 +74,7 @@ class RunSection:
     validation_steps: int = 300
 
     def __post_init__(self) -> None:
-        for name in ("n_runs", "validation_interval", "validation_steps"):
+        for name in ("n_runs", "workers", "validation_interval", "validation_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -121,23 +95,8 @@ class ExperimentConfig:
     devices: DeviceProfile = field(default_factory=DeviceProfile)
     agent: AgentSettings = field(default_factory=AgentSettings)
     inputs: InputsSection = field(default_factory=InputsSection)
-    federation: FederationSection = field(default_factory=FederationSection)
+    federation: FederationConfig = field(default_factory=FederationConfig)
     run: RunSection = field(default_factory=RunSection)
-
-    def validate(self) -> None:
-        """Check the rules that no domain object checks on construction."""
-        fed = self.federation
-        if fed.mode not in ("sync", "async", "single"):
-            raise ConfigError(f"[federation] mode: expected sync|async|single, got {fed.mode!r}")
-        try:
-            fed.federation_config()
-        except ValueError as exc:
-            raise ConfigError(f"[federation] {exc}") from exc
-        if fed.steps_per_agent < 0 or fed.steps_per_agent % fed.freq_updates != 0:
-            raise ConfigError(
-                "[federation] steps_per_agent must be a nonnegative multiple of freq_updates "
-                f"(got {fed.steps_per_agent} and {fed.freq_updates})"
-            )
 
 
 _SECTIONS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
@@ -181,7 +140,7 @@ def _section(config: ExperimentConfig, name: str):
 
 
 def _replace(config: ExperimentConfig, updates: dict[str, dict]) -> ExperimentConfig:
-    """Replace fields section by section; the result is validated."""
+    """Replace fields section by section; each section validates itself."""
     sections = {}
     for name, values in updates.items():
         section = _section(config, name)
@@ -189,9 +148,7 @@ def _replace(config: ExperimentConfig, updates: dict[str, dict]) -> ExperimentCo
             sections[name] = dataclasses.replace(section, **values)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"[{name}] {exc}") from exc
-    config = dataclasses.replace(config, **sections)
-    config.validate()
-    return config
+    return dataclasses.replace(config, **sections)
 
 
 def parse_config(text: str) -> ExperimentConfig:

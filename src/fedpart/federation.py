@@ -30,30 +30,51 @@ def _round_half_up(x: float) -> int:
 
 @dataclass(frozen=True)
 class FederationConfig:
-    m_agents: int = 10
-    n_iterations: int = 42
-    freq_updates: int = 500
+    """The federation schedule, read from the ``[federation]`` config section.
+
+    Every agent trains ``steps_per_agent`` steps in ``n_iterations`` phases
+    of ``freq_updates`` steps, and the master aggregates after each phase.
+    ``sync`` averages all ``agents``; ``async`` makes ``proportion_slow`` of
+    them slow, running up to ``max_delay_slow`` relatively more steps and
+    folded in after the fast ones. ``single`` runs one agent as ``sync``,
+    whatever ``agents`` says. Zero steps trains nothing: the run ends on its
+    initial weights.
+    """
+
     mode: str = "sync"
+    agents: int = 10
+    steps_per_agent: int = 21000
+    freq_updates: int = 500
     proportion_slow: float = 0.0
-    max_delay_slow_relative: float = 0.0
+    max_delay_slow: float = 0.0
     role_policy: str = "fixed"
-    master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.m_agents < 1:
-            raise ValueError("m_agents must be >= 1")
-        if self.n_iterations < 1:
-            raise ValueError("n_iterations must be >= 1")
+        if self.mode not in ("sync", "async", "single"):
+            raise ValueError(f"mode: expected sync|async|single, got {self.mode!r}")
+        if self.agents < 1:
+            raise ValueError("agents must be >= 1")
         if self.freq_updates < 1:
             raise ValueError("freq_updates must be >= 1")
-        if self.mode not in ("sync", "async"):
-            raise ValueError(f"mode must be 'sync' or 'async', got {self.mode!r}")
         if not (0.0 <= self.proportion_slow <= 1.0):
             raise ValueError("proportion_slow must be in [0, 1]")
-        if self.max_delay_slow_relative < 0.0:
-            raise ValueError("max_delay_slow_relative must be >= 0")
+        if self.max_delay_slow < 0.0:
+            raise ValueError("max_delay_slow must be >= 0")
         if self.role_policy not in ("fixed", "redraw"):
             raise ValueError(f"role_policy must be 'fixed' or 'redraw', got {self.role_policy!r}")
+        if self.steps_per_agent < 0 or self.steps_per_agent % self.freq_updates != 0:
+            raise ValueError(
+                "steps_per_agent must be a nonnegative multiple of freq_updates "
+                f"(got {self.steps_per_agent} and {self.freq_updates})"
+            )
+
+    @property
+    def m_agents(self) -> int:
+        return 1 if self.mode == "single" else self.agents
+
+    @property
+    def n_iterations(self) -> int:
+        return self.steps_per_agent // self.freq_updates
 
 
 @dataclass
@@ -122,12 +143,12 @@ def schedule_roles(
 
 
 def slow_step_count(
-    freq_updates: int, max_delay_slow_relative: float, rng: np.random.Generator
+    freq_updates: int, max_delay_slow: float, rng: np.random.Generator
 ) -> int:
     """Uniform integer in [freq_updates, round(freq_updates * (1 + max_delay))]."""
-    if max_delay_slow_relative < 0:
-        raise ValueError("max_delay_slow_relative must be >= 0")
-    upper = _round_half_up(freq_updates * (1.0 + max_delay_slow_relative))
+    if max_delay_slow < 0:
+        raise ValueError("max_delay_slow must be >= 0")
+    upper = _round_half_up(freq_updates * (1.0 + max_delay_slow))
     return int(rng.integers(freq_updates, upper + 1))
 
 
@@ -138,17 +159,11 @@ class FederationResult:
     agent_logs: list[dict] = field(default_factory=list)
 
 
-def derive_seed_sequences(config: FederationConfig):
+def derive_seed_sequences(config: FederationConfig, master_seed: int):
     """Master-seed-derived streams: one per agent, plus net-init and scheduler."""
-    root = np.random.SeedSequence(config.master_seed)
+    root = np.random.SeedSequence(master_seed)
     children = root.spawn(config.m_agents + 2)
     return children[: config.m_agents], children[config.m_agents], children[config.m_agents + 1]
-
-
-def initial_global_weights(config: FederationConfig, network_spec: dict) -> np.ndarray:
-    """The weights a run starts from: a ``QNetwork`` drawn from the net-init stream."""
-    _, net_seq, _ = derive_seed_sequences(config)
-    return QNetwork(rng=np.random.default_rng(net_seq), **network_spec).get_weights()
 
 
 class AgentHost:
@@ -287,6 +302,7 @@ class _Pool:
 def run_federation(
     config: FederationConfig,
     builder,
+    master_seed: int,
     initial_weights: np.ndarray | None = None,
     workers: int = 1,
 ) -> FederationResult:
@@ -294,17 +310,21 @@ def run_federation(
 
     ``builder`` must provide ``build(agent_index, seed_sequence) -> DQNAgent``
     and ``network_spec() -> dict`` (QNetwork constructor arguments used for
-    the initial global weights). Weight math runs in float64. Per-agent
-    seeds derive from ``config.master_seed``, so repeated runs are
-    bit-identical regardless of ``workers``.
+    the initial global weights when ``initial_weights`` is None). Weight
+    math runs in float64. Per-agent seeds derive from ``master_seed``, so
+    repeated runs are bit-identical regardless of ``workers``. With zero
+    steps no agent is built: the initial weights come back with empty logs.
     """
-    agent_seqs, _, sched_seq = derive_seed_sequences(config)
+    agent_seqs, net_seq, sched_seq = derive_seed_sequences(config, master_seed)
     sched_rng = np.random.default_rng(sched_seq)
 
     if initial_weights is None:
-        theta = initial_global_weights(config, builder.network_spec())
+        net = QNetwork(rng=np.random.default_rng(net_seq), **builder.network_spec())
+        theta = net.get_weights()
     else:
         theta = np.asarray(initial_weights, dtype=np.float64).copy()
+    if config.n_iterations == 0:
+        return FederationResult(final_weights=theta)
 
     roles = schedule_roles(
         config.m_agents,
@@ -328,7 +348,7 @@ def run_federation(
             for m in range(config.m_agents):
                 if config.mode == "async" and slow_mask[m]:
                     steps[m] = slow_step_count(
-                        config.freq_updates, config.max_delay_slow_relative, sched_rng
+                        config.freq_updates, config.max_delay_slow, sched_rng
                     )
                 else:
                     steps[m] = config.freq_updates

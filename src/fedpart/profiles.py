@@ -24,17 +24,6 @@ CATEGORY_SEW_CLOUD = "sew-cloud"
 CATEGORY_PHONE_CLOUD = "phone-cloud"
 CATEGORY_SEW_PHONE_CLOUD = "sew-phone-cloud"
 
-FULL_DEVICE_CATEGORIES = (
-    CATEGORY_FULL_SEW,
-    CATEGORY_FULL_PHONE,
-    CATEGORY_FULL_CLOUD,
-)
-SINGLE_SPLIT_CATEGORIES = (
-    CATEGORY_SEW_PHONE,
-    CATEGORY_SEW_CLOUD,
-    CATEGORY_PHONE_CLOUD,
-)
-
 
 class ProfileError(ValueError):
     """Invalid profile data (construction, synthesis, or file parsing)."""

@@ -17,11 +17,7 @@ from .agent import DQNAgent, ValidationProbe
 from .baseline import run_baseline
 from .config import ExperimentConfig, dump_config
 from .env import STEP_LOG, OffloadEnv
-from .federation import (
-    derive_seed_sequences,
-    initial_global_weights,
-    run_federation,
-)
+from .federation import derive_seed_sequences, run_federation
 from .metrics import band, moving_avg_violations
 from .network import save_checkpoint
 from .profiles import (
@@ -110,6 +106,11 @@ class AgentBuilder:
             "dtype": np.dtype(settings.dtype),
         }
 
+    def dims(self) -> tuple[int, ...]:
+        """Network layer widths, input to output, as a checkpoint records them."""
+        spec = self.network_spec()
+        return (5, *spec["hidden"], spec["n_actions"])  # five observation entries
+
 
 @dataclass
 class RunResult:
@@ -124,7 +125,6 @@ class RunResult:
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
     runs: list[RunResult]
     band_steps: np.ndarray
     band_mean: np.ndarray
@@ -163,21 +163,15 @@ def run_one(
     initial_weights: np.ndarray | None = None,
 ) -> RunResult:
     builder = AgentBuilder(build_scenario(config))
-    spec = builder.network_spec()
-    dims = (5, *spec["hidden"], spec["n_actions"])  # five observation entries
-    fed = config.federation.federation_config(master_seed)
-    if config.federation.steps_per_agent == 0:
-        if initial_weights is None:
-            initial_weights = initial_global_weights(fed, spec)
-        return RunResult(master_seed, np.asarray(initial_weights, dtype=np.float64), dims, [], [])
     result = run_federation(
-        fed, builder, initial_weights=initial_weights, workers=config.run.workers
+        config.federation, builder, master_seed,
+        initial_weights=initial_weights, workers=config.run.workers,
     )
     steps, curve = _mean_validation_curve(result.agent_logs)
     return RunResult(
         master_seed=master_seed,
         final_weights=result.final_weights,
-        dims=dims,
+        dims=builder.dims(),
         agent_logs=result.agent_logs,
         schedule_rows=result.schedule_rows,
         val_steps=steps,
@@ -193,7 +187,6 @@ def run_experiment(
     config: ExperimentConfig,
     initial_weights: np.ndarray | None = None,
 ) -> ExperimentResult:
-    config.validate()
     runs = [run_one(config, seed, initial_weights=initial_weights) for seed in master_seeds(config)]
     curves = [r.val_curve for r in runs if r.val_curve.size]
     if curves:
@@ -203,7 +196,7 @@ def run_experiment(
     else:
         steps = np.empty(0, dtype=np.int64)
         mean = mn = mx = np.empty(0)
-    return ExperimentResult(config, runs, steps, mean, mn, mx)
+    return ExperimentResult(runs, steps, mean, mn, mx)
 
 
 def run_baseline_suite(
@@ -220,8 +213,7 @@ def run_baseline_suite(
     logs = []
     steps = config.federation.steps_per_agent
     for seed in master_seeds(config):
-        fed = config.federation.federation_config(seed)
-        agent_seqs, _, _ = derive_seed_sequences(fed)
+        agent_seqs, _, _ = derive_seed_sequences(config.federation, seed)
         for m, seq in enumerate(agent_seqs):
             env_seq, _, _ = seq.spawn(3)
             env = make_env(scenario, env_seq)

@@ -5,7 +5,7 @@ import numpy as np
 from fedpart import cli
 from fedpart.agent import AgentSettings
 from fedpart.config import ExperimentConfig
-from fedpart.network import load_checkpoint
+from fedpart.network import expected_weight_count, load_checkpoint, save_checkpoint
 from fedpart.traces import load_trace, synthesize_trace
 
 
@@ -62,6 +62,20 @@ class TestTrainTransfer:
                 "--checkpoint", str(ckpt), "--output", str(moved)]
         assert cli.main(argv) == 0
         assert (moved / "run_9" / "final_weights.ckpt").read_bytes() == ckpt.read_bytes()
+
+    def test_transfer_rejects_a_checkpoint_of_another_shape(self, tmp_path, capsys):
+        dims = (5, 8, 8, 106)  # trained with [agent] hidden = 8,8
+        ckpt = tmp_path / "small.ckpt"
+        save_checkpoint(ckpt, dims, np.zeros(expected_weight_count(dims)))
+        out = tmp_path / "out"
+        argv = ["transfer", "--runs", "1", "--mode", "single", "--steps-per-agent", "0",
+                "--checkpoint", str(ckpt), "--output", str(out)]
+        assert cli.main(argv) == 2
+        expected = (5, *AgentSettings().hidden, 106)
+        assert capsys.readouterr().err == (
+            f"error: checkpoint dims {dims} do not match the config's {expected}\n"
+        )
+        assert not out.exists()
 
 
 TINY_INI = """\

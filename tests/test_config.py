@@ -9,7 +9,6 @@ from fedpart.agent import AgentSettings
 from fedpart.config import (
     ConfigError,
     ExperimentConfig,
-    FederationSection,
     InputsSection,
     RunSection,
     dump_config,
@@ -17,6 +16,7 @@ from fedpart.config import (
     parse_config,
 )
 from fedpart.env import CostWeights, ObservationBounds
+from fedpart.federation import FederationConfig
 from fedpart.profiles import DeviceProfile, ProfileSpec
 from fedpart.traces import TraceSynthesisSpec
 
@@ -75,7 +75,7 @@ def configs(draw):
             shift=draw(st.booleans()), inversion=draw(st.booleans()),
             floor_frac=draw(st.floats(0.0, 1.0, exclude_min=True)),
         ),
-        federation=FederationSection(
+        federation=FederationConfig(
             mode=draw(st.sampled_from(("sync", "async", "single"))),
             agents=draw(st.integers(1, 50)),
             steps_per_agent=freq * draw(st.integers(0, 50)), freq_updates=freq,
@@ -117,7 +117,31 @@ class TestRoundTrip:
         assert used[0].cost.c_5g_max == 2.5 and used[0].agent.hidden == (4,)
 
 
+# The [federation] block as dump_config wrote it before the section became
+# FederationConfig itself; old manifests must keep loading.
+OLD_FEDERATION_BLOCK = """\
+[federation]
+mode = async
+agents = 4
+steps_per_agent = 1500
+freq_updates = 500
+proportion_slow = 0.25
+max_delay_slow = 0.5
+role_policy = redraw
+
+"""
+
+
 class TestParse:
+    def test_old_federation_block_parses_and_dumps_back_unchanged(self):
+        config = parse_config(OLD_FEDERATION_BLOCK)
+        assert config.federation == FederationConfig(
+            mode="async", agents=4, steps_per_agent=1500, freq_updates=500,
+            proportion_slow=0.25, max_delay_slow=0.5, role_policy="redraw",
+        )
+        assert config.federation.m_agents == 4 and config.federation.n_iterations == 3
+        assert OLD_FEDERATION_BLOCK in dump_config(config)
+
     def test_partial_section_keeps_that_sections_defaults(self):
         config = parse_config("[wifi]\nmean = 200\n")
         defaults = ExperimentConfig()
@@ -151,6 +175,7 @@ class TestParse:
         ("[federation]\nsteps_per_agent = 7\n", "[federation] steps_per_agent"),
         ("[federation]\nmode = solo\n", "[federation] mode"),
         ("[run]\nn_runs = 0\n", "[run] n_runs"),
+        ("[run]\nworkers = 0\n", "[run] workers must be >= 1"),
         ("[run]\nvalidation_steps = 0\n", "[run] validation_steps must be >= 1"),
         ("[run]\nvalidation_interval = 0\n", "[run] validation_interval must be >= 1"),
         ("[fiveg]\ncorrelation = 1.0\n", "[fiveg] correlation must be in [0, 1)"),
@@ -173,6 +198,7 @@ class TestCliErrors:
         ("[cost]\nw_lat = 0.5\n", "error: [cost] "),
         ("[agent]\ngamma = 2.0\n", "error: [agent] "),
         ("[run]\nvalidation_steps = 0\n", "error: [run] "),
+        ("[run]\nworkers = 0\n", "error: [run] workers"),
         ("[run]\nvalidation_interval = 0\n", "error: [run] "),
         ("[wifi]\ncorrelation = 1.0\n", "error: [wifi] "),
         ("[agent]\nlr = -1\n", "error: [agent] lr"),

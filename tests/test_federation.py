@@ -13,10 +13,12 @@ from fedpart.federation import (
     FederationConfig,
     aggregate_incremental,
     aggregate_mean,
+    derive_seed_sequences,
     run_federation,
     schedule_roles,
     slow_step_count,
 )
+from fedpart.network import QNetwork
 
 from conftest import make_tiny_env
 
@@ -118,24 +120,57 @@ class TestRunFederation:
     def test_non_finite_weights_name_agent_and_iteration(
         self, tiny_profile, tiny_settings, mode, slow, workers
     ):
-        config = FederationConfig(m_agents=3, n_iterations=3, freq_updates=20, mode=mode,
-                                  proportion_slow=slow, master_seed=2)
+        config = FederationConfig(agents=3, steps_per_agent=60, freq_updates=20, mode=mode,
+                                  proportion_slow=slow)
         builder = _Builder(tiny_profile, tiny_settings, poisoned=1)
         with pytest.raises(FloatingPointError, match=r"agent 1 .* iteration 1$"):
-            run_federation(config, builder, workers=workers)
+            run_federation(config, builder, 2, workers=workers)
 
     def test_dead_pool_worker_names_its_agents_and_exit_code(self, tiny_profile, tiny_settings):
-        config = FederationConfig(m_agents=3, n_iterations=3, freq_updates=20, master_seed=2)
+        config = FederationConfig(agents=3, steps_per_agent=60, freq_updates=20)
         builder = _Builder(tiny_profile, tiny_settings, poisoned=None, exits=2)
         # Two workers: agents 0 and 2 share worker 0, agent 1 has worker 1.
         with pytest.raises(RuntimeError, match=r"worker 0 for agents \[0, 2\] exited with code 3$"):
-            run_federation(config, builder, workers=2)
+            run_federation(config, builder, 2, workers=2)
 
     def test_finite_run_completes(self, tiny_profile, tiny_settings):
-        config = FederationConfig(m_agents=3, n_iterations=3, freq_updates=20, master_seed=2)
-        result = run_federation(config, _Builder(tiny_profile, tiny_settings, poisoned=None))
+        config = FederationConfig(agents=3, steps_per_agent=60, freq_updates=20)
+        result = run_federation(config, _Builder(tiny_profile, tiny_settings, poisoned=None), 2)
         assert np.isfinite(result.final_weights).all()
         assert len(result.schedule_rows) == 9
+
+
+class _UnbuildableBuilder(_Builder):
+    def build(self, index, seq):
+        raise AssertionError(f"agent {index} was built")
+
+
+class TestFederationConfig:
+    def test_single_runs_one_agent_for_steps_over_freq_phases(self):
+        config = FederationConfig(mode="single", agents=7, steps_per_agent=60, freq_updates=20)
+        assert (config.m_agents, config.n_iterations) == (1, 3)
+
+
+class TestZeroSteps:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_returns_the_master_seeds_weights_without_agents(
+        self, tiny_profile, tiny_settings, workers
+    ):
+        config = FederationConfig(agents=3, steps_per_agent=0, freq_updates=20)
+        builder = _UnbuildableBuilder(tiny_profile, tiny_settings, poisoned=None)
+        result = run_federation(config, builder, 2, workers=workers)
+        _, net_seq, _ = derive_seed_sequences(config, 2)
+        expected = QNetwork(rng=np.random.default_rng(net_seq), **builder.network_spec())
+        assert np.array_equal(result.final_weights, expected.get_weights())
+        assert result.schedule_rows == [] and result.agent_logs == []
+
+    def test_returns_the_weights_passed_in(self, tiny_profile, tiny_settings):
+        config = FederationConfig(agents=3, steps_per_agent=0, freq_updates=20)
+        builder = _UnbuildableBuilder(tiny_profile, tiny_settings, poisoned=None)
+        weights = np.linspace(-1.0, 1.0, 11)
+        result = run_federation(config, builder, 2, initial_weights=weights)
+        assert np.array_equal(result.final_weights, weights)
+        assert result.schedule_rows == [] and result.agent_logs == []
 
 
 class _RaisingBuilder(_Builder):
@@ -153,15 +188,15 @@ class _RaisingBuilder(_Builder):
 
 class TestAgentErrors:
     def test_inline_agent_error_propagates(self, tiny_profile, tiny_settings):
-        config = FederationConfig(m_agents=3, n_iterations=2, freq_updates=20, master_seed=2)
+        config = FederationConfig(agents=3, steps_per_agent=40, freq_updates=20)
         builder = _RaisingBuilder(tiny_profile, tiny_settings, poisoned=None)
         with pytest.raises(ValueError, match=r"^agent-side failure$"):
-            run_federation(config, builder, workers=1)
+            run_federation(config, builder, 2, workers=1)
 
     def test_pool_worker_reports_its_agents_exception(self, tiny_profile, tiny_settings):
-        config = FederationConfig(m_agents=3, n_iterations=2, freq_updates=20, master_seed=2)
+        config = FederationConfig(agents=3, steps_per_agent=40, freq_updates=20)
         builder = _RaisingBuilder(tiny_profile, tiny_settings, poisoned=None)
         # Two workers: agent 1 has worker 1 to itself.
         with pytest.raises(RuntimeError,
                            match=r"^pool worker 1 for agents \[1\] raised ValueError: agent-side failure$"):
-            run_federation(config, builder, workers=2)
+            run_federation(config, builder, 2, workers=2)

@@ -43,17 +43,26 @@ def test_the_check_sees_an_unused_import(tmp_path):
     assert unused_imports(module) == ["mod.py:1: os", "mod.py:2: argv"]
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree: ast.Module):
-    """Top-level functions and classes, and their methods not named ``__*__``."""
+    """Top-level functions, classes and assigned names, and the classes'
+    methods; names of the form ``__*__`` are exempt."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not _dunder(target.id):
+                    yield target.id, node
+            continue
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
         yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
+                if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
                     yield f"{node.name}.{item.name}", item
 
 
@@ -88,7 +97,8 @@ def test_every_definition_has_a_user_outside_the_tests():
 def test_the_check_sees_test_only_api(tmp_path):
     module = tmp_path / "mod.py"
     module.write_text(
-        "def helper():\n    return helper()\n\n"
+        "__version__ = '1'\nLIMIT = 3\nSPARE: int = 4\n\n"
+        "def helper():\n    return helper() + LIMIT\n\n"
         "class Box:\n    def __init__(self):\n        self.size = 1\n\n"
         "    def used(self):\n        return self.size\n\n"
         "    def unused(self):\n        return self.used()\n\n"
@@ -97,4 +107,6 @@ def test_the_check_sees_test_only_api(tmp_path):
     )
     init = tmp_path / "__init__.py"
     init.write_text("from .mod import Box, helper\nhelper()\n", encoding="utf-8")
-    assert unused_definitions([module, init], [module]) == ["mod.py: helper", "mod.py: Box.unused"]
+    assert unused_definitions([module, init], [module]) == [
+        "mod.py: SPARE", "mod.py: helper", "mod.py: Box.unused"
+    ]
