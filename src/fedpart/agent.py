@@ -185,7 +185,6 @@ class ValidationProbe:
         self.env = env
         self.steps = steps
         self.interval = interval
-        self.phase_indices: list[int] = []
         self.steps_trained: list[int] = []
         self.rates: list[float] = []
         self._last_run_at = -1
@@ -199,7 +198,6 @@ class ValidationProbe:
             action = int(np.argmax(net.forward(self.env.observe())))
             violations += int(self.env.step(action).violated)
         rate = violations / self.steps
-        self.phase_indices.append(total_steps // self.interval)
         self.steps_trained.append(total_steps)
         self.rates.append(rate)
         self._last_run_at = total_steps

@@ -7,9 +7,10 @@ train, transfer and baseline flags override keys of its ``[run]`` and
 the config's ``[profile]``, ``[wifi]`` and ``[fiveg]`` sections synthesize.
 ``train`` and ``transfer`` write ``manifest.ini`` (the resolved config),
 per-agent step and validation CSVs and the final weights as text and as a
-checkpoint that ``transfer --checkpoint`` reads. A bad config, profile or
-trace, a missing file, or a checkpoint whose network dims differ from the
-config's prints ``error: ...`` and returns 2.
+checkpoint that ``transfer --checkpoint`` reads; ``transfer`` is ``train``
+warm-started from that checkpoint. A bad config, profile, trace or
+checkpoint, a missing file, or a checkpoint whose network dims differ from
+the config's prints ``error: ...`` and returns 2.
 FEDPART_OUTPUT_ROOT, when set, prefixes relative output directories.
 """
 
@@ -24,10 +25,9 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 from .metrics import band
-from .network import load_checkpoint
+from .network import CheckpointError
 from .profiles import ProfileError, enumerate_configs, load_profile, save_profile
 from .runner import (
-    AgentBuilder,
     build_scenario,
     run_baseline_suite,
     run_experiment,
@@ -77,33 +77,14 @@ def _add_common_train_flags(parser) -> None:
 
 def cmd_train(args) -> int:
     config = _load_with_overrides(args)
-    result = run_experiment(config)
+    experiment = run_experiment(config, args.checkpoint)
     out_dir = _resolve_output(config.run.output_dir)
-    write_experiment(config, result, out_dir)
-    mean, mn, mx = result.final_validation
-    print(
-        f"final validation C_lat: mean={mean:.4f} band=[{mn:.4f}, {mx:.4f}] "
-        f"({len(result.runs)} runs) -> {out_dir}"
-    )
-    return 0
-
-
-def cmd_transfer(args) -> int:
-    config = _load_with_overrides(args)
-    dims, weights = load_checkpoint(args.checkpoint)
-    expected = AgentBuilder(build_scenario(config)).dims()
-    if dims != expected:
-        print(f"error: checkpoint dims {dims} do not match the config's {expected}",
-              file=sys.stderr)
-        return 2
-    result = run_experiment(config, initial_weights=weights)
-    out_dir = _resolve_output(config.run.output_dir)
-    write_experiment(config, result, out_dir)
-    mean, mn, mx = result.final_validation
-    print(
-        f"warm-started final validation C_lat: mean={mean:.4f} "
-        f"band=[{mn:.4f}, {mx:.4f}] -> {out_dir}"
-    )
+    mean, mn, mx = write_experiment(config, experiment, out_dir)
+    line = f"final validation C_lat: mean={mean:.4f} band=[{mn:.4f}, {mx:.4f}]"
+    if args.checkpoint is None:
+        print(f"{line} ({len(experiment.runs)} runs) -> {out_dir}")
+    else:
+        print(f"warm-started {line} -> {out_dir}")
     return 0
 
 
@@ -192,10 +173,9 @@ def cmd_report(args) -> int:
     if not curves:
         print(f"no run_validation.csv files under {args.run_dir}", file=sys.stderr)
         return 2
-    n = min(c.size for c in curves)
-    mean, mn, mx = band([c[:n] for c in curves])
+    mean, mn, mx = band(curves)
     out = args.out or os.path.join(args.run_dir, "validation_band.csv")
-    write_csv(out, "x,mean,min,max", zip(steps[:n], mean, mn, mx))
+    write_csv(out, "x,mean,min,max", zip(steps, mean, mn, mx))
     print(f"band over {len(curves)} runs -> {out}")
     return 0
 
@@ -210,12 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run seeded training repetitions")
     _add_common_train_flags(p_train)
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_train, checkpoint=None)
 
     p_transfer = sub.add_parser("transfer", help="warm-start training from a checkpoint")
     _add_common_train_flags(p_transfer)
     p_transfer.add_argument("--checkpoint", required=True)
-    p_transfer.set_defaults(func=cmd_transfer)
+    p_transfer.set_defaults(func=cmd_train)
 
     p_base = sub.add_parser("baseline", help="run the Neurosurgeon baseline")
     _add_common_train_flags(p_base)
@@ -258,7 +238,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ProfileError, TraceError, FileNotFoundError) as exc:
+    except (ConfigError, CheckpointError, ProfileError, TraceError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

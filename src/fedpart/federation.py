@@ -18,6 +18,7 @@ import math
 import multiprocessing as mp
 import traceback
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,11 +153,19 @@ def slow_step_count(
     return int(rng.integers(freq_updates, upper + 1))
 
 
+class AgentLog(NamedTuple):
+    """One agent's record of a run: its ``STEP_LOG`` rows and validation series."""
+
+    steps: np.ndarray
+    val_steps: list[int]  # steps trained at each validation
+    val_rate: list[float]  # C_lat, the violation rate, of each validation
+
+
 @dataclass
 class FederationResult:
     final_weights: np.ndarray
     schedule_rows: list[dict] = field(default_factory=list)
-    agent_logs: list[dict] = field(default_factory=list)
+    agent_logs: list[AgentLog] = field(default_factory=list)
 
 
 def derive_seed_sequences(config: FederationConfig, master_seed: int):
@@ -170,8 +179,8 @@ class AgentHost:
     """Owns some of the agents and runs their phases, in the master or a worker.
 
     ``run_phases`` takes ``(agent_id, weights, steps)`` jobs and returns
-    ``(agent_id, weights)`` pairs; ``finalize`` returns each agent's step
-    log and validation series.
+    ``(agent_id, weights)`` pairs; ``finalize`` returns each agent's
+    ``AgentLog`` by id.
     """
 
     def __init__(self, builder, assignments):
@@ -190,11 +199,9 @@ class AgentHost:
         logs = {}
         for i, agent in self.agents.items():
             agent.finalize_validation()
-            logs[i] = {"steps": agent.log}
-            if agent.validation is not None:
-                probe = agent.validation
-                logs[i].update(val_k=probe.phase_indices, val_steps=probe.steps_trained,
-                               val_rate=probe.rates)
+            probe = agent.validation
+            series = ([], []) if probe is None else (probe.steps_trained, probe.rates)
+            logs[i] = AgentLog(agent.log, *series)
         return logs
 
     def close(self):

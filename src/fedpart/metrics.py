@@ -31,13 +31,9 @@ def moving_avg_violations(history, window: int = 1000) -> np.ndarray:
 
 
 def band(runs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pointwise (mean, min, max) across aligned per-run series."""
+    """Pointwise (mean, min, max) across per-run series, cut to the shortest."""
     if not runs:
         raise ValueError("need at least one run")
-    arrays = [np.asarray(r, dtype=np.float64) for r in runs]
-    length = arrays[0].size
-    for a in arrays:
-        if a.size != length:
-            raise ValueError("runs must be aligned (equal lengths)")
-    stacked = np.stack(arrays)
+    n = min(len(r) for r in runs)
+    stacked = np.stack([np.asarray(r[:n], dtype=np.float64) for r in runs])
     return stacked.mean(axis=0), stacked.min(axis=0), stacked.max(axis=0)

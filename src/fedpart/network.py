@@ -15,6 +15,8 @@ matters (e.g. gradient checks).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 WeightVector = np.ndarray  # flat float64 parameter vector, layer-major (W then b)
@@ -309,17 +311,34 @@ def save_checkpoint(path, dims: tuple[int, ...], weights: WeightVector) -> None:
             fh.writelines(f"{v!r}\n" for v in weights[start : start + CHECKPOINT_CHUNK].tolist())
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be read; the message names the file and line."""
+
+
 def load_checkpoint(path) -> tuple[tuple[int, ...], WeightVector]:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("dims="):
-            raise ValueError(f"{path}: expected a 'dims=' header line")
-        dims = tuple(int(d) for d in header[len("dims=") :].split(","))
-        values = [float(line) for line in fh if line.strip()]
+            raise CheckpointError(f"{path}:1: expected a 'dims=' header line")
+        try:
+            dims = tuple(int(d) for d in header[len("dims=") :].split(","))
+        except ValueError:
+            raise CheckpointError(f"{path}:1: dims must be integers, got {header!r}") from None
+        values = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                value = float(line)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise CheckpointError(f"{path}:{lineno}: not a finite number: {line.strip()!r}")
+            values.append(value)
     weights = np.asarray(values, dtype=np.float64)
     expected = expected_weight_count(dims)
     if weights.size != expected:
-        raise ValueError(
+        raise CheckpointError(
             f"{path}: {weights.size} values do not match dims {dims} (need {expected})"
         )
     return dims, weights

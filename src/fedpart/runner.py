@@ -1,25 +1,29 @@
 """Experiment driver: wires profiles, traces, envs, agents and federation.
 
 One "experiment" is n_runs seeded repetitions of a federated (or single
-agent) training run. Every run is fully determined by the experiment config
-and its master seed, so identical invocations produce identical artifacts.
+agent) training run on one scenario. Every run is fully determined by the
+experiment config and its master seed, so identical invocations produce
+identical artifacts. ``run_experiment`` returns each seed's
+``FederationResult`` as it came from ``run_federation``; ``write_experiment``
+derives the per-run validation curves and the band over runs as it writes.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .agent import DQNAgent, ValidationProbe
 from .baseline import run_baseline
-from .config import ExperimentConfig, dump_config
+from .config import ConfigError, ExperimentConfig, dump_config
 from .env import STEP_LOG, OffloadEnv
-from .federation import derive_seed_sequences, run_federation
+from .federation import FederationResult, derive_seed_sequences, run_federation
 from .metrics import band, moving_avg_violations
-from .network import save_checkpoint
+from .network import load_checkpoint, save_checkpoint
 from .profiles import (
     ApplicationProfile,
     extend_profile,
@@ -112,91 +116,34 @@ class AgentBuilder:
         return (5, *spec["hidden"], spec["n_actions"])  # five observation entries
 
 
-@dataclass
-class RunResult:
-    master_seed: int
-    final_weights: np.ndarray
+class Experiment(NamedTuple):
+    """The runs of one experiment: each master seed's ``FederationResult``."""
+
     dims: tuple[int, ...]  # network layer widths, input to output
-    agent_logs: list[dict]
-    schedule_rows: list[dict]
-    val_steps: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    val_curve: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
-@dataclass
-class ExperimentResult:
-    runs: list[RunResult]
-    band_steps: np.ndarray
-    band_mean: np.ndarray
-    band_min: np.ndarray
-    band_max: np.ndarray
-
-    @property
-    def final_validation(self) -> tuple[float, float, float]:
-        """(mean, min, max) of the last common validation point."""
-        if self.band_steps.size == 0:
-            return (float("nan"),) * 3
-        return (
-            float(self.band_mean[-1]),
-            float(self.band_min[-1]),
-            float(self.band_max[-1]),
-        )
-
-
-def _mean_validation_curve(agent_logs: list[dict]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-run curve: mean over agents at each shared validation step count."""
-    series = [log for log in agent_logs if "val_steps" in log and len(log["val_steps"])]
-    if not series:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    n = min(len(log["val_steps"]) for log in series)
-    steps = np.asarray(series[0]["val_steps"][:n], dtype=np.int64)
-    for log in series[1:]:
-        if not np.array_equal(np.asarray(log["val_steps"][:n]), steps):
-            raise ValueError("agents disagree on the validation step grid")
-    rates = np.stack([np.asarray(log["val_rate"][:n], dtype=np.float64) for log in series])
-    return steps, rates.mean(axis=0)
-
-
-def run_one(
-    config: ExperimentConfig,
-    master_seed: int,
-    initial_weights: np.ndarray | None = None,
-) -> RunResult:
-    builder = AgentBuilder(build_scenario(config))
-    result = run_federation(
-        config.federation, builder, master_seed,
-        initial_weights=initial_weights, workers=config.run.workers,
-    )
-    steps, curve = _mean_validation_curve(result.agent_logs)
-    return RunResult(
-        master_seed=master_seed,
-        final_weights=result.final_weights,
-        dims=builder.dims(),
-        agent_logs=result.agent_logs,
-        schedule_rows=result.schedule_rows,
-        val_steps=steps,
-        val_curve=curve,
-    )
+    runs: dict[int, FederationResult]
 
 
 def master_seeds(config: ExperimentConfig) -> list[int]:
     return [config.run.base_seed + i for i in range(config.run.n_runs)]
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    initial_weights: np.ndarray | None = None,
-) -> ExperimentResult:
-    runs = [run_one(config, seed, initial_weights=initial_weights) for seed in master_seeds(config)]
-    curves = [r.val_curve for r in runs if r.val_curve.size]
-    if curves:
-        n = min(c.size for c in curves)
-        mean, mn, mx = band([c[:n] for c in curves])
-        steps = runs[0].val_steps[:n]
-    else:
-        steps = np.empty(0, dtype=np.int64)
-        mean = mn = mx = np.empty(0)
-    return ExperimentResult(runs, steps, mean, mn, mx)
+def run_experiment(config: ExperimentConfig, checkpoint=None) -> Experiment:
+    """Run every master seed on one scenario, warm-started from ``checkpoint``
+    if given; a checkpoint of other network dims is a ``ConfigError``."""
+    builder = AgentBuilder(build_scenario(config))
+    dims, weights = builder.dims(), None
+    if checkpoint is not None:
+        found, weights = load_checkpoint(checkpoint)
+        if found != dims:
+            raise ConfigError(f"checkpoint dims {found} do not match the config's {dims}")
+    runs = {
+        seed: run_federation(
+            config.federation, builder, seed,
+            initial_weights=weights, workers=config.run.workers,
+        )
+        for seed in master_seeds(config)
+    }
+    return Experiment(dims, runs)
 
 
 def run_baseline_suite(
@@ -240,7 +187,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_experiment(config: ExperimentConfig, result: ExperimentResult, out_dir) -> None:
+def write_experiment(
+    config: ExperimentConfig, experiment: Experiment, out_dir
+) -> tuple[float, float, float]:
+    """Write the experiment's artifacts under ``out_dir``.
+
+    Each run's curve is the mean over its agents at each validation point
+    they share; the band is the mean, min and max of the run curves at each
+    point they share. Returns the band's last point, NaN if it has none.
+    """
     os.makedirs(out_dir, exist_ok=True)
     manifest = (
         f"# fedpart-version: {__version__}\n"
@@ -250,11 +205,13 @@ def write_experiment(config: ExperimentConfig, result: ExperimentResult, out_dir
     with open(os.path.join(out_dir, "manifest.ini"), "w", encoding="utf-8") as fh:
         fh.write(manifest)
 
-    for run in result.runs:
-        run_dir = os.path.join(out_dir, f"run_{run.master_seed}")
+    interval = config.run.validation_interval
+    curves = []
+    for seed, run in experiment.runs.items():
+        run_dir = os.path.join(out_dir, f"run_{seed}")
         os.makedirs(run_dir, exist_ok=True)
         for m, log in enumerate(run.agent_logs):
-            steps = log["steps"]
+            steps = log.steps
             names = ["step", *STEP_LOG.names]
             columns = [np.arange(1, len(steps) + 1), *(steps[name] for name in STEP_LOG.names)]
             after_violated = names.index("violated") + 1
@@ -266,7 +223,7 @@ def write_experiment(config: ExperimentConfig, result: ExperimentResult, out_dir
             write_csv(
                 os.path.join(run_dir, f"agent_{m}.validation.csv"),
                 "k,steps_trained,c_lat",
-                zip(log["val_k"], log["val_steps"], log["val_rate"]),
+                ((s // interval, s, rate) for s, rate in zip(log.val_steps, log.val_rate)),
             )
         if run.schedule_rows:
             write_csv(
@@ -277,24 +234,32 @@ def write_experiment(config: ExperimentConfig, result: ExperimentResult, out_dir
                     for r in run.schedule_rows
                 ),
             )
-        if run.val_steps.size:
+        if run.agent_logs:  # every agent validates at step 0 once it trains
+            curve, _, _ = band([log.val_rate for log in run.agent_logs])
+            curves.append(curve)
+            grid = run.agent_logs[0].val_steps  # 0, interval, 2 * interval, ... in every run
             write_csv(
                 os.path.join(run_dir, "run_validation.csv"),
                 "steps_trained,c_lat",
-                zip(run.val_steps, run.val_curve),
+                zip(grid, curve),
             )
         np.savetxt(os.path.join(run_dir, "final_weights.txt"), run.final_weights)
-        save_checkpoint(os.path.join(run_dir, "final_weights.ckpt"), run.dims, run.final_weights)
+        save_checkpoint(
+            os.path.join(run_dir, "final_weights.ckpt"), experiment.dims, run.final_weights
+        )
 
-    if result.band_steps.size:
+    last = (float("nan"),) * 3
+    if curves:
+        mean, mn, mx = band(curves)
         write_csv(
             os.path.join(out_dir, "validation_band.csv"),
             "x,mean,min,max",
-            zip(result.band_steps, result.band_mean, result.band_min, result.band_max),
+            zip(grid, mean, mn, mx),
         )
-    mean, mn, mx = result.final_validation
+        last = (float(mean[-1]), float(mn[-1]), float(mx[-1]))
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(
-            f"final_validation_c_lat mean={mean!r} min={mn!r} max={mx!r} "
-            f"runs={len(result.runs)}\n"
+            f"final_validation_c_lat mean={last[0]!r} min={last[1]!r} max={last[2]!r} "
+            f"runs={len(experiment.runs)}\n"
         )
+    return last

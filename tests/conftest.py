@@ -3,7 +3,7 @@ import pytest
 
 from fedpart.agent import AgentSettings
 from fedpart.env import CostWeights, ObservationBounds, OffloadEnv
-from fedpart.profiles import ProfileSpec, synthesize_profile
+from fedpart.profiles import DeviceProfile, ProfileSpec, synthesize_profile
 from fedpart.traces import Trace, TraceSynthesisSpec, synthesize_trace
 
 
@@ -55,7 +55,7 @@ def make_tiny_env(profile, seed=0, l_max=400.0, weights=None):
     )
     return OffloadEnv.from_seed(
         profile,
-        __import__("fedpart").DeviceProfile(),
+        DeviceProfile(),
         weights or CostWeights(l_max=l_max),
         ObservationBounds(),
         wifi,

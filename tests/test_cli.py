@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fedpart import cli
 from fedpart.agent import AgentSettings
@@ -75,6 +76,24 @@ class TestTrainTransfer:
         assert capsys.readouterr().err == (
             f"error: checkpoint dims {dims} do not match the config's {expected}\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("dims=5,2\n1.0\n", ": 1 values do not match dims (5, 2) (need 12)"),
+        ("dims=5,2\n1.0\nabc\n", ":3: not a finite number: 'abc'"),
+        ("dims=5,2\n1.0\n\nnan\n", ":4: not a finite number: 'nan'"),
+        ("dims=5,x\n", ":1: dims must be integers, got 'dims=5,x'"),
+    ])
+    def test_malformed_checkpoint_is_an_error_naming_the_file(
+        self, tmp_path, capsys, text, message
+    ):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["transfer", "--runs", "1", "--mode", "single", "--steps-per-agent", "0",
+                "--checkpoint", str(ckpt), "--output", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {ckpt}{message}\n"
         assert not out.exists()
 
 

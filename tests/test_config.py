@@ -103,7 +103,7 @@ class TestRoundTrip:
 
         def record(config, result, out_dir):
             used.append(config)
-            write(config, result, out_dir)
+            return write(config, result, out_dir)
 
         monkeypatch.setattr(cli, "write_experiment", record)
         ini = tmp_path / "tiny.ini"

@@ -1,7 +1,6 @@
 """Names under ``src/fedpart/`` are used: no unused imports, no test-only API.
 
-No linter is installed, so these are stdlib ``ast`` checks. Re-exports in
-``__init__.py`` are exempt when their import line carries ``# noqa: F401``.
+No linter is installed, so these are stdlib ``ast`` checks.
 """
 
 import ast
@@ -15,16 +14,12 @@ SRC = ROOT / "src" / "fedpart"
 
 
 def unused_imports(path: Path) -> list[str]:
-    source = path.read_text(encoding="utf-8")
-    lines = source.splitlines()
-    tree = ast.parse(source)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if path.name == "__init__.py" and "# noqa: F401" in lines[node.lineno - 1]:
             continue
         for alias in node.names:
             imported[alias.asname or alias.name.split(".")[0]] = node.lineno

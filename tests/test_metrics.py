@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedpart.metrics import moving_avg_violations
+from fedpart.metrics import band, moving_avg_violations
 
 
 def naive_moving_average(flags, window):
@@ -22,3 +22,30 @@ def test_matches_a_naive_sliding_mean(flags):
 def test_window_must_be_positive():
     with pytest.raises(ValueError):
         moving_avg_violations([True], 0)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(finite, max_size=12), min_size=1, max_size=5))
+def test_band_cuts_ragged_runs_to_the_shortest(runs):
+    n = min(len(r) for r in runs)
+    got = band(runs)
+    expected = band([r[:n] for r in runs])
+    for a, b in zip(got, expected):
+        assert a.size == n and a.tolist() == b.tolist()
+    stacked = np.array([r[:n] for r in runs], dtype=np.float64).reshape(len(runs), n)
+    assert got[1].tolist() == stacked.min(axis=0).tolist()
+    assert got[2].tolist() == stacked.max(axis=0).tolist()
+
+
+@given(st.lists(finite, max_size=12))
+def test_band_of_one_run_is_that_run(run):
+    mean, mn, mx = band([run])
+    assert mean.tolist() == mn.tolist() == mx.tolist() == run
+
+
+def test_band_needs_a_run():
+    with pytest.raises(ValueError):
+        band([])
