@@ -22,6 +22,25 @@ import numpy as np
 WeightVector = np.ndarray  # flat float64 parameter vector, layer-major (W then b)
 
 
+# Raw words per dropout draw: 100 KB, under glibc's default 128 KiB mmap
+# threshold, so a draw's buffer is not mapped and unmapped each time.
+DRAW_WORDS = 12800
+
+
+def drop_threshold(rate: float) -> int:
+    """A dropout rate as a 16-bit threshold: units whose word is below it drop.
+
+    Rejects a rate that is not finite and in [0, 1), and one that rounds to
+    65536, which would drop every unit.
+    """
+    if not (0.0 <= rate < 1.0):
+        raise ValueError(f"dropout_rates must be finite and in [0, 1), got {rate}")
+    threshold = round(rate * 65536)
+    if threshold == 65536:
+        raise ValueError(f"dropout_rates: {rate} rounds to 65536/65536 and would drop every unit")
+    return threshold
+
+
 def expected_weight_count(layer_dims: tuple[int, ...]) -> int:
     """Number of parameters for the given dims: sum of fan_in*fan_out + fan_out."""
     return sum(
@@ -39,6 +58,16 @@ class QNetwork:
     mean over masks. The output's mean over masks equals the eval output only
     when the linear head directly follows the dropped layer: a ReLU after a
     dropped layer biases it (Jensen's inequality).
+
+    Mask rule: for a dropped layer of ``n = batch * width`` units, the
+    forward draws ``ceil(n / 4)`` raw 64-bit words from the generator's bit
+    generator (``random_raw``, in draws of at most ``DRAW_WORDS``), reads
+    them as little-endian 16-bit words, and keeps unit ``i`` (row-major)
+    where word ``i`` is at least ``round(rate * 65536)``. A unit is thus kept
+    with probability ``1 - round(rate * 65536) / 65536``; the scale stays
+    ``1 / (1 - rate)``. The masks depend only on the generator's state, on
+    any host. The cached ReLU mask is taken after dropout, so backward
+    multiplies a dropped layer's gradient by that one mask and the scale.
     """
 
     def __init__(
@@ -52,11 +81,16 @@ class QNetwork:
     ):
         if len(dropout_rates) != len(hidden):
             raise ValueError("need one dropout rate per hidden layer")
-        if any(not (0.0 <= r < 1.0) for r in dropout_rates):
-            raise ValueError("dropout rates must be in [0, 1)")
+        thresholds = [drop_threshold(r) for r in dropout_rates]
         self.dims = (input_dim, *hidden, n_actions)
         self.dropout_rates = tuple(float(r) for r in dropout_rates)
         self.dtype = np.dtype(dtype)
+        one = self.dtype.type(1.0)
+        # Per hidden layer: (16-bit keep threshold, scale) if it is dropped, else None.
+        self._dropout = tuple(
+            (np.uint16(t), one / self.dtype.type(1.0 - r)) if r > 0.0 else None
+            for r, t in zip(self.dropout_rates, thresholds)
+        )
         self._allocate()
         rng = rng or np.random.default_rng()
         for w, fan_in in zip(self.weights, self.dims[:-1]):
@@ -118,25 +152,28 @@ class QNetwork:
         relu_masks = []
         dropout_masks = []
         h = x
-        one = self.dtype.type(1.0)
+        zero = self.dtype.type(0.0)
         for layer in range(self.n_hidden_layers):
             z = scratch[f"z{layer}"]
             np.dot(h, self.weights[layer], out=z)
             z += self.biases[layer]
-            np.maximum(z, 0.0, out=z)
-            relu_masks.append(np.greater(z, 0.0, out=scratch[f"relu{layer}"]))
-            rate = self.dropout_rates[layer]
-            if train and rate > 0.0:
+            np.maximum(z, zero, out=z)
+            keep = None
+            if train and self._dropout[layer] is not None:
                 if rng is None:
                     raise ValueError("training-mode forward with dropout needs an rng")
+                threshold, scale = self._dropout[layer]
                 keep = scratch[f"drop{layer}"]
-                rng.random(out=keep, dtype=self.dtype)
-                np.greater_equal(keep, self.dtype.type(rate), out=keep, casting="unsafe")
-                keep *= one / self.dtype.type(1.0 - rate)
+                flat = keep.reshape(-1)
+                for start in range(0, flat.size, 4 * DRAW_WORDS):
+                    part = flat[start : start + 4 * DRAW_WORDS]
+                    words = rng.bit_generator.random_raw(-(-part.size // 4))
+                    bits = words.astype("<u8", copy=False).view("<u2")[: part.size]
+                    np.greater_equal(bits, threshold, out=part, casting="unsafe")
+                keep *= scale
                 z *= keep
-                dropout_masks.append(keep)
-            else:
-                dropout_masks.append(None)
+            relu_masks.append(np.greater(z, zero, out=scratch[f"relu{layer}"]))
+            dropout_masks.append(keep)
             inputs.append(z)
             h = z
         out = scratch[f"z{self.n_hidden_layers}"]
@@ -186,10 +223,9 @@ class QNetwork:
             g_prev = scratch[f"g{layer}"]
             np.dot(g, self.weights[layer + 1].T, out=g_prev)
             g = g_prev
-            keep = dropout_masks[layer]
-            if keep is not None:
-                g *= keep
             g *= relu_masks[layer]
+            if dropout_masks[layer] is not None:
+                g *= self._dropout[layer][1]
             np.dot(inputs[layer].T, g, out=self._weight_grads[layer])
             g.sum(axis=0, out=self._bias_grads[layer])
         return self.flat_grad
@@ -225,6 +261,7 @@ class QNetwork:
         twin.dims = self.dims
         twin.dropout_rates = self.dropout_rates
         twin.dtype = self.dtype
+        twin._dropout = self._dropout
         twin._allocate()
         twin.flat[...] = self.flat
         return twin

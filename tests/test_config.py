@@ -22,6 +22,8 @@ from fedpart.traces import TraceSynthesisSpec
 
 positive = st.floats(1e-3, 1e4, allow_nan=False, allow_infinity=False)
 unit = st.floats(0.0, 1.0, allow_nan=False)
+# Rates whose 16-bit threshold, round(rate * 65536), keeps some units.
+dropout_rate = st.floats(0.0, 65535 / 65536)
 names = st.text("abcdefghijklmnopqrstuvwxyz0123456789-_./", min_size=1, max_size=12)
 
 
@@ -62,7 +64,7 @@ def configs(draw):
         devices=DeviceProfile(*draw(st.tuples(*[positive] * 4))),
         agent=AgentSettings(
             hidden=tuple(draw(st.lists(st.integers(1, 512), min_size=layers, max_size=layers))),
-            dropout_rates=tuple(draw(st.lists(unit, min_size=layers, max_size=layers))),
+            dropout_rates=tuple(draw(st.lists(dropout_rate, min_size=layers, max_size=layers))),
             lr=draw(positive), gamma=draw(unit), epsilon=draw(unit), batch_size=batch,
             buffer_capacity=draw(st.integers(batch, 100000)),
             target_update_freq=draw(st.integers(1, 1000)), train_every=draw(st.integers(1, 8)),
@@ -186,6 +188,16 @@ class TestParse:
         ("[inputs]\nfloor_frac = 1.5\n", "[inputs] floor_frac must be in (0, 1]"),
         ("[agent]\nhidden = 8,x\n", "[agent] hidden:"),
         ("[inputs]\nshift = maybe\n", "[inputs] shift: not a boolean"),
+        ("[agent]\ndropout_rates = 1.5,0.3,0.0\n",
+         "[agent] dropout_rates must be finite and in [0, 1), got 1.5"),
+        ("[agent]\ndropout_rates = 0.4\n",
+         "[agent] dropout_rates needs one rate per hidden layer (3), got 1"),
+        ("[agent]\ndropout_rates = 0.4,0.3,nan\n",
+         "[agent] dropout_rates must be finite and in [0, 1), got nan"),
+        ("[agent]\ndropout_rates = 0.4,-0.1,0.0\n",
+         "[agent] dropout_rates must be finite and in [0, 1), got -0.1"),
+        ("[agent]\ndropout_rates = 0.4,0.999995,0.0\n",
+         "[agent] dropout_rates: 0.999995 rounds to 65536/65536"),
     ])
     def test_rejected_values_name_their_section(self, text, prefix):
         with pytest.raises(ConfigError) as info:
@@ -205,6 +217,10 @@ class TestCliErrors:
         ("[agent]\ndtype = float16\n", "error: [agent] dtype"),
         ("[inputs]\nfloor_frac = 0\n", "error: [inputs] floor_frac"),
         ("[agent]\noptimizer = rmsprop\n", "error: unknown key 'optimizer'"),
+        ("[agent]\ndropout_rates = 1.5,0.3,0.0\n", "error: [agent] dropout_rates"),
+        ("[agent]\ndropout_rates = 0.4\n", "error: [agent] dropout_rates"),
+        ("[agent]\ndropout_rates = 0.4,0.3,nan\n", "error: [agent] dropout_rates"),
+        ("[agent]\ndropout_rates = 0.4,0.999995,0.0\n", "error: [agent] dropout_rates"),
     ])
     def test_domain_rejected_value_is_an_error_not_a_traceback(
         self, tmp_path, capsys, text, prefix

@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
 from fedpart.network import (
     CHECKPOINT_CHUNK,
+    DRAW_WORDS,
     AdamOptimizer,
     QNetwork,
     expected_weight_count,
@@ -112,6 +115,65 @@ class TestForward:
         assert max_z((0.4, 0.3, 0.0)) > 10.0
 
 
+def raw_keep(rng: np.random.Generator, rate: float, shape) -> np.ndarray:
+    """The keep mask the documented rule gives: ``ceil(n / 4)`` raw words read
+    as little-endian 16-bit words, kept where ``>= round(rate * 65536)``."""
+    n = int(np.prod(shape))
+    words = rng.bit_generator.random_raw(-(-n // 4)).astype("<u8")
+    return (words.view("<u2")[:n] >= round(rate * 65536)).reshape(shape)
+
+
+class TestDropoutMaskStream:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_odd_sized_masks_follow_the_raw_word_rule(self, dtype):
+        """Batch 7 x width 3: 21 units take 6 words, the last one in part."""
+        rates = (0.4, 0.3, 0.0)
+        net = QNetwork(2, hidden=(3, 3, 3), dropout_rates=rates,
+                       rng=np.random.default_rng(1), dtype=dtype)
+        x = np.random.default_rng(2).random((7, 5))
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(3):
+            _, (_, _, dropout_masks) = net.forward_cached(x, train=True, rng=rng)
+            for layer, rate in enumerate(rates[:2]):
+                expected = raw_keep(twin, rate, (7, 3))
+                scale = net.dtype.type(1.0) / net.dtype.type(1.0 - rate)
+                assert dropout_masks[layer].dtype == dtype
+                assert np.array_equal(dropout_masks[layer], np.where(expected, scale, 0.0))
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_large_layers_draw_in_pieces_from_one_stream(self):
+        """A layer over ``4 * DRAW_WORDS`` units takes the same words as one draw."""
+        batch = 4 * DRAW_WORDS // 100 + 3
+        net = QNetwork(2, hidden=(100,), dropout_rates=(0.25,), rng=np.random.default_rng(1))
+        x = np.random.default_rng(2).random((batch, 5))
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        _, (_, _, dropout_masks) = net.forward_cached(x, train=True, rng=rng)
+        assert np.array_equal(dropout_masks[0] > 0, raw_keep(twin, 0.25, (batch, 100)))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("rate", [0.4, 0.3, 0.1])
+    def test_keep_fraction_is_the_quantised_rate(self, rate):
+        net = QNetwork(4, hidden=(64,), dropout_rates=(rate,), rng=np.random.default_rng(3))
+        x = np.random.default_rng(4).random((512, 5))
+        rng = np.random.default_rng(5)
+        kept = [net.forward_cached(x, train=True, rng=rng)[1][2][0] > 0 for _ in range(20)]
+        p = 1.0 - round(rate * 65536) / 65536
+        n = 20 * 512 * 64
+        assert abs(np.mean(kept) - p) < 4.0 * np.sqrt(p * (1.0 - p) / n)
+
+    def test_eval_forward_draws_nothing(self):
+        net = QNetwork(4, hidden=(8, 8), dropout_rates=(0.4, 0.3), rng=np.random.default_rng(3))
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        net.forward_cached(np.ones((7, 5)), train=False, rng=rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("rates", [(1.5, 0.3), (0.4, float("nan")), (0.999995, 0.0)])
+    def test_bad_rates_are_rejected(self, rates):
+        with pytest.raises(ValueError, match="dropout_rates"):
+            QNetwork(4, hidden=(8, 8), dropout_rates=rates)
+
+
 class TestGradients:
     @pytest.mark.parametrize("seed", range(5))
     def test_analytic_matches_central_differences(self, seed):
@@ -151,6 +213,51 @@ class TestGradients:
         rel = np.abs(analytic - numeric) / denom
         mask = np.abs(numeric) > 1e-7  # ignore dead-unit zero gradients
         assert rel[mask].max() < 1e-4
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dropout_gradients_match_central_differences(self, seed):
+        """With dropout on, every evaluation replays the same masks.
+
+        Each loss is computed from a copy of one dropout generator, so the
+        masks are fixed and the loss is a smooth function of the weights away
+        from ReLU kinks. Biases are drawn too: with zero biases, a row whose
+        inputs are all dropped sits exactly on a kink.
+        """
+        rng = np.random.default_rng(seed)
+        net = toy_net(n_actions=3, hidden=(6, 5, 4), dropout=(0.4, 0.3, 0.0), seed=seed)
+        net.set_weights(rng.uniform(-0.5, 0.5, net.flat.size))
+        states = rng.random((7, 5))
+        actions = rng.integers(0, 3, size=7)
+        targets = rng.standard_normal(7)
+        dropout_rng = np.random.default_rng(100 + seed)
+        rows = np.arange(7)
+
+        def loss() -> float:
+            q = net.forward(states, train=True, rng=copy.deepcopy(dropout_rng))
+            return float(np.mean((q[rows, actions] - targets) ** 2))
+
+        q, cache = net.forward_cached(states, train=True, rng=copy.deepcopy(dropout_rng))
+        assert (cache[2][0] == 0).any() and (cache[2][1] == 0).any()
+        grad_q = net.output_grad_buffer(7)
+        grad_q[rows, actions] = 2.0 * (q[rows, actions] - targets) / 7
+        analytic = net.backward(cache, grad_q).copy()
+
+        h = 1e-6
+        flat = net.flat
+        numeric = np.empty_like(analytic)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = loss()
+            flat[i] = orig - h
+            down = loss()
+            flat[i] = orig
+            numeric[i] = (up - down) / (2 * h)
+        denom = np.maximum(np.abs(numeric), 1e-8)
+        rel = np.abs(analytic - numeric) / denom
+        mask = np.abs(numeric) > 1e-7
+        assert rel[mask].max() < 1e-4
+        assert np.all(np.abs(analytic[~mask]) < 1e-6)
 
 
 class TestWeightVector:
