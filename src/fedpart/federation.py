@@ -14,12 +14,10 @@ pipe. Weights and logs are bit-identical for any worker count.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import multiprocessing as mp
 import traceback
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -210,33 +208,10 @@ class AgentHost:
         """Nothing to release: the agents live in this process."""
 
 
-NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-
-
-def pin_blas_to_one_thread() -> None:
-    """Limit NumPy's bundled OpenBLAS to one thread in this process.
-
-    Forked workers that each keep the master's BLAS threads oversubscribe
-    the cores. Raises ``RuntimeError`` naming the directory searched when no
-    OpenBLAS there exports ``scipy_openblas_set_num_threads64_``.
-    """
-    for path in sorted(NUMPY_LIBS.glob("*openblas*.so*")):
-        set_threads = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_", None)
-        if set_threads is not None:
-            set_threads.argtypes = [ctypes.c_int]
-            set_threads.restype = None
-            set_threads(1)
-            return
-    raise RuntimeError(
-        f"no OpenBLAS exporting scipy_openblas_set_num_threads64_ in {NUMPY_LIBS}"
-    )
-
-
 def _worker_main(conn, builder, assignments):
     """Pool worker: an ``AgentHost`` serving ``(method, *args)`` messages.
 
-    Before building its agents the worker pins BLAS to one thread. Each reply
-    is ``(error, result)``: an exception raised while pinning, building or
+    Each reply is ``(error, result)``: an exception raised while building or
     running the agents is printed with its traceback and comes back as
     ``"Type: message"`` for the master to raise; the worker then waits for
     the master's stop.
@@ -249,7 +224,6 @@ def _worker_main(conn, builder, assignments):
             return
         try:
             if host is None:
-                pin_blas_to_one_thread()
                 host = AgentHost(builder, assignments)
             reply = (None, getattr(host, method)(*args))
         except Exception as exc:

@@ -22,11 +22,6 @@ import numpy as np
 WeightVector = np.ndarray  # flat float64 parameter vector, layer-major (W then b)
 
 
-# Raw words per dropout draw: 100 KB, under glibc's default 128 KiB mmap
-# threshold, so a draw's buffer is not mapped and unmapped each time.
-DRAW_WORDS = 12800
-
-
 def drop_threshold(rate: float) -> int:
     """A dropout rate as a 16-bit threshold: units whose word is below it drop.
 
@@ -61,11 +56,10 @@ class QNetwork:
 
     Mask rule: for a dropped layer of ``n = batch * width`` units, the
     forward draws ``ceil(n / 4)`` raw 64-bit words from the generator's bit
-    generator (``random_raw``, in draws of at most ``DRAW_WORDS``), reads
-    them as little-endian 16-bit words, and keeps unit ``i`` (row-major)
-    where word ``i`` is at least ``round(rate * 65536)``. A unit is thus kept
-    with probability ``1 - round(rate * 65536) / 65536``; the scale stays
-    ``1 / (1 - rate)``. The masks depend only on the generator's state, on
+    generator (``random_raw``, in one draw), reads them as little-endian
+    16-bit words, and keeps unit ``i`` (row-major) where word ``i`` is at
+    least ``round(rate * 65536)``. A unit is thus kept with probability
+    ``1 - round(rate * 65536) / 65536``; the scale stays ``1 / (1 - rate)``. The masks depend only on the generator's state, on
     any host. The cached ReLU mask is taken after dropout, so backward
     multiplies a dropped layer's gradient by that one mask and the scale.
     """
@@ -164,12 +158,9 @@ class QNetwork:
                     raise ValueError("training-mode forward with dropout needs an rng")
                 threshold, scale = self._dropout[layer]
                 keep = scratch[f"drop{layer}"]
-                flat = keep.reshape(-1)
-                for start in range(0, flat.size, 4 * DRAW_WORDS):
-                    part = flat[start : start + 4 * DRAW_WORDS]
-                    words = rng.bit_generator.random_raw(-(-part.size // 4))
-                    bits = words.astype("<u8", copy=False).view("<u2")[: part.size]
-                    np.greater_equal(bits, threshold, out=part, casting="unsafe")
+                words = rng.bit_generator.random_raw(-(-keep.size // 4))
+                bits = words.astype("<u8", copy=False).view("<u2")[: keep.size]
+                np.greater_equal(bits.reshape(keep.shape), threshold, out=keep, casting="unsafe")
                 keep *= scale
                 z *= keep
             relu_masks.append(np.greater(z, zero, out=scratch[f"relu{layer}"]))

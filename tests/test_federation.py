@@ -1,8 +1,5 @@
-import ctypes
 import math
-import multiprocessing as mp
 import os
-import re
 
 import numpy as np
 import pytest
@@ -10,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedpart import federation
 from fedpart.agent import DQNAgent
 from fedpart.federation import (
     AggregationState,
@@ -203,42 +199,4 @@ class TestAgentErrors:
         # Two workers: agent 1 has worker 1 to itself.
         with pytest.raises(RuntimeError,
                            match=r"^pool worker 1 for agents \[1\] raised ValueError: agent-side failure$"):
-            run_federation(config, builder, 2, workers=2)
-
-
-def _blas_threads() -> int:
-    (path,) = federation.NUMPY_LIBS.glob("*openblas*.so*")
-    get_threads = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
-    get_threads.argtypes = []
-    get_threads.restype = ctypes.c_int
-    return get_threads()
-
-
-def _pin_and_report(conn):
-    federation.pin_blas_to_one_thread()
-    conn.send(_blas_threads())
-    conn.close()
-
-
-class TestBlasPinning:
-    def test_a_forked_child_runs_one_blas_thread(self):
-        before = _blas_threads()
-        parent, child = mp.get_context("fork").Pipe()
-        proc = mp.get_context("fork").Process(target=_pin_and_report, args=(child,))
-        proc.start()
-        child.close()
-        assert parent.recv() == 1
-        proc.join(timeout=30)
-        assert proc.exitcode == 0
-        assert _blas_threads() == before  # the master keeps its threads
-
-    def test_a_worker_without_openblas_fails_naming_the_directory(
-        self, tiny_profile, tiny_settings, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(federation, "NUMPY_LIBS", tmp_path)
-        config = FederationConfig(agents=3, steps_per_agent=40, freq_updates=20)
-        builder = _Builder(tiny_profile, tiny_settings, poisoned=None)
-        message = (r"^pool worker 0 for agents \[0, 2\] raised RuntimeError: no OpenBLAS "
-                   rf"exporting scipy_openblas_set_num_threads64_ in {re.escape(str(tmp_path))}$")
-        with pytest.raises(RuntimeError, match=message):
             run_federation(config, builder, 2, workers=2)

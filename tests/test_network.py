@@ -5,7 +5,6 @@ import pytest
 
 from fedpart.network import (
     CHECKPOINT_CHUNK,
-    DRAW_WORDS,
     AdamOptimizer,
     QNetwork,
     expected_weight_count,
@@ -140,16 +139,6 @@ class TestDropoutMaskStream:
                 assert dropout_masks[layer].dtype == dtype
                 assert np.array_equal(dropout_masks[layer], np.where(expected, scale, 0.0))
             assert rng.bit_generator.state == twin.bit_generator.state
-
-    def test_large_layers_draw_in_pieces_from_one_stream(self):
-        """A layer over ``4 * DRAW_WORDS`` units takes the same words as one draw."""
-        batch = 4 * DRAW_WORDS // 100 + 3
-        net = QNetwork(2, hidden=(100,), dropout_rates=(0.25,), rng=np.random.default_rng(1))
-        x = np.random.default_rng(2).random((batch, 5))
-        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
-        _, (_, _, dropout_masks) = net.forward_cached(x, train=True, rng=rng)
-        assert np.array_equal(dropout_masks[0] > 0, raw_keep(twin, 0.25, (batch, 100)))
-        assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("rate", [0.4, 0.3, 0.1])
     def test_keep_fraction_is_the_quantised_rate(self, rate):
