@@ -45,12 +45,10 @@ class ConfigError(ValueError):
 class InputsSection:
     """Where the profile and traces come from and how traces are replayed.
 
-    An unset path means the object is synthesized from its section;
-    ``extend_to = 0`` keeps the profile's own config count.
+    An unset path means the object is synthesized from its section.
     """
 
     profile_path: str | None = None
-    extend_to: int = 0
     wifi_path: str | None = None
     fiveg_path: str | None = None
     trace_seed: int = 7

@@ -1,9 +1,10 @@
 """Master orchestration: synchronous rounds and asynchronous fast/slow rounds.
 
-Synchronous mode barriers all agents every iteration and averages their
-weights. Asynchronous mode aggregates the fast group first, then folds each
-slow agent into the running average weighted by contributor count, handing
-every slow agent back the aggregate that includes its own contribution.
+``aggregate_round`` is the one place the round rule lives. Synchronous mode
+barriers all agents every iteration and averages their weights.
+Asynchronous mode aggregates the fast group first, then folds each slow
+agent into the running average weighted by contributor count, handing every
+slow agent back the aggregate that includes its own contribution.
 Already-distributed aggregates are never modified retroactively, so fast
 agents continue from the fast-group average.
 
@@ -78,14 +79,6 @@ class FederationConfig:
         return self.steps_per_agent // self.freq_updates
 
 
-@dataclass
-class AggregationState:
-    """Running average plus the number of contributions it already holds."""
-
-    current: np.ndarray
-    contributor_count: int
-
-
 def aggregate_mean(vectors: list[np.ndarray]) -> np.ndarray:
     """Coordinate-wise arithmetic mean of equally sized weight vectors."""
     if not vectors:
@@ -97,19 +90,56 @@ def aggregate_mean(vectors: list[np.ndarray]) -> np.ndarray:
     return np.mean(np.stack([np.asarray(v, dtype=np.float64) for v in vectors]), axis=0)
 
 
-def aggregate_incremental(state: AggregationState, theta: np.ndarray) -> AggregationState:
-    """Fold one late contribution into the running average.
+def aggregate_incremental(current: np.ndarray, count: int, theta: np.ndarray) -> np.ndarray:
+    """Fold one late contribution into the average ``current`` of ``count`` others.
 
-    With ``count`` prior contributors the new average is
-    ``(count * current + theta) / (count + 1)``; after folding all late
-    agents the result equals the plain mean of every contribution.
+    The new average is ``(count * current + theta) / (count + 1)``; after
+    folding all late agents the result equals the plain mean of every
+    contribution.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != state.current.shape:
+    if theta.shape != current.shape:
         raise ValueError("weight vector length mismatch")
-    count = state.contributor_count
-    merged = (count * state.current + theta) / (count + 1)
-    return AggregationState(current=merged, contributor_count=count + 1)
+    return (count * current + theta) / (count + 1)
+
+
+class ScheduleRow(NamedTuple):
+    """One agent's part in one aggregation round: a row of ``schedule.csv``."""
+
+    iteration: int
+    agent: int
+    role: str  # "fast" or "slow"
+    steps: int  # steps trained in the round's phase
+    agg_index: int  # 0 in the fast group, then 1, 2, ... in fold order
+
+
+def aggregate_round(
+    iteration: int, thetas: list[np.ndarray], steps: list[int], slow_mask
+) -> tuple[np.ndarray, list[np.ndarray], list[ScheduleRow]]:
+    """Aggregate one round of per-agent weights ``thetas``.
+
+    The fast agents are averaged; the slow ones are then folded in, ordered
+    by ``(steps, id)``. Returns the new global weights, each agent's next
+    initial weights, and the round's ``ScheduleRow``s, fast ones first.
+    """
+    fast_ids = [m for m, slow in enumerate(slow_mask) if not slow]
+    slow_ids = sorted((m for m, slow in enumerate(slow_mask) if slow), key=lambda m: (steps[m], m))
+    next_init = [None] * len(thetas)
+    rows = []
+    theta = None
+    if fast_ids:
+        theta = aggregate_mean([thetas[m] for m in fast_ids])
+        for m in fast_ids:
+            next_init[m] = theta
+            rows.append(ScheduleRow(iteration, m, "fast", steps[m], 0))
+    for order, m in enumerate(slow_ids, start=1):
+        if theta is None:
+            theta = np.asarray(thetas[m], dtype=np.float64).copy()
+        else:
+            theta = aggregate_incremental(theta, len(fast_ids) + order - 1, thetas[m])
+        next_init[m] = theta
+        rows.append(ScheduleRow(iteration, m, "slow", steps[m], order))
+    return theta, next_init, rows
 
 
 def schedule_roles(
@@ -125,8 +155,6 @@ def schedule_roles(
     the fixed policy draws the set once, the redraw policy resamples it
     every iteration.
     """
-    if not (0.0 <= proportion_slow <= 1.0):
-        raise ValueError("proportion_slow must be in [0, 1]")
     n_slow = _round_half_up(m_agents * proportion_slow)
     roles = np.zeros((n_iterations, m_agents), dtype=bool)
     if n_slow == 0:
@@ -134,12 +162,10 @@ def schedule_roles(
     if role_policy == "fixed":
         slow_ids = rng.choice(m_agents, size=n_slow, replace=False)
         roles[:, slow_ids] = True
-    elif role_policy == "redraw":
+    else:
         for n in range(n_iterations):
             slow_ids = rng.choice(m_agents, size=n_slow, replace=False)
             roles[n, slow_ids] = True
-    else:
-        raise ValueError(f"unknown role_policy {role_policy!r}")
     return roles
 
 
@@ -147,8 +173,6 @@ def slow_step_count(
     freq_updates: int, max_delay_slow: float, rng: np.random.Generator
 ) -> int:
     """Uniform integer in [freq_updates, round(freq_updates * (1 + max_delay))]."""
-    if max_delay_slow < 0:
-        raise ValueError("max_delay_slow must be >= 0")
     upper = _round_half_up(freq_updates * (1.0 + max_delay_slow))
     return int(rng.integers(freq_updates, upper + 1))
 
@@ -164,7 +188,7 @@ class AgentLog(NamedTuple):
 @dataclass
 class FederationResult:
     final_weights: np.ndarray
-    schedule_rows: list[dict] = field(default_factory=list)
+    schedule_rows: list[ScheduleRow] = field(default_factory=list)
     agent_logs: list[AgentLog] = field(default_factory=list)
 
 
@@ -345,57 +369,26 @@ def run_federation(
         host = _Pool(builder, agent_seqs, workers)
     else:
         host = AgentHost(builder, enumerate(agent_seqs))
-    schedule_rows: list[dict] = []
+    schedule_rows: list[ScheduleRow] = []
     next_init = [theta] * config.m_agents
 
     try:
-        for iteration in range(config.n_iterations):
-            slow_mask = roles[iteration]
-            steps = {}
-            for m in range(config.m_agents):
-                if config.mode == "async" and slow_mask[m]:
-                    steps[m] = slow_step_count(
-                        config.freq_updates, config.max_delay_slow, sched_rng
-                    )
-                else:
-                    steps[m] = config.freq_updates
-
+        for iteration, slow_mask in enumerate(roles):
+            steps = [
+                slow_step_count(config.freq_updates, config.max_delay_slow, sched_rng)
+                if slow else config.freq_updates
+                for slow in slow_mask
+            ]
             jobs = [(m, next_init[m], steps[m]) for m in range(config.m_agents)]
-            thetas = dict(host.run_phases(jobs))
-            for m in range(config.m_agents):
-                if not np.isfinite(thetas[m]).all():
+            returned = dict(host.run_phases(jobs))
+            thetas = [returned[m] for m in range(config.m_agents)]
+            for m, weights in enumerate(thetas):
+                if not np.isfinite(weights).all():
                     raise FloatingPointError(
                         f"agent {m} returned weights that are not finite in iteration {iteration}"
                     )
-
-            fast_ids = [m for m in range(config.m_agents) if not slow_mask[m]]
-            slow_ids = sorted(
-                (m for m in range(config.m_agents) if slow_mask[m]),
-                key=lambda m: (steps[m], m),
-            )
-            agg_state = None
-            if fast_ids:
-                fast_agg = aggregate_mean([thetas[m] for m in fast_ids])
-                agg_state = AggregationState(fast_agg, len(fast_ids))
-                for m in fast_ids:
-                    next_init[m] = fast_agg
-                    schedule_rows.append(
-                        {"iteration": iteration, "agent": m, "role": "fast",
-                         "steps": steps[m], "agg_index": 0}
-                    )
-            for order, m in enumerate(slow_ids, start=1):
-                if agg_state is None:
-                    agg_state = AggregationState(
-                        np.asarray(thetas[m], dtype=np.float64).copy(), 1
-                    )
-                else:
-                    agg_state = aggregate_incremental(agg_state, thetas[m])
-                next_init[m] = agg_state.current
-                schedule_rows.append(
-                    {"iteration": iteration, "agent": m, "role": "slow",
-                     "steps": steps[m], "agg_index": order}
-                )
-            theta = agg_state.current
+            theta, next_init, rows = aggregate_round(iteration, thetas, steps, slow_mask)
+            schedule_rows += rows
 
         logs = host.finalize()
     finally:

@@ -11,7 +11,6 @@ execution and single-split placements.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,10 +134,6 @@ class ApplicationProfile:
     def n_configs(self) -> int:
         return len(self.configs)
 
-    @property
-    def base_config_count(self) -> int:
-        return config_count(self.cut_points)
-
     def config_by_category(self, category: str) -> PartitionConfig:
         """First config matching an enumeration category (full-device lookup)."""
         skeletons = enumerate_configs(self.cut_points)
@@ -150,14 +145,11 @@ class ApplicationProfile:
     def validate(self) -> None:
         """Raise :class:`ProfileError` on any violated structural invariant."""
         p = self.cut_points
-        base = self.base_config_count
-        n = len(self.configs)
+        n, expected = len(self.configs), config_count(p)
         if self.delta0 <= 0 or self.total_flops <= 0:
             raise ProfileError("delta0 and total_flops must be positive")
-        if n < base:
-            raise ProfileError(
-                f"profile has {n} configs; cut_points={p} requires {base}"
-            )
+        if n != expected:
+            raise ProfileError(f"profile has {n} configs; cut_points={p} requires {expected}")
         for i, cfg in enumerate(self.configs):
             if cfg.id != i:
                 raise ProfileError(f"config ids must be dense, got {cfg.id} at {i}")
@@ -189,13 +181,6 @@ class ApplicationProfile:
             and np.isclose(full_cloud.delta23, self.delta0)
         ):
             raise ProfileError("fully-offloaded config must transfer the input tensor twice")
-        for i in range(base, n):
-            src = self.configs[i % base]
-            dup = self.configs[i]
-            if dataclasses.replace(dup, id=src.id) != src:
-                raise ProfileError(
-                    f"extended config {i} must duplicate config {i % base} (ids aside)"
-                )
 
 
 @dataclass(frozen=True)
@@ -292,30 +277,6 @@ def synthesize_profile(spec: ProfileSpec) -> ApplicationProfile:
     )
     profile.validate()
     return profile
-
-
-def extend_profile(profile: ApplicationProfile, target_config_count: int) -> ApplicationProfile:
-    """Grow the config space by duplicating configs round-robin by id.
-
-    Duplicates share every physical parameter with their source and receive
-    fresh dense ids, so they evaluate identically under any state.
-    """
-    n = profile.n_configs
-    if target_config_count < n:
-        raise ProfileError(
-            f"target_config_count {target_config_count} is below current {n}"
-        )
-    if target_config_count == n:
-        return profile
-    extra = [
-        dataclasses.replace(profile.configs[i % n], id=i)
-        for i in range(n, target_config_count)
-    ]
-    return dataclasses.replace(
-        profile,
-        name=f"{profile.name}-extended",
-        configs=profile.configs + tuple(extra),
-    )
 
 
 _COLUMNS = "id,cut_a,cut_b,t1_ms,t2_ms,t3_ms,mu1,mu2,mu3,delta12_mb,delta23_mb"

@@ -21,15 +21,10 @@ from .agent import DQNAgent, ValidationProbe
 from .baseline import run_baseline
 from .config import ConfigError, ExperimentConfig, dump_config
 from .env import STEP_LOG, OffloadEnv
-from .federation import FederationResult, derive_seed_sequences, run_federation
+from .federation import FederationResult, ScheduleRow, derive_seed_sequences, run_federation
 from .metrics import band, moving_avg_violations
 from .network import load_checkpoint, save_checkpoint
-from .profiles import (
-    ApplicationProfile,
-    extend_profile,
-    load_profile,
-    synthesize_profile,
-)
+from .profiles import ApplicationProfile, load_profile, synthesize_profile
 from .traces import Trace, load_trace, synthesize_trace
 
 
@@ -49,8 +44,6 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         profile = load_profile(inputs.profile_path)
     else:
         profile = synthesize_profile(config.profile)
-    if inputs.extend_to:
-        profile = extend_profile(profile, inputs.extend_to)
     if inputs.wifi_path:
         wifi = load_trace(inputs.wifi_path)
     else:
@@ -228,11 +221,8 @@ def write_experiment(
         if run.schedule_rows:
             write_csv(
                 os.path.join(run_dir, "schedule.csv"),
-                "iteration,agent,role,steps,agg_index",
-                (
-                    (r["iteration"], r["agent"], r["role"], r["steps"], r["agg_index"])
-                    for r in run.schedule_rows
-                ),
+                ",".join(ScheduleRow._fields),
+                run.schedule_rows,
             )
         if run.agent_logs:  # every agent validates at step 0 once it trains
             curve, _, _ = band([log.val_rate for log in run.agent_logs])

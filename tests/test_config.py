@@ -71,7 +71,7 @@ def configs(draw):
             dtype=draw(st.sampled_from(("float32", "float64"))),
         ),
         inputs=InputsSection(
-            profile_path=draw(st.none() | names), extend_to=draw(st.integers(0, 500)),
+            profile_path=draw(st.none() | names),
             wifi_path=draw(st.none() | names), fiveg_path=draw(st.none() | names),
             trace_seed=draw(st.integers(0, 2**32)), noise_rel=draw(unit),
             shift=draw(st.booleans()), inversion=draw(st.booleans()),
@@ -173,6 +173,8 @@ class TestParse:
         ("[agent]\ngamma = 2.0\n", "[agent] gamma must be in [0, 1]"),
         ("[bounds]\nwifi = 0\n", "[bounds] bound wifi must be positive"),
         ("[federation]\nproportion_slow = 2\n", "[federation] proportion_slow"),
+        ("[federation]\nmax_delay_slow = -1\n", "[federation] max_delay_slow must be >= 0"),
+        ("[federation]\nrole_policy = sometimes\n", "[federation] role_policy must be"),
         ("[federation]\nfreq_updates = 0\n", "[federation] freq_updates must be >= 1"),
         ("[federation]\nsteps_per_agent = 7\n", "[federation] steps_per_agent"),
         ("[federation]\nmode = solo\n", "[federation] mode"),
@@ -217,6 +219,7 @@ class TestCliErrors:
         ("[agent]\ndtype = float16\n", "error: [agent] dtype"),
         ("[inputs]\nfloor_frac = 0\n", "error: [inputs] floor_frac"),
         ("[agent]\noptimizer = rmsprop\n", "error: unknown key 'optimizer'"),
+        ("[inputs]\nextend_to = 210\n", "error: unknown key 'extend_to'"),
         ("[agent]\ndropout_rates = 1.5,0.3,0.0\n", "error: [agent] dropout_rates"),
         ("[agent]\ndropout_rates = 0.4\n", "error: [agent] dropout_rates"),
         ("[agent]\ndropout_rates = 0.4,0.3,nan\n", "error: [agent] dropout_rates"),

@@ -9,10 +9,11 @@ from hypothesis.extra.numpy import arrays
 
 from fedpart.agent import DQNAgent
 from fedpart.federation import (
-    AggregationState,
     FederationConfig,
+    ScheduleRow,
     aggregate_incremental,
     aggregate_mean,
+    aggregate_round,
     derive_seed_sequences,
     run_federation,
     schedule_roles,
@@ -35,10 +36,9 @@ class TestAggregation:
     @settings(max_examples=200, deadline=None)
     @given(vector_sets())
     def test_incremental_fold_equals_mean(self, vectors):
-        state = AggregationState(vectors[0].copy(), 1)
-        for theta in vectors[1:]:
-            state = aggregate_incremental(state, theta)
-        assert state.contributor_count == len(vectors)
+        current = vectors[0].copy()
+        for count, theta in enumerate(vectors[1:], start=1):
+            current = aggregate_incremental(current, count, theta)
         # Each fold rounds three times (scale, add, divide), each within eps of
         # a value bounded by the largest magnitude, or within half the
         # smallest subnormal; earlier errors shrink by count / (count + 1).
@@ -46,7 +46,53 @@ class TestAggregation:
         info = np.finfo(np.float64)
         scale = max(float(np.abs(v).max()) for v in vectors)
         tol = 4 * len(vectors) * (info.eps * scale + info.smallest_subnormal)
-        assert np.abs(state.current - aggregate_mean(vectors)).max() <= tol
+        assert np.abs(current - aggregate_mean(vectors)).max() <= tol
+
+
+@st.composite
+def rounds(draw):
+    """Per-agent weight vectors, step counts (ties likely) and a slow mask."""
+    m = draw(st.integers(1, 8))
+    length = draw(st.integers(1, 16))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    thetas = draw(st.lists(arrays(np.float64, length, elements=values), min_size=m, max_size=m))
+    steps = draw(st.lists(st.integers(20, 24), min_size=m, max_size=m))
+    slow_mask = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    return thetas, steps, slow_mask
+
+
+class TestAggregateRound:
+    """The round rule on plain vectors: no agent is built."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rounds(), st.integers(0, 50))
+    @example(([np.arange(3.0), -np.arange(3.0), np.ones(3)], [20, 20, 20], [False] * 3), 0)
+    @example(([np.arange(3.0), -np.arange(3.0), np.ones(3)], [22, 20, 22], [True] * 3), 4)
+    def test_fast_mean_then_slow_fold_in_steps_then_id_order(self, round_, iteration):
+        thetas, steps, slow_mask = round_
+        theta, next_init, rows = aggregate_round(iteration, thetas, steps, np.array(slow_mask))
+
+        fast = [m for m, slow in enumerate(slow_mask) if not slow]
+        slow = sorted((m for m, s in enumerate(slow_mask) if s), key=lambda m: (steps[m], m))
+        current, count = None, 0
+        if fast:
+            current, count = aggregate_mean([thetas[m] for m in fast]), len(fast)
+            for m in fast:
+                assert np.array_equal(next_init[m], current)
+        for m in slow:
+            current = thetas[m] if current is None else (count * current + thetas[m]) / (count + 1)
+            count += 1
+            assert np.array_equal(next_init[m], current)
+        assert np.array_equal(theta, current)
+
+        info = np.finfo(np.float64)
+        scale = max(float(np.abs(v).max()) for v in thetas)
+        tol = 4 * len(thetas) * (info.eps * scale + info.smallest_subnormal)
+        assert np.abs(theta - aggregate_mean(thetas)).max() <= tol
+
+        assert rows == [ScheduleRow(iteration, m, "fast", steps[m], 0) for m in fast] + [
+            ScheduleRow(iteration, m, "slow", steps[m], k) for k, m in enumerate(slow, start=1)
+        ]
 
 
 # Proportions in eighths are exact, so m * p lands on halves.

@@ -1,9 +1,7 @@
 import dataclasses
 
-import numpy as np
 import pytest
 
-from fedpart.env import CostWeights, energy_per_window, total_latency_ms
 from fedpart.profiles import (
     CATEGORY_FULL_CLOUD,
     CATEGORY_FULL_PHONE,
@@ -14,7 +12,6 @@ from fedpart.profiles import (
     ProfileSpec,
     config_count,
     enumerate_configs,
-    extend_profile,
     load_profile,
     save_profile,
     synthesize_profile,
@@ -125,61 +122,23 @@ class TestSynthesis:
             DeviceProfile(z_sew=0.0)
 
 
-class TestExtend:
-    def test_extend_to_210(self, default_profile):
-        ext = extend_profile(default_profile, 210)
-        assert ext.n_configs == 210
-        for i in range(105, 210):
-            src = ext.configs[i - 105]
-            dup = ext.configs[i]
-            assert dup.id == i
-            assert dataclasses.replace(dup, id=src.id) == src
-
-    def test_identity_when_target_matches(self, default_profile):
-        assert extend_profile(default_profile, 105) is default_profile
-
-    def test_smaller_target_rejected(self, default_profile):
-        with pytest.raises(ProfileError):
-            extend_profile(default_profile, 50)
-
-    def test_duplicates_evaluate_identically(self, default_profile):
-        """A duplicate must cost exactly the same as its source in any state."""
-        ext = extend_profile(default_profile, 210)
-        devices = DeviceProfile()
-        weights = CostWeights(c_sew_max=1.0, c_phone_max=1.0, c_5g_max=1.0)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            i = int(rng.integers(105, 210))
-            src, dup = ext.configs[i - 105], ext.configs[i]
-            r_wifi = float(rng.uniform(1.0, 500.0))
-            r_5g = float(rng.uniform(1.0, 300.0))
-            cloud = float(rng.uniform(0.0, 60.0))
-            assert total_latency_ms(dup, r_wifi, r_5g, cloud) == total_latency_ms(
-                src, r_wifi, r_5g, cloud
-            )
-            assert energy_per_window(dup, r_wifi, r_5g, devices, weights) == (
-                energy_per_window(src, r_wifi, r_5g, devices, weights)
-            )
-
-
 class TestFileFormat:
     def test_round_trip(self, default_profile, tmp_path):
         path = tmp_path / "p.profile"
         save_profile(default_profile, path)
         assert load_profile(path) == default_profile
 
-    def test_extended_round_trip(self, default_profile, tmp_path):
-        ext = extend_profile(default_profile, 140)
-        path = tmp_path / "ext.profile"
-        save_profile(ext, path)
-        assert load_profile(path) == ext
-
     def test_wrong_config_count_rejected(self, default_profile, tmp_path):
-        path = tmp_path / "bad.profile"
-        truncated = dataclasses.replace(default_profile, configs=default_profile.configs[:50])
-        save_profile(truncated, path)
-        with pytest.raises(ProfileError, match="requires 105"):
-            load_profile(path)
+        """Too few configs, or too many even when the extra ones duplicate
+        existing configs under fresh ids."""
+        for count in (50, 140):
+            path = tmp_path / f"bad_{count}.profile"
+            configs = tuple(
+                dataclasses.replace(default_profile.configs[i % 105], id=i) for i in range(count)
+            )
+            save_profile(dataclasses.replace(default_profile, configs=configs), path)
+            with pytest.raises(ProfileError, match="requires 105"):
+                load_profile(path)
 
     def test_hand_written_three_config_file(self, tmp_path):
         path = tmp_path / "p0.profile"

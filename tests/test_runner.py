@@ -56,3 +56,20 @@ def test_an_experiment_builds_its_scenario_once(tmp_path, monkeypatch):
             "--output", str(tmp_path / "moved")]
     assert cli.main(argv) == 0
     assert len(calls) == 2
+
+
+def test_schedule_csv_holds_the_runs_schedule_rows(tmp_path):
+    config = apply_overrides(
+        parse_config(TINY_INI), run__n_runs=1, federation__mode="async", federation__agents=3,
+        federation__proportion_slow=0.34, federation__max_delay_slow=0.5,
+        federation__steps_per_agent=40, federation__freq_updates=20,
+    )
+    experiment = runner.run_experiment(config)
+    runner.write_experiment(config, experiment, tmp_path)
+    [(seed, run)] = experiment.runs.items()
+    assert {row.role for row in run.schedule_rows} == {"fast", "slow"}
+    written = (tmp_path / f"run_{seed}" / "schedule.csv").read_text(encoding="utf-8")
+    assert written.splitlines()[0] == "iteration,agent,role,steps,agg_index"
+    expected = tmp_path / "expected.csv"
+    runner.write_csv(expected, "iteration,agent,role,steps,agg_index", run.schedule_rows)
+    assert written == expected.read_text(encoding="utf-8")
