@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import (
-    STEP_LOG,
-    CostWeights,
-    OffloadEnv,
-    energy_per_window,
-    throughput_floor,
-    total_latency_ms,
-)
+from .env import STEP_LOG, CostWeights, OffloadEnv, energy_per_window, total_latency_ms
 from .profiles import CATEGORY_FULL_CLOUD, ApplicationProfile, DeviceProfile
 
 OBJECTIVES = ("latency", "energy")
@@ -44,10 +37,12 @@ def neurosurgeon_select(
     objective: str,
     devices: DeviceProfile,
     weights: CostWeights,
-    wifi_floor: float | None = None,
-    fiveg_floor: float | None = None,
+    wifi_floor: float,
+    fiveg_floor: float,
 ) -> int:
     """Config id minimizing the predicted single metric, ties to lowest id.
+
+    Observed throughputs are raised to the env's floors first.
 
     The latency objective predicts total latency with the last observed
     cloud latency for any cloud-using config; the energy objective predicts
@@ -55,8 +50,8 @@ def neurosurgeon_select(
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    r_wifi = max(obs.last_r_wifi, wifi_floor if wifi_floor is not None else 1e-9)
-    r_5g = max(obs.last_r_5g, fiveg_floor if fiveg_floor is not None else 1e-9)
+    r_wifi = max(obs.last_r_wifi, wifi_floor)
+    r_5g = max(obs.last_r_5g, fiveg_floor)
     best_id = -1
     best_value = np.inf
     for cfg in profile.configs:
@@ -80,8 +75,6 @@ def run_baseline(env: OffloadEnv, objective: str, steps: int) -> np.ndarray:
     cloud, the latest sampled cloud latency.
     """
     profile = env.profile
-    wifi_floor = throughput_floor(env.bounds.wifi, env.floor_frac)
-    fiveg_floor = throughput_floor(env.bounds.fiveg, env.floor_frac)
     obs = BaselineObservation(
         last_r_wifi=env.wifi_replay.base.mean,
         last_r_5g=env.fiveg_replay.base.mean,
@@ -90,7 +83,7 @@ def run_baseline(env: OffloadEnv, objective: str, steps: int) -> np.ndarray:
     log = np.zeros(steps, dtype=STEP_LOG)
     for i in range(steps):
         choice = neurosurgeon_select(
-            profile, obs, objective, env.devices, env.weights, wifi_floor, fiveg_floor
+            profile, obs, objective, env.devices, env.weights, env.wifi_floor, env.fiveg_floor
         )
         log[i] = env.step(choice)
         obs.last_r_wifi, obs.last_r_5g = env.raw[:2].tolist()

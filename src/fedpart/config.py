@@ -18,8 +18,9 @@ A section lists only the keys it changes; the rest keep the values of
 ``ExperimentConfig()``, so a partial ``[wifi]`` keeps the Wi-Fi defaults.
 Values are coerced from the field's type annotation, and an empty value
 means None. Unknown sections or keys are rejected, and a value the domain
-object refuses is reported as ``[section] <reason>``. A dumped config
-re-parses to an identical object.
+object refuses is reported as ``[section] <reason>``; so is a NaN or an
+infinity, from a file or a flag, that the object let through. A dumped
+config re-parses to an identical object.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import io
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -60,6 +62,8 @@ class InputsSection:
     def __post_init__(self) -> None:
         if not (0.0 < self.floor_frac <= 1.0):
             raise ValueError(f"floor_frac must be in (0, 1], got {self.floor_frac}")
+        if self.noise_rel < 0:
+            raise ValueError(f"noise_rel must be >= 0, got {self.noise_rel}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +142,8 @@ def _section(config: ExperimentConfig, name: str):
 
 
 def _replace(config: ExperimentConfig, updates: dict[str, dict]) -> ExperimentConfig:
-    """Replace fields section by section; each section validates itself."""
+    """Replace fields section by section; each section validates itself, then
+    every float it was given, alone or in a tuple, must be finite."""
     sections = {}
     for name, values in updates.items():
         section = _section(config, name)
@@ -146,6 +151,10 @@ def _replace(config: ExperimentConfig, updates: dict[str, dict]) -> ExperimentCo
             sections[name] = dataclasses.replace(section, **values)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"[{name}] {exc}") from exc
+        for key, value in values.items():
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, float) and not math.isfinite(item):
+                    raise ConfigError(f"[{name}] {key}: must be finite, got {item!r}")
     return dataclasses.replace(config, **sections)
 
 

@@ -239,6 +239,7 @@ FAST_MODE_AFTER = 5
 class OffloadEnv:
     """Single-agent decision environment over perturbed trace replays.
 
+    :meth:`fedpart.runner.Scenario.env` builds every env from the config.
     The special action ``n_configs`` keeps the current configuration and
     avoids the reconfiguration penalty. After ``FAST_MODE_AFTER``
     consecutive latency violations the decision window shrinks to
@@ -250,6 +251,8 @@ class OffloadEnv:
     step: the Wi-Fi and 5G throughputs as replayed (before the floor), the
     deployed config's SEW and phone latencies, and the sampled cloud latency
     (0 without a cloud stage). ``observe`` returns it normalized.
+    ``wifi_floor`` and ``fiveg_floor`` are the throughput floors applied
+    before any division.
     """
 
     def __init__(
@@ -261,7 +264,7 @@ class OffloadEnv:
         wifi_replay: PerturbedReplay,
         fiveg_replay: PerturbedReplay,
         cloud_rng: np.random.Generator,
-        floor_frac: float = 0.001,
+        floor_frac: float,
     ):
         profile.validate()
         self.profile = profile
@@ -271,39 +274,9 @@ class OffloadEnv:
         self.wifi_replay = wifi_replay
         self.fiveg_replay = fiveg_replay
         self.cloud_rng = cloud_rng
-        self.floor_frac = floor_frac
-        self._wifi_floor = throughput_floor(bounds.wifi, floor_frac)
-        self._fiveg_floor = throughput_floor(bounds.fiveg, floor_frac)
+        self.wifi_floor = throughput_floor(bounds.wifi, floor_frac)
+        self.fiveg_floor = throughput_floor(bounds.fiveg, floor_frac)
         self.reset()
-
-    @classmethod
-    def from_seed(
-        cls,
-        profile: ApplicationProfile,
-        devices: DeviceProfile,
-        weights: CostWeights,
-        bounds: ObservationBounds,
-        wifi_base,
-        fiveg_base,
-        seed,
-        noise_rel: float = 0.10,
-        shift_enabled: bool = True,
-        inversion_enabled: bool = True,
-        floor_frac: float = 0.001,
-    ) -> "OffloadEnv":
-        """Build an env with replay/cloud streams derived from one seed."""
-        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        wifi_seq, fiveg_seq, cloud_seq = seq.spawn(3)
-        return cls(
-            profile,
-            devices,
-            weights,
-            bounds,
-            PerturbedReplay(wifi_base, wifi_seq, noise_rel, shift_enabled, inversion_enabled),
-            PerturbedReplay(fiveg_base, fiveg_seq, noise_rel, shift_enabled, inversion_enabled),
-            np.random.default_rng(cloud_seq),
-            floor_frac=floor_frac,
-        )
 
     @property
     def n_actions(self) -> int:
@@ -345,8 +318,8 @@ class OffloadEnv:
 
         r_wifi_raw = self._advance(self.wifi_replay, tau)
         r_5g_raw = self._advance(self.fiveg_replay, tau)
-        r_wifi = max(r_wifi_raw, self._wifi_floor)
-        r_5g = max(r_5g_raw, self._fiveg_floor)
+        r_wifi = max(r_wifi_raw, self.wifi_floor)
+        r_5g = max(r_5g_raw, self.fiveg_floor)
 
         cloud = sample_cloud_latency(cfg.t3, self.cloud_rng) if cfg.has_cloud_stage else 0.0
         l_total = total_latency_ms(cfg, r_wifi, r_5g, cloud)

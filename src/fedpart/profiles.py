@@ -11,6 +11,7 @@ execution and single-split placements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,6 +209,11 @@ class ProfileSpec:
     t3_max: float = 30.0
     rng_seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("sew_mflops_per_ms", "phone_mflops_per_ms", "cloud_mflops_per_ms"):
+            if not getattr(self, name) > 0:
+                raise ProfileError(f"{name} must be > 0, got {getattr(self, name)}")
+
 
 def synthesize_profile(spec: ProfileSpec) -> ApplicationProfile:
     """Build a profile from a monotone chain model.
@@ -300,11 +306,23 @@ def save_profile(profile: ApplicationProfile, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _number(path, lineno: int, text: str, kind=float):
+    """One numeric field of a profile file; NaN and infinities are rejected."""
+    try:
+        value = kind(text)
+    except ValueError as exc:
+        raise ProfileError(f"{path}:{lineno}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ProfileError(f"{path}:{lineno}: not a finite number: {text.strip()!r}")
+    return value
+
+
 def load_profile(path) -> ApplicationProfile:
-    """Parse a profile file; raises :class:`ProfileError` with line/field info."""
-    header: dict[str, str] = {}
+    """Parse a profile file; errors name the file and, where one is to blame, the line."""
+    header: dict[str, tuple[int, str]] = {}
     configs: list[PartitionConfig] = []
     in_rows = False
+    kinds = (int,) * 3 + (float,) * 8  # the _COLUMNS
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -315,45 +333,27 @@ def load_profile(path) -> ApplicationProfile:
                     in_rows = True
                     continue
                 if "=" not in line:
-                    raise ProfileError(f"line {lineno}: expected key=value, got {line!r}")
+                    raise ProfileError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, value = line.split("=", 1)
-                header[key.strip()] = value.strip()
+                header[key.strip()] = (lineno, value.strip())
                 continue
             fields = line.split(",")
             if len(fields) != 11:
-                raise ProfileError(f"line {lineno}: expected 11 fields, got {len(fields)}")
-            try:
-                configs.append(
-                    PartitionConfig(
-                        id=int(fields[0]),
-                        cut_a=int(fields[1]),
-                        cut_b=int(fields[2]),
-                        t1=float(fields[3]),
-                        t2=float(fields[4]),
-                        t3=float(fields[5]),
-                        mu1=float(fields[6]),
-                        mu2=float(fields[7]),
-                        mu3=float(fields[8]),
-                        delta12=float(fields[9]),
-                        delta23=float(fields[10]),
-                    )
-                )
-            except ValueError as exc:
-                raise ProfileError(f"line {lineno}: {exc}") from exc
+                raise ProfileError(f"{path}:{lineno}: expected 11 fields, got {len(fields)}")
+            configs.append(PartitionConfig(
+                *(_number(path, lineno, f, kind) for f, kind in zip(fields, kinds))
+            ))
     if not in_rows:
-        raise ProfileError("missing column header line")
+        raise ProfileError(f"{path}: missing column header line")
     missing = {"name", "cut_points", "delta0", "total_flops"} - set(header)
     if missing:
-        raise ProfileError(f"missing header fields: {sorted(missing)}")
-    try:
-        profile = ApplicationProfile(
-            name=header["name"],
-            cut_points=int(header["cut_points"]),
-            delta0=float(header["delta0"]),
-            total_flops=float(header["total_flops"]),
-            configs=tuple(configs),
-        )
-    except ValueError as exc:
-        raise ProfileError(f"bad header value: {exc}") from exc
+        raise ProfileError(f"{path}: missing header fields: {sorted(missing)}")
+    profile = ApplicationProfile(
+        name=header["name"][1],
+        cut_points=_number(path, *header["cut_points"], int),
+        delta0=_number(path, *header["delta0"]),
+        total_flops=_number(path, *header["total_flops"]),
+        configs=tuple(configs),
+    )
     profile.validate()
     return profile

@@ -25,17 +25,38 @@ from .federation import FederationResult, ScheduleRow, derive_seed_sequences, ru
 from .metrics import band, moving_avg_violations
 from .network import load_checkpoint, save_checkpoint
 from .profiles import ApplicationProfile, load_profile, synthesize_profile
-from .traces import Trace, load_trace, synthesize_trace
+from .traces import PerturbedReplay, Trace, load_trace, synthesize_trace
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """The experiment config with the profile and base traces it resolves to."""
+    """The experiment config with the profile and base traces it resolves to.
+
+    :meth:`env` is the one place the config becomes an :class:`OffloadEnv`.
+    """
 
     config: ExperimentConfig
     profile: ApplicationProfile
     wifi_trace: Trace
     fiveg_trace: Trace
+
+    def env(self, seq: np.random.SeedSequence) -> OffloadEnv:
+        """The env whose Wi-Fi replay, 5G replay and cloud-latency streams
+        ``seq`` spawns, in that order; ``[inputs]`` sets how the replays
+        perturb the base traces and where throughput is floored."""
+        config, inputs = self.config, self.config.inputs
+        wifi_seq, fiveg_seq, cloud_seq = seq.spawn(3)
+        perturb = (inputs.noise_rel, inputs.shift, inputs.inversion)
+        return OffloadEnv(
+            self.profile,
+            config.devices,
+            config.cost,
+            config.bounds,
+            PerturbedReplay(self.wifi_trace, wifi_seq, *perturb),
+            PerturbedReplay(self.fiveg_trace, fiveg_seq, *perturb),
+            np.random.default_rng(cloud_seq),
+            inputs.floor_frac,
+        )
 
 
 def build_scenario(config: ExperimentConfig) -> Scenario:
@@ -55,24 +76,6 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
     return Scenario(config, profile, wifi, fiveg)
 
 
-def make_env(scenario: Scenario, seed) -> OffloadEnv:
-    config = scenario.config
-    inputs = config.inputs
-    return OffloadEnv.from_seed(
-        scenario.profile,
-        config.devices,
-        config.cost,
-        config.bounds,
-        scenario.wifi_trace,
-        scenario.fiveg_trace,
-        seed,
-        noise_rel=inputs.noise_rel,
-        shift_enabled=inputs.shift,
-        inversion_enabled=inputs.inversion,
-        floor_frac=inputs.floor_frac,
-    )
-
-
 @dataclass(frozen=True)
 class AgentBuilder:
     """Builds one agent (training env, validation probe, learner) per index.
@@ -86,9 +89,9 @@ class AgentBuilder:
     def build(self, index: int, seq: np.random.SeedSequence) -> DQNAgent:
         env_seq, val_seq, learner_seq = seq.spawn(3)
         config = self.scenario.config
-        env = make_env(self.scenario, env_seq)
+        env = self.scenario.env(env_seq)
         probe = ValidationProbe(
-            make_env(self.scenario, val_seq),
+            self.scenario.env(val_seq),
             steps=config.run.validation_steps,
             interval=config.run.validation_interval,
         )
@@ -156,7 +159,7 @@ def run_baseline_suite(
         agent_seqs, _, _ = derive_seed_sequences(config.federation, seed)
         for m, seq in enumerate(agent_seqs):
             env_seq, _, _ = seq.spawn(3)
-            env = make_env(scenario, env_seq)
+            env = scenario.env(env_seq)
             logs.append((seed, m, run_baseline(env, objective, steps)))
     return logs
 

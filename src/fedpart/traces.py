@@ -31,10 +31,12 @@ class Trace:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1 or samples.size < 1:
             raise TraceError("trace needs at least one sample")
+        if not np.all(np.isfinite(samples)):
+            raise TraceError("trace samples must be finite")
         if np.any(samples < 0):
             raise TraceError("trace samples must be >= 0")
-        if self.granularity_ms <= 0:
-            raise TraceError("granularity_ms must be positive")
+        if not 0 < self.granularity_ms < math.inf:
+            raise TraceError("granularity_ms must be positive and finite")
 
     @property
     def mean(self) -> float:
@@ -105,7 +107,8 @@ def load_trace(path) -> Trace:
 
     Timestamps must increase by the same step throughout; the first two rows
     set it (250 ms for a one-row file). A row that breaks this is rejected
-    with its line number, since the samples are replayed on a uniform grid.
+    with its line number, since the samples are replayed on a uniform grid;
+    so is a NaN, an infinity or a negative throughput.
     """
     timestamps: list[float] = []
     values: list[float] = []
@@ -117,28 +120,32 @@ def load_trace(path) -> Trace:
                 continue
             parts = line.split(",")
             if len(parts) != 2:
-                raise TraceError(f"{path}: line {lineno}: expected 'timestamp_ms,throughput'")
+                raise TraceError(f"{path}:{lineno}: expected 'timestamp_ms,throughput'")
             try:
-                timestamps.append(float(parts[0]))
-                values.append(float(parts[1]))
+                timestamp, value = float(parts[0]), float(parts[1])
             except ValueError as exc:
-                raise TraceError(f"{path}: line {lineno}: {exc}") from exc
+                raise TraceError(f"{path}:{lineno}: {exc}") from exc
+            for number, text in ((timestamp, parts[0]), (value, parts[1])):
+                if not math.isfinite(number):
+                    raise TraceError(f"{path}:{lineno}: not a finite number: {text.strip()!r}")
+            if value < 0:
+                raise TraceError(f"{path}:{lineno}: negative throughput sample {value!r}")
+            timestamps.append(timestamp)
+            values.append(value)
             linenos.append(lineno)
     if not values:
         raise TraceError(f"{path}: empty trace file")
-    if any(v < 0 for v in values):
-        raise TraceError(f"{path}: negative throughput sample")
     granularity = timestamps[1] - timestamps[0] if len(timestamps) > 1 else 250.0
     for i in range(1, len(timestamps)):
         step = timestamps[i] - timestamps[i - 1]
         if step <= 0:
             raise TraceError(
-                f"{path}: line {linenos[i]}: timestamp {timestamps[i]!r} does not increase"
+                f"{path}:{linenos[i]}: timestamp {timestamps[i]!r} does not increase"
             )
         # Rounding in decimal timestamps stays far below this tolerance.
         if abs(step - granularity) > 1e-6 * granularity:
             raise TraceError(
-                f"{path}: line {linenos[i]}: timestamp step {step!r} ms differs from the "
+                f"{path}:{linenos[i]}: timestamp step {step!r} ms differs from the "
                 f"{granularity!r} ms of the first two rows"
             )
     return Trace(samples=np.asarray(values), granularity_ms=granularity)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fedpart.agent import AgentSettings
-from fedpart.env import CostWeights, ObservationBounds, OffloadEnv
-from fedpart.profiles import DeviceProfile, ProfileSpec, synthesize_profile
+from fedpart.config import ExperimentConfig
+from fedpart.env import CostWeights
+from fedpart.profiles import ProfileSpec, synthesize_profile
+from fedpart.runner import Scenario
 from fedpart.traces import Trace, TraceSynthesisSpec, synthesize_trace
 
 
@@ -53,15 +55,8 @@ def make_tiny_env(profile, seed=0, l_max=400.0, weights=None):
     fiveg = synthesize_trace(
         TraceSynthesisSpec(length=80, mean=20.0, variability=5.0, max_value=350.0), seed=12
     )
-    return OffloadEnv.from_seed(
-        profile,
-        DeviceProfile(),
-        weights or CostWeights(l_max=l_max),
-        ObservationBounds(),
-        wifi,
-        fiveg,
-        seed,
-    )
+    config = ExperimentConfig(cost=weights or CostWeights(l_max=l_max))
+    return Scenario(config, profile, wifi, fiveg).env(np.random.SeedSequence(seed))
 
 
 @pytest.fixture()

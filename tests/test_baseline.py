@@ -4,18 +4,14 @@ import numpy as np
 import pytest
 
 from fedpart.baseline import BaselineObservation, neurosurgeon_select, run_baseline
-from fedpart.env import (
-    CostWeights,
-    ObservationBounds,
-    OffloadEnv,
-    energy_per_window,
-    throughput_floor,
-    total_latency_ms,
-)
+from fedpart.config import ExperimentConfig
+from fedpart.env import CostWeights, energy_per_window, throughput_floor, total_latency_ms
 from fedpart.profiles import CATEGORY_FULL_CLOUD, DeviceProfile
+from fedpart.runner import Scenario
 from fedpart.traces import TraceSynthesisSpec, synthesize_trace
 
 OBJECTIVES = ("latency", "energy")
+FLOORS = (throughput_floor(580.0), throughput_floor(350.0))  # at the default bounds
 
 
 def brute_force(profile, obs, objective, devices, weights, wifi_floor, fiveg_floor):
@@ -35,15 +31,14 @@ class TestSelect:
     @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_matches_brute_force(self, default_profile, objective):
         devices, weights = DeviceProfile(), CostWeights()
-        floors = (throughput_floor(580.0), throughput_floor(350.0))
         rng = np.random.default_rng(17)
         chosen = set()
         for _ in range(300):
             # a tenth of the draws are outages at zero, below the floor
             r_wifi, r_5g = rng.uniform(0.0, [580.0, 350.0]) * (rng.random(2) > 0.1)
             obs = BaselineObservation(r_wifi, r_5g, rng.exponential(25.0))
-            got = neurosurgeon_select(default_profile, obs, objective, devices, weights, *floors)
-            assert got == brute_force(default_profile, obs, objective, devices, weights, *floors)
+            got = neurosurgeon_select(default_profile, obs, objective, devices, weights, *FLOORS)
+            assert got == brute_force(default_profile, obs, objective, devices, weights, *FLOORS)
             chosen.add(got)
         assert len(chosen) > 1
 
@@ -51,17 +46,18 @@ class TestSelect:
     def test_ties_go_to_the_lowest_id(self, tiny_profile, objective):
         devices, weights = DeviceProfile(), CostWeights()
         obs = BaselineObservation(40.0, 20.0, 25.0)
-        best = neurosurgeon_select(tiny_profile, obs, objective, devices, weights)
+        best = neurosurgeon_select(tiny_profile, obs, objective, devices, weights, *FLOORS)
         for twin_id in {0, tiny_profile.n_configs - 1} - {best}:
             configs = list(tiny_profile.configs)
             configs[twin_id] = dataclasses.replace(configs[best], id=twin_id)
             tied = dataclasses.replace(tiny_profile, configs=tuple(configs))
-            assert neurosurgeon_select(tied, obs, objective, devices, weights) == min(best, twin_id)
+            choice = neurosurgeon_select(tied, obs, objective, devices, weights, *FLOORS)
+            assert choice == min(best, twin_id)
 
     def test_unknown_objective_rejected(self, tiny_profile):
         obs = BaselineObservation(40.0, 20.0, 25.0)
         with pytest.raises(ValueError, match="objective"):
-            neurosurgeon_select(tiny_profile, obs, "cost", DeviceProfile(), CostWeights())
+            neurosurgeon_select(tiny_profile, obs, "cost", DeviceProfile(), CostWeights(), *FLOORS)
 
 
 def varying_env(profile, seed):
@@ -73,9 +69,7 @@ def varying_env(profile, seed):
         TraceSynthesisSpec(length=80, mean=100.0, variability=50.0, correlation=0.5,
                            max_value=350.0), seed=12
     )
-    return OffloadEnv.from_seed(
-        profile, DeviceProfile(), CostWeights(), ObservationBounds(), wifi, fiveg, seed
-    )
+    return Scenario(ExperimentConfig(), profile, wifi, fiveg).env(np.random.SeedSequence(seed))
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)

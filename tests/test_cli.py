@@ -43,6 +43,26 @@ class TestTracesCommand:
         assert float(fields["min"]) == float(samples.min())
         assert float(fields["max"]) == float(samples.max())
 
+    def test_stats_on_a_non_finite_sample_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.trace"
+        path.write_text("0.0,5.0\n250.0,nan\n")
+        assert cli.main(["traces", "stats", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:2: not a finite number: 'nan'\n"
+
+
+class TestProfileCommand:
+    def test_validate_names_the_file_and_line_of_a_non_finite_number(self, tmp_path, capsys):
+        path = tmp_path / "p.profile"
+        assert cli.main(["profile", "synth", "--out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        fields = lines[5].split(",")  # config 0, on line 6
+        fields[3] = "nan"  # t1_ms
+        lines[5] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["profile", "validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:6: not a finite number: 'nan'\n"
+
 
 class TestTrainTransfer:
     def test_transfer_reads_the_checkpoint_train_writes(self, tmp_path):

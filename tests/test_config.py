@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedpart import cli
+from fedpart import agent, cli
 from fedpart.agent import AgentSettings
 from fedpart.config import (
     ConfigError,
@@ -188,6 +188,7 @@ class TestParse:
         ("[agent]\ndtype = float16\n", "[agent] dtype must be float32 or float64"),
         ("[inputs]\nfloor_frac = 0\n", "[inputs] floor_frac must be in (0, 1]"),
         ("[inputs]\nfloor_frac = 1.5\n", "[inputs] floor_frac must be in (0, 1]"),
+        ("[inputs]\nnoise_rel = -0.1\n", "[inputs] noise_rel must be >= 0, got -0.1"),
         ("[agent]\nhidden = 8,x\n", "[agent] hidden:"),
         ("[inputs]\nshift = maybe\n", "[inputs] shift: not a boolean"),
         ("[agent]\ndropout_rates = 1.5,0.3,0.0\n",
@@ -200,6 +201,17 @@ class TestParse:
          "[agent] dropout_rates must be finite and in [0, 1), got -0.1"),
         ("[agent]\ndropout_rates = 0.4,0.999995,0.0\n",
          "[agent] dropout_rates: 0.999995 rounds to 65536/65536"),
+        ("[cost]\nl_max = nan\n", "[cost] l_max: must be finite, got nan"),
+        ("[cost]\nw_lat = nan\n", "[cost] w_lat: must be finite, got nan"),
+        ("[bounds]\nwifi = inf\n", "[bounds] wifi: must be finite, got inf"),
+        ("[devices]\nz_sew = nan\n", "[devices] z_sew: must be finite, got nan"),
+        ("[wifi]\nmean = nan\n", "[wifi] mean: must be finite, got nan"),
+        ("[agent]\nlr = inf\n", "[agent] lr: must be finite, got inf"),
+        ("[federation]\nmax_delay_slow = nan\n",
+         "[federation] max_delay_slow: must be finite, got nan"),
+        ("[profile]\nsew_mflops_per_ms = 0\n", "[profile] sew_mflops_per_ms must be > 0, got 0.0"),
+        ("[profile]\ncloud_mflops_per_ms = -1\n",
+         "[profile] cloud_mflops_per_ms must be > 0, got -1.0"),
     ])
     def test_rejected_values_name_their_section(self, text, prefix):
         with pytest.raises(ConfigError) as info:
@@ -218,12 +230,19 @@ class TestCliErrors:
         ("[agent]\nlr = -1\n", "error: [agent] lr"),
         ("[agent]\ndtype = float16\n", "error: [agent] dtype"),
         ("[inputs]\nfloor_frac = 0\n", "error: [inputs] floor_frac"),
+        ("[inputs]\nnoise_rel = -0.1\n", "error: [inputs] noise_rel must be >= 0"),
         ("[agent]\noptimizer = rmsprop\n", "error: unknown key 'optimizer'"),
         ("[inputs]\nextend_to = 210\n", "error: unknown key 'extend_to'"),
         ("[agent]\ndropout_rates = 1.5,0.3,0.0\n", "error: [agent] dropout_rates"),
         ("[agent]\ndropout_rates = 0.4\n", "error: [agent] dropout_rates"),
         ("[agent]\ndropout_rates = 0.4,0.3,nan\n", "error: [agent] dropout_rates"),
         ("[agent]\ndropout_rates = 0.4,0.999995,0.0\n", "error: [agent] dropout_rates"),
+        ("[cost]\nl_max = nan\n", "error: [cost] l_max: must be finite"),
+        ("[cost]\nw_lat = nan\n", "error: [cost] w_lat: must be finite"),
+        ("[bounds]\nwifi = inf\n", "error: [bounds] wifi: must be finite"),
+        ("[devices]\nz_sew = nan\n", "error: [devices] z_sew: must be finite"),
+        ("[wifi]\nmean = nan\n", "error: [wifi] mean: must be finite"),
+        ("[profile]\nsew_mflops_per_ms = 0\n", "error: [profile] sew_mflops_per_ms must be > 0"),
     ])
     def test_domain_rejected_value_is_an_error_not_a_traceback(
         self, tmp_path, capsys, text, prefix
@@ -232,3 +251,23 @@ class TestCliErrors:
         ini.write_text(text, encoding="utf-8")
         assert cli.main(["train", "--config", str(ini), "--output", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(prefix)
+
+    @pytest.mark.parametrize("flags, prefix", [
+        (["--max-delay-slow", "nan"],
+         "error: [federation] max_delay_slow: must be finite, got nan"),
+        (["--proportion-slow", "nan"], "error: [federation] proportion_slow"),
+    ])
+    def test_non_finite_flag_is_an_error_not_a_traceback(self, tmp_path, capsys, flags, prefix):
+        argv = ["train", "--mode", "async", *flags, "--output", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not (tmp_path / "o").exists()
+
+
+def test_a_non_finite_float_in_a_tuple_is_rejected(monkeypatch):
+    """The dropout rates' own check rejects NaN first; without it, the shared
+    finiteness check still looks inside the tuple."""
+    monkeypatch.setattr(agent, "drop_threshold", lambda rate: None)
+    with pytest.raises(ConfigError) as info:
+        parse_config("[agent]\ndropout_rates = 0.4,0.3,nan\n")
+    assert str(info.value) == "[agent] dropout_rates: must be finite, got nan"

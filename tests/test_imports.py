@@ -1,4 +1,5 @@
-"""Names under ``src/fedpart/`` are used: no unused imports, no test-only API.
+"""Names under ``src/fedpart/`` are used: no unused imports, no test-only API;
+``tests/`` has no unused imports either.
 
 No linter is installed, so these are stdlib ``ast`` checks.
 """
@@ -11,6 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fedpart"
+TESTS = ROOT / "tests"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -27,7 +29,9 @@ def unused_imports(path: Path) -> list[str]:
     return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda p: p.name
+)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path) == []
 

@@ -121,6 +121,26 @@ class TestSynthesis:
         with pytest.raises(ProfileError):
             DeviceProfile(z_sew=0.0)
 
+    @pytest.mark.parametrize("name", [
+        "sew_mflops_per_ms", "phone_mflops_per_ms", "cloud_mflops_per_ms"
+    ])
+    @pytest.mark.parametrize("speed", [0.0, -1.0, float("nan")])
+    def test_device_speeds_must_be_positive(self, name, speed):
+        with pytest.raises(ProfileError, match=f"{name} must be > 0, got {speed}"):
+            ProfileSpec(**{name: speed})
+
+
+HAND_WRITTEN = (
+    "name=by-hand\n"
+    "cut_points=0\n"
+    "delta0=1.5\n"
+    "total_flops=100.0\n"
+    "id,cut_a,cut_b,t1_ms,t2_ms,t3_ms,mu1,mu2,mu3,delta12_mb,delta23_mb\n"
+    "0,1,1,50.0,0.0,0.0,100.0,0.0,0.0,0.0,0.0\n"
+    "1,0,1,0.0,10.0,0.0,0.0,100.0,0.0,1.5,0.0\n"
+    "2,0,0,0.0,0.0,5.0,0.0,0.0,100.0,1.5,1.5\n"
+)
+
 
 class TestFileFormat:
     def test_round_trip(self, default_profile, tmp_path):
@@ -142,16 +162,7 @@ class TestFileFormat:
 
     def test_hand_written_three_config_file(self, tmp_path):
         path = tmp_path / "p0.profile"
-        path.write_text(
-            "name=by-hand\n"
-            "cut_points=0\n"
-            "delta0=1.5\n"
-            "total_flops=100.0\n"
-            "id,cut_a,cut_b,t1_ms,t2_ms,t3_ms,mu1,mu2,mu3,delta12_mb,delta23_mb\n"
-            "0,1,1,50.0,0.0,0.0,100.0,0.0,0.0,0.0,0.0\n"
-            "1,0,1,0.0,10.0,0.0,0.0,100.0,0.0,1.5,0.0\n"
-            "2,0,0,0.0,0.0,5.0,0.0,0.0,100.0,1.5,1.5\n"
-        )
+        path.write_text(HAND_WRITTEN)
         profile = load_profile(path)
         assert profile.n_configs == 3
         assert profile.configs[2].has_cloud_stage
@@ -163,5 +174,32 @@ class TestFileFormat:
             "id,cut_a,cut_b,t1_ms,t2_ms,t3_ms,mu1,mu2,mu3,delta12_mb,delta23_mb\n"
             "0,1,1,oops\n"
         )
-        with pytest.raises(ProfileError, match="line 6"):
+        with pytest.raises(ProfileError, match=r"bad\.profile:6: expected 11 fields, got 4"):
             load_profile(path)
+
+    @pytest.mark.parametrize("line, old, new, field", [
+        (6, "0,1,1,50.0,", "0,1,1,nan,", "nan"),
+        (8, ",1.5,1.5\n", ",1.5,inf\n", "inf"),
+        (3, "delta0=1.5", "delta0=NaN", "NaN"),
+        (4, "total_flops=100.0", "total_flops=-inf", "-inf"),
+    ])
+    def test_non_finite_number_names_file_and_line(self, tmp_path, line, old, new, field):
+        """Without the check, ``t1 = nan`` passes every invariant of ``validate``."""
+        path = tmp_path / "nan.profile"
+        path.write_text(HAND_WRITTEN.replace(old, new))
+        with pytest.raises(ProfileError) as info:
+            load_profile(path)
+        assert str(info.value) == f"{path}:{line}: not a finite number: {field!r}"
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("1,0,1,", "1,0,x,", ":7: invalid literal for int() with base 10: 'x'"),
+        ("cut_points=0", "cut_points=zero", ":2: invalid literal for int() with base 10: 'zero'"),
+        ("delta0=1.5\n", "", ": missing header fields: ['delta0']"),
+        ("id,cut_a", "cut_a", ":5: expected key=value"),
+    ])
+    def test_other_errors_name_the_file(self, tmp_path, old, new, message):
+        path = tmp_path / "bad.profile"
+        path.write_text(HAND_WRITTEN.replace(old, new))
+        with pytest.raises(ProfileError) as info:
+            load_profile(path)
+        assert str(info.value).startswith(f"{path}{message}")

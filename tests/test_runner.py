@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fedpart import cli, runner
 from fedpart.baseline import run_baseline
 from fedpart.config import apply_overrides, parse_config
+from fedpart.env import CostWeights, resolve_cost_weights
 from fedpart.federation import derive_seed_sequences
+from fedpart.traces import PerturbedReplay
 
 TINY_INI = """\
 [profile]
@@ -15,6 +19,82 @@ hidden = 4
 dropout_rates = 0.1
 batch_size = 8
 """
+
+
+# Every [devices], [bounds] and [cost] value here differs from its default.
+WIRING_INI = TINY_INI + """
+[devices]
+z_sew = 0.002
+z_phone = 0.0009
+theta_sew = 6.0
+theta_phone = 3.0
+
+[bounds]
+wifi = 400.0
+fiveg = 200.0
+l_sew = 500.0
+l_phone = 70.0
+l_cloud = 40.0
+
+[cost]
+w_sew = 0.1
+w_lat = 0.85
+w_rcfg = 0.03
+alpha = 2.0
+g = 0.2
+lambda_fps = 2.0
+tau_normal = 8.0
+tau_fast = 2.0
+l_max = 300.0
+"""
+
+
+@pytest.mark.parametrize("inputs", [
+    {"noise_rel": 0.25},
+    {"shift": False},
+    {"inversion": False},
+    {"floor_frac": 0.02},
+])
+def test_scenario_env_takes_every_setting_from_the_config(inputs):
+    """Each [inputs] key set alone away from its default reaches the replays
+    or the floors, so swapping two of them in the wiring fails here."""
+    config = apply_overrides(
+        parse_config(WIRING_INI), **{f"inputs__{key}": v for key, v in inputs.items()}
+    )
+    scenario = runner.build_scenario(config)
+    env = scenario.env(np.random.SeedSequence(3))
+    settings = config.inputs
+    for replay, base in ((env.wifi_replay, scenario.wifi_trace),
+                         (env.fiveg_replay, scenario.fiveg_trace)):
+        assert replay.base is base
+        assert (replay.noise_rel, replay.shift_enabled, replay.inversion_enabled) == (
+            settings.noise_rel, settings.shift, settings.inversion
+        )
+    assert env.wifi_floor == settings.floor_frac * config.bounds.wifi
+    assert env.fiveg_floor == settings.floor_frac * config.bounds.fiveg
+    assert env.profile is scenario.profile
+    assert env.devices == config.devices
+    assert env.bounds == config.bounds
+    resolved = ("c_sew_max", "c_phone_max", "c_5g_max")
+    for field in dataclasses.fields(CostWeights):
+        if field.name not in resolved:
+            assert getattr(env.weights, field.name) == getattr(config.cost, field.name)
+    assert env.weights == resolve_cost_weights(
+        config.cost, scenario.profile, config.devices, config.bounds, settings.floor_frac
+    )
+
+
+def test_scenario_env_spawns_wifi_fiveg_and_cloud_streams_in_that_order():
+    scenario = runner.build_scenario(parse_config(TINY_INI))
+    env = scenario.env(np.random.SeedSequence(3))
+    wifi_seq, fiveg_seq, cloud_seq = np.random.SeedSequence(3).spawn(3)
+    for replay, base, seq in ((env.wifi_replay, scenario.wifi_trace, wifi_seq),
+                              (env.fiveg_replay, scenario.fiveg_trace, fiveg_seq)):
+        twin = PerturbedReplay(base, seq)
+        twin.next_sample()  # the one the env's reset took
+        n = 2 * base.samples.size  # two passes, two sets of pass draws
+        assert np.array_equal(replay.next_window(n), twin.next_window(n))
+    assert env.cloud_rng.random(8).tolist() == np.random.default_rng(cloud_seq).random(8).tolist()
 
 
 @pytest.mark.parametrize("objective", ("latency", "energy"))

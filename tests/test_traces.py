@@ -45,6 +45,13 @@ class TestSynthesis:
         with pytest.raises(TraceError):
             Trace(samples=np.array([]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(TraceError, match="samples must be finite"):
+            Trace(samples=np.array([1.0, bad]))
+        with pytest.raises(TraceError, match="granularity_ms must be positive and finite"):
+            Trace(samples=np.array([1.0]), granularity_ms=bad)
+
 
 class TestTraceFiles:
     def test_round_trip(self, tmp_path):
@@ -59,10 +66,10 @@ class TestTraceFiles:
     def test_malformed_line_names_file(self, tmp_path):
         path = tmp_path / "bad.trace"
         path.write_text("0.0,5.0\n250.0,np.float64(6.0)\n")
-        with pytest.raises(TraceError, match=r"bad\.trace: line 2: "):
+        with pytest.raises(TraceError, match=r"bad\.trace:2: "):
             load_trace(path)
         path.write_text("0.0,5.0,1.0\n")
-        with pytest.raises(TraceError, match=r"bad\.trace: line 1: expected"):
+        with pytest.raises(TraceError, match=r"bad\.trace:1: expected"):
             load_trace(path)
 
     @pytest.mark.parametrize(
@@ -76,7 +83,7 @@ class TestTraceFiles:
     def test_irregular_timestamps_rejected(self, tmp_path, text, line, reason):
         path = tmp_path / "irregular.trace"
         path.write_text(text)
-        with pytest.raises(TraceError, match=rf"irregular\.trace: line {line}: .*{reason}"):
+        with pytest.raises(TraceError, match=rf"irregular\.trace:{line}: .*{reason}"):
             load_trace(path)
 
     def test_fractional_granularity_round_trips(self, tmp_path):
@@ -96,10 +103,23 @@ class TestTraceFiles:
         with pytest.raises(TraceError, match="empty"):
             load_trace(path)
 
+    @pytest.mark.parametrize("text, line, field", [
+        ("0.0,5.0\n250.0,nan\n", 2, "nan"),
+        ("0.0,inf\n250.0,5.0\n", 1, "inf"),
+        ("0.0,5.0\n250.0,6.0\n500.0, -Infinity\n", 3, "-Infinity"),
+        ("0.0,5.0\nnan,6.0\n", 2, "nan"),
+    ])
+    def test_non_finite_number_names_file_and_line(self, tmp_path, text, line, field):
+        path = tmp_path / "nan.trace"
+        path.write_text(text)
+        with pytest.raises(TraceError) as info:
+            load_trace(path)
+        assert str(info.value) == f"{path}:{line}: not a finite number: {field!r}"
+
     def test_negative_value_rejected(self, tmp_path):
         path = tmp_path / "neg.trace"
         path.write_text("0.0,5.0\n250.0,-1.0\n")
-        with pytest.raises(TraceError, match="negative"):
+        with pytest.raises(TraceError, match=r"neg\.trace:2: negative throughput sample -1\.0"):
             load_trace(path)
 
 
