@@ -240,11 +240,14 @@ class OffloadEnv:
     """Single-agent decision environment over perturbed trace replays.
 
     :meth:`fedpart.runner.Scenario.env` builds every env from the config.
-    The special action ``n_configs`` keeps the current configuration and
-    avoids the reconfiguration penalty. After ``FAST_MODE_AFTER``
-    consecutive latency violations the decision window shrinks to
-    ``tau_fast`` until a non-violating window occurs. Trajectories are fully
-    determined by the profile, the replay seeds and the action sequence.
+    The profile must already be valid: :func:`~fedpart.profiles.load_profile`
+    and :func:`~fedpart.profiles.synthesize_profile` check it, and the env
+    does not check it again. The special action ``n_configs`` keeps the
+    current configuration and avoids the reconfiguration penalty. After
+    ``FAST_MODE_AFTER`` consecutive latency violations the decision window
+    shrinks to ``tau_fast`` until a non-violating window occurs. Trajectories
+    are fully determined by the profile, the replay seeds and the action
+    sequence.
 
     ``step`` returns the decision's :class:`Step`, ready to store as a
     ``STEP_LOG`` row. ``raw`` holds the unnormalized state after the last
@@ -266,7 +269,6 @@ class OffloadEnv:
         cloud_rng: np.random.Generator,
         floor_frac: float,
     ):
-        profile.validate()
         self.profile = profile
         self.devices = devices
         self.weights = resolve_cost_weights(weights, profile, devices, bounds, floor_frac)

@@ -16,8 +16,6 @@ pipe. Weights and logs are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
-import traceback
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -240,6 +238,8 @@ def _worker_main(conn, builder, assignments):
     ``"Type: message"`` for the master to raise; the worker then waits for
     the master's stop.
     """
+    import traceback  # here, with multiprocessing in _Pool, to keep both off the import path
+
     host = None
     while True:
         method, *args = conn.recv()
@@ -264,8 +264,10 @@ class _Pool:
     """
 
     def __init__(self, builder, agent_seqs, workers: int):
+        import multiprocessing  # only a run that forks pays for loading it
+
         workers = min(workers, len(agent_seqs))
-        ctx = mp.get_context("fork")
+        ctx = multiprocessing.get_context("fork")
         self.conns = []
         self.procs = []
         self.owner = {}

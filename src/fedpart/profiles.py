@@ -121,6 +121,11 @@ class DeviceProfile:
                 raise ProfileError(f"{name} must be strictly positive")
 
 
+def _isclose(a: float, b: float, rtol: float = 1e-5, atol: float = 1e-8) -> bool:
+    """``np.isclose(a, b, rtol, atol)`` for finite Python floats, without its array round trip."""
+    return abs(a - b) <= atol + rtol * abs(b)
+
+
 @dataclass(frozen=True)
 class ApplicationProfile:
     """The full configuration space of one application."""
@@ -144,7 +149,15 @@ class ApplicationProfile:
         raise ProfileError(f"no config with category {category!r}")
 
     def validate(self) -> None:
-        """Raise :class:`ProfileError` on any violated structural invariant."""
+        """Raise :class:`ProfileError` on any violated structural invariant.
+
+        Two floats ``a`` and ``b`` count as equal when
+        ``abs(a - b) <= atol + rtol * abs(b)``, the test ``np.isclose`` makes:
+        each config's ``mu1 + mu2 + mu3`` against ``total_flops`` with
+        ``rtol = atol = 1e-6``, and the fully-offloaded config's transfers
+        against ``delta0`` with NumPy's defaults, ``rtol = 1e-5`` and
+        ``atol = 1e-8``.
+        """
         p = self.cut_points
         n, expected = len(self.configs), config_count(p)
         if self.delta0 <= 0 or self.total_flops <= 0:
@@ -162,7 +175,7 @@ class ApplicationProfile:
                 if getattr(cfg, field) < 0:
                     raise ProfileError(f"config {i}: {field} must be >= 0")
             mu_sum = cfg.mu1 + cfg.mu2 + cfg.mu3
-            if not np.isclose(mu_sum, self.total_flops, rtol=1e-6, atol=1e-6):
+            if not _isclose(mu_sum, self.total_flops, rtol=1e-6, atol=1e-6):
                 raise ProfileError(
                     f"config {i}: mu1+mu2+mu3 = {mu_sum} != total {self.total_flops}"
                 )
@@ -178,8 +191,8 @@ class ApplicationProfile:
             raise ProfileError("fully-local config must have zero transfers and t2=t3=0")
         full_cloud = self.configs[2]
         if not (
-            np.isclose(full_cloud.delta12, self.delta0)
-            and np.isclose(full_cloud.delta23, self.delta0)
+            _isclose(full_cloud.delta12, self.delta0)
+            and _isclose(full_cloud.delta23, self.delta0)
         ):
             raise ProfileError("fully-offloaded config must transfer the input tensor twice")
 
@@ -192,7 +205,8 @@ class ProfileSpec:
     tensor sizes from the first cut to the last (deep feature maps are
     smaller than early ones), with ``tensor_noise`` relative jitter so sizes
     are not monotone. ``t*_max`` bound the synthesized per-partition
-    latencies and are checked after generation.
+    latencies and are checked after generation. A spec needs at least one
+    cut point and positive sizes and speeds.
     """
 
     name: str = "yolov5-like"
@@ -210,7 +224,12 @@ class ProfileSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("sew_mflops_per_ms", "phone_mflops_per_ms", "cloud_mflops_per_ms"):
+        if self.cut_points < 1:
+            raise ProfileError(f"cut_points must be >= 1 for synthesis, got {self.cut_points}")
+        for name in (
+            "delta0", "total_flops",
+            "sew_mflops_per_ms", "phone_mflops_per_ms", "cloud_mflops_per_ms",
+        ):
             if not getattr(self, name) > 0:
                 raise ProfileError(f"{name} must be > 0, got {getattr(self, name)}")
 
@@ -224,8 +243,6 @@ def synthesize_profile(spec: ProfileSpec) -> ApplicationProfile:
     Partition latencies are FLOPs divided by device speed. Deterministic for
     a fixed ``rng_seed``.
     """
-    if spec.cut_points < 1:
-        raise ProfileError(f"synthesis needs cut_points >= 1, got {spec.cut_points}")
     p = spec.cut_points
     rng = np.random.default_rng(spec.rng_seed)
 
@@ -355,5 +372,8 @@ def load_profile(path) -> ApplicationProfile:
         total_flops=_number(path, *header["total_flops"]),
         configs=tuple(configs),
     )
-    profile.validate()
+    try:
+        profile.validate()
+    except ProfileError as exc:
+        raise ProfileError(f"{path}: {exc}") from None
     return profile

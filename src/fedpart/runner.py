@@ -150,11 +150,14 @@ def run_baseline_suite(
     For each run seed and each agent index, a fresh environment is derived
     exactly as the agent's training env would be, giving a paired comparison
     on the same perturbed trace replays. Returns ``(master_seed, agent,
-    step_log)`` triples.
+    step_log)`` triples. Zero steps is a ``ConfigError``: a baseline episode
+    needs at least one decision to have a violation rate.
     """
+    steps = config.federation.steps_per_agent
+    if steps < 1:
+        raise ConfigError(f"[federation] steps_per_agent must be >= 1 for a baseline, got {steps}")
     scenario = build_scenario(config)
     logs = []
-    steps = config.federation.steps_per_agent
     for seed in master_seeds(config):
         agent_seqs, _, _ = derive_seed_sequences(config.federation, seed)
         for m, seq in enumerate(agent_seqs):

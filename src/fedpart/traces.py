@@ -71,6 +71,10 @@ class TraceSynthesisSpec:
             raise TraceError("correlation must be in [0, 1)")
         if self.variability < 0 or self.mean < 0:
             raise TraceError("mean and variability must be >= 0")
+        if not self.granularity_ms > 0:
+            raise TraceError(f"granularity_ms must be > 0, got {self.granularity_ms}")
+        if self.max_value < 0:
+            raise TraceError(f"max_value must be >= 0, got {self.max_value}")
 
 
 def synthesize_trace(spec: TraceSynthesisSpec, seed: int) -> Trace:

@@ -84,6 +84,37 @@ class TestTrainTransfer:
         assert cli.main(argv) == 0
         assert (moved / "run_9" / "final_weights.ckpt").read_bytes() == ckpt.read_bytes()
 
+    def test_zero_step_train_exports_the_initial_weights(self, tmp_path):
+        out = tmp_path / "init"
+        argv = ["train", "--runs", "1", "--mode", "single", "--seed", "4",
+                "--steps-per-agent", "0", "--output", str(out)]
+        assert cli.main(argv) == 0
+        dims, weights = load_checkpoint(out / "run_4" / "final_weights.ckpt")
+        assert dims == (5, *AgentSettings().hidden, 106)
+        assert np.isfinite(weights).all()
+
+    def test_train_on_an_invalid_profile_file_names_the_file(self, tmp_path, capsys):
+        """Envs do not validate the profile again; the loader's check is the
+        one that stops a bad file."""
+        path = tmp_path / "bad.profile"
+        assert cli.main(["profile", "synth", "--out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        fields = lines[7].split(",")  # config 2, the fully-offloaded one, on line 8
+        fields[-1] = "1.0"  # delta23, which must equal delta0
+        lines[7] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        ini = tmp_path / "bad.ini"
+        ini.write_text(f"[inputs]\nprofile_path = {path}\n", encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = ["train", "--config", str(ini), "--runs", "1", "--mode", "single",
+                "--steps-per-agent", "0", "--output", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: fully-offloaded config must transfer the input tensor twice\n"
+        )
+        assert not out.exists()
+
     def test_transfer_rejects_a_checkpoint_of_another_shape(self, tmp_path, capsys):
         dims = (5, 8, 8, 106)  # trained with [agent] hidden = 8,8
         ckpt = tmp_path / "small.ckpt"

@@ -1,10 +1,11 @@
 import dataclasses
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedpart import agent, cli
+from fedpart import agent, cli, runner
 from fedpart.agent import AgentSettings
 from fedpart.config import (
     ConfigError,
@@ -212,6 +213,12 @@ class TestParse:
         ("[profile]\nsew_mflops_per_ms = 0\n", "[profile] sew_mflops_per_ms must be > 0, got 0.0"),
         ("[profile]\ncloud_mflops_per_ms = -1\n",
          "[profile] cloud_mflops_per_ms must be > 0, got -1.0"),
+        ("[wifi]\ngranularity_ms = 0\n", "[wifi] granularity_ms must be > 0, got 0.0"),
+        ("[fiveg]\ngranularity_ms = -250\n", "[fiveg] granularity_ms must be > 0, got -250.0"),
+        ("[wifi]\nmax_value = -5\n", "[wifi] max_value must be >= 0, got -5.0"),
+        ("[profile]\ndelta0 = -1\n", "[profile] delta0 must be > 0, got -1.0"),
+        ("[profile]\ntotal_flops = 0\n", "[profile] total_flops must be > 0, got 0.0"),
+        ("[profile]\ncut_points = 0\n", "[profile] cut_points must be >= 1 for synthesis, got 0"),
     ])
     def test_rejected_values_name_their_section(self, text, prefix):
         with pytest.raises(ConfigError) as info:
@@ -251,6 +258,26 @@ class TestCliErrors:
         ini.write_text(text, encoding="utf-8")
         assert cli.main(["train", "--config", str(ini), "--output", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(prefix)
+
+    def test_zero_step_baseline_is_an_error_before_any_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Before, it warned twice ("Mean of empty slice") and wrote nan rows."""
+        def no_scenario(config):
+            raise AssertionError("the scenario was built")
+
+        monkeypatch.setattr(runner, "build_scenario", no_scenario)
+        out = tmp_path / "o"
+        argv = ["baseline", "--objective", "latency", "--steps-per-agent", "0",
+                "--output", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: [federation] steps_per_agent must be >= 1 for a baseline, got 0\n"
+        assert "Warning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, prefix", [
         (["--max-delay-slow", "nan"],

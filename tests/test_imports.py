@@ -1,10 +1,13 @@
 """Names under ``src/fedpart/`` are used: no unused imports, no test-only API;
-``tests/`` has no unused imports either.
+``tests/`` has no unused imports either. The worker pool's modules stay off
+the import path of ``fedpart.cli``.
 
 No linter is installed, so these are stdlib ``ast`` checks.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -109,3 +112,52 @@ def test_the_check_sees_test_only_api(tmp_path):
     assert unused_definitions([module, init], [module]) == [
         "mod.py: SPARE", "mod.py: helper", "mod.py: Box.unused"
     ]
+
+
+POOL_ONLY = ("multiprocessing", "traceback")  # the worker pool's modules
+
+
+def module_level_imports(path: Path) -> list[str]:
+    """Modules a file imports when it is imported: outside every function body."""
+    found = []
+    stack = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [f"{path.name}:{node.lineno}: {alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append(f"{path.name}:{node.lineno}: {node.module}")
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_module_imports_the_pool_at_module_level():
+    imported = [entry for path in sorted(SRC.glob("*.py")) for entry in module_level_imports(path)]
+    assert [e for e in imported if e.rsplit(": ", 1)[1].split(".")[0] in POOL_ONLY] == []
+
+
+def test_the_pool_check_sees_a_module_level_import(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import os\nif os.name:\n    from multiprocessing import Pool\n\n"
+        "class A:\n    import traceback\n\n"
+        "def run():\n    import multiprocessing\n",
+        encoding="utf-8",
+    )
+    assert sorted(module_level_imports(module)) == [
+        "mod.py:1: os", "mod.py:3: multiprocessing", "mod.py:6: traceback"
+    ]
+
+
+def test_importing_the_cli_loads_no_pool_module():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fedpart.cli; "
+        f"print(sorted(m for m in {POOL_ONLY!r} if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(SRC.parent)],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"

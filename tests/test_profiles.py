@@ -1,6 +1,10 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedpart.profiles import (
     CATEGORY_FULL_CLOUD,
@@ -10,6 +14,7 @@ from fedpart.profiles import (
     DeviceProfile,
     ProfileError,
     ProfileSpec,
+    _isclose,
     config_count,
     enumerate_configs,
     load_profile,
@@ -203,3 +208,28 @@ class TestFileFormat:
         with pytest.raises(ProfileError) as info:
             load_profile(path)
         assert str(info.value).startswith(f"{path}{message}")
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def float_pairs(draw):
+    """Two finite floats, often within a few tolerances of each other."""
+    a = draw(finite)
+    if draw(st.booleans()):
+        return a, draw(finite)
+    scale = draw(st.sampled_from([1e-8, 1e-6, 1e-5, 1e-3])) * max(abs(a), 1.0)
+    b = a + draw(st.floats(-3.0, 3.0)) * scale
+    assume(math.isfinite(b))
+    return a, b
+
+
+@settings(max_examples=500, deadline=None)
+@given(float_pairs(), st.sampled_from([(1e-6, 1e-6), (1e-5, 1e-8)]))
+def test_validate_tolerance_is_numpys_isclose(pair, tolerances):
+    """The two (rtol, atol) pairs ``validate`` uses, on finite Python floats."""
+    (a, b), (rtol, atol) = pair, tolerances
+    with np.errstate(over="ignore"):
+        expected = bool(np.isclose(a, b, rtol=rtol, atol=atol))
+    assert _isclose(a, b, rtol=rtol, atol=atol) == expected

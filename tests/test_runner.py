@@ -8,6 +8,7 @@ from fedpart.baseline import run_baseline
 from fedpart.config import apply_overrides, parse_config
 from fedpart.env import CostWeights, resolve_cost_weights
 from fedpart.federation import derive_seed_sequences
+from fedpart.profiles import ApplicationProfile
 from fedpart.traces import PerturbedReplay
 
 TINY_INI = """\
@@ -136,6 +137,24 @@ def test_an_experiment_builds_its_scenario_once(tmp_path, monkeypatch):
             "--output", str(tmp_path / "moved")]
     assert cli.main(argv) == 0
     assert len(calls) == 2
+
+
+def test_an_experiment_validates_its_profile_once(monkeypatch):
+    """Synthesis validates the profile; the six envs of three agents do not again."""
+    calls = []
+    validate = ApplicationProfile.validate
+
+    def counting(profile):
+        calls.append(profile)
+        validate(profile)
+
+    monkeypatch.setattr(ApplicationProfile, "validate", counting)
+    config = apply_overrides(
+        parse_config(TINY_INI), run__n_runs=1, federation__agents=3,
+        federation__steps_per_agent=20, federation__freq_updates=20,
+    )
+    runner.run_experiment(config)
+    assert len(calls) == 1
 
 
 def test_schedule_csv_holds_the_runs_schedule_rows(tmp_path):
