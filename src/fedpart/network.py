@@ -180,9 +180,7 @@ class QNetwork:
     ) -> np.ndarray:
         """Q-values for one state (1-D input) or a batch (2-D input).
 
-        Returns a fresh array safe to keep across calls. An eval forward
-        keeps no ReLU masks, cache or scratch buffers; its values are the
-        same bits as ``forward_cached(x, train=False)``.
+        Returns a fresh array safe to keep across calls.
         """
         arr = np.asarray(x, dtype=self.dtype)
         single = arr.ndim == 1
@@ -190,16 +188,8 @@ class QNetwork:
             arr = arr[None, :]
         if arr.shape[1] != self.dims[0]:
             raise ValueError(f"state dimension {arr.shape[1]} != {self.dims[0]}")
-        if train:
-            q = self._forward(arr, True, rng)[0].copy()
-        else:
-            q, zero = arr, self.dtype.type(0.0)
-            for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-                q = np.dot(q, w)
-                q += b
-                if layer < self.n_hidden_layers:
-                    np.maximum(q, zero, out=q)
-        return q[0] if single else q
+        q, _ = self._forward(arr, train, rng)
+        return q[0].copy() if single else q.copy()
 
     def forward_cached(self, x: np.ndarray, train: bool, rng=None):
         """(q, cache) for a 2-D batch; both reuse scratch storage (no copies)."""

@@ -68,18 +68,6 @@ class TestForward:
             net.forward(np.zeros(4))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("rows", [1, 7])
-    def test_eval_forward_is_the_cached_eval_forward_bit_for_bit(self, dtype, rows):
-        """The lean eval path skips the masks and scratch, not any arithmetic."""
-        net = QNetwork(106, rng=np.random.default_rng(4), dtype=dtype)
-        states = np.random.default_rng(5).random((500 // rows * rows, 5)).astype(dtype)
-        for x in states.reshape(-1, rows, 5):
-            expected, _ = net.forward_cached(x, False)
-            assert net.forward(x).tobytes() == expected.tobytes()
-            if rows == 1:
-                assert net.forward(x[0]).tobytes() == expected[0].tobytes()
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_dropout_mask_is_inverted(self, dtype):
         """Train-mode masks take only {0, 1/(1-r)} and average 1 per layer."""
         rates = (0.4, 0.3, 0.0)
