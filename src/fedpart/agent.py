@@ -2,7 +2,7 @@
 
 One agent owns one environment, one replay buffer (persistent across
 federation rounds) and two networks (online and frozen target). Rewards are
-negated environment costs. An optional validation probe runs a greedy,
+negated environment costs. The agent's validation probe runs a greedy,
 learning-free evaluation episode on a separate environment at a fixed
 training-step schedule, leaving the training trajectory untouched.
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import STEP_LOG, OffloadEnv
+from .env import OBS_DIM, STEP_LOG, OffloadEnv
 from .network import AdamOptimizer, QNetwork, drop_threshold
 
 
@@ -45,7 +45,7 @@ class ReplayBuffer:
     (module docstring); unpadded small batches do not.
     """
 
-    def __init__(self, capacity: int = 10000, state_dim: int = 5, dtype=np.float32):
+    def __init__(self, capacity: int, state_dim: int, dtype):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
@@ -177,14 +177,21 @@ class AgentSettings:
         for rate in self.dropout_rates:
             drop_threshold(rate)
 
+    def network(self, n_actions: int, rng: np.random.Generator) -> QNetwork:
+        """A fresh online network over the env's observation, its weights drawn from ``rng``."""
+        return QNetwork(
+            n_actions, self.hidden, self.dropout_rates,
+            input_dim=OBS_DIM, rng=rng, dtype=np.dtype(self.dtype),
+        )
+
 
 class ValidationProbe:
     """Greedy evaluation episodes on a dedicated environment.
 
     Runs ``steps`` greedy (epsilon = 0) decisions every ``interval``
     training steps. No exploration, no gradient updates, no buffer writes:
-    training RNG streams and state are bit-identical with or without the
-    probe attached.
+    training RNG streams and state are bit-identical whatever the probe's
+    schedule.
     """
 
     def __init__(self, env: OffloadEnv, steps: int = 300, interval: int = 250):
@@ -221,25 +228,17 @@ class DQNAgent:
     def __init__(
         self,
         env: OffloadEnv,
-        settings: AgentSettings = AgentSettings(),
-        seed=0,
-        validation: ValidationProbe | None = None,
+        settings: AgentSettings,
+        seed: np.random.SeedSequence,
+        validation: ValidationProbe,
     ):
-        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        net_seq, action_seq, dropout_seq, sample_seq = seq.spawn(4)
+        net_seq, action_seq, dropout_seq, sample_seq = seed.spawn(4)
         self.env = env
         self.settings = settings
-        dtype = np.dtype(settings.dtype)
-        self.net = QNetwork(
-            env.n_actions,
-            hidden=settings.hidden,
-            dropout_rates=settings.dropout_rates,
-            rng=np.random.default_rng(net_seq),
-            dtype=dtype,
-        )
+        self.net = settings.network(env.n_actions, np.random.default_rng(net_seq))
         self.target_net = self.net.clone()
         self.optimizer = AdamOptimizer(self.net.flat, lr=settings.lr)
-        self.buffer = ReplayBuffer(settings.buffer_capacity, state_dim=5, dtype=dtype)
+        self.buffer = ReplayBuffer(settings.buffer_capacity, OBS_DIM, self.net.dtype)
         self.validation = validation
         self._action_rng = np.random.default_rng(action_seq)
         self._dropout_rng = np.random.default_rng(dropout_seq)
@@ -260,7 +259,7 @@ class DQNAgent:
         self.optimizer.reset()
 
     def sync_target(self) -> None:
-        self.target_net.copy_weights_from(self.net)
+        self.target_net.set_weights(self.net.flat)
         self.buffer.invalidate()
 
     def run_training_phase(self, steps: int) -> None:
@@ -277,7 +276,7 @@ class DQNAgent:
         settings = self.settings
         self.log = np.concatenate((self.log[: self.total_steps], np.zeros(steps, dtype=STEP_LOG)))
         for _ in range(steps):
-            if self.validation is not None and self.validation.due(self.total_steps):
+            if self.validation.due(self.total_steps):
                 self.validation.run(self.net, self.total_steps)
             state = self._state_vec
             action = select_action(self.net, state, settings.epsilon, self._action_rng)
@@ -299,5 +298,5 @@ class DQNAgent:
 
     def finalize_validation(self) -> None:
         """Run the probe at the final step count if the schedule lands on it."""
-        if self.validation is not None and self.validation.due(self.total_steps):
+        if self.validation.due(self.total_steps):
             self.validation.run(self.net, self.total_steps)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import STEP_LOG, CostWeights, OffloadEnv, energy_per_window, total_latency_ms
-from .profiles import CATEGORY_FULL_CLOUD, ApplicationProfile, DeviceProfile
+from .profiles import ApplicationProfile, DeviceProfile
 
 OBJECTIVES = ("latency", "energy")
 
@@ -78,7 +78,7 @@ def run_baseline(env: OffloadEnv, objective: str, steps: int) -> np.ndarray:
     obs = BaselineObservation(
         last_r_wifi=env.wifi_replay.base.mean,
         last_r_5g=env.fiveg_replay.base.mean,
-        last_cloud_latency=profile.config_by_category(CATEGORY_FULL_CLOUD).t3,
+        last_cloud_latency=profile.configs[2].t3,  # full-cloud, as ``validate`` pins it
     )
     log = np.zeros(steps, dtype=STEP_LOG)
     for i in range(steps):

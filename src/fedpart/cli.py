@@ -26,14 +26,11 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 from .metrics import band
 from .network import CheckpointError
-from .profiles import ProfileError, enumerate_configs, load_profile, save_profile
-from .runner import (
-    build_scenario,
-    run_baseline_suite,
-    run_experiment,
-    write_csv,
-    write_experiment,
+from .profiles import (
+    CATEGORY_FULL_CLOUD, CATEGORY_FULL_PHONE, CATEGORY_FULL_SEW, CATEGORY_SEW_PHONE_CLOUD,
+    ProfileError, enumerate_configs, load_profile, save_profile, synthesize_profile,
 )
+from .runner import run_baseline_suite, run_experiment, write_csv, write_experiment
 from .traces import TraceError, load_trace, save_trace, synthesize_trace
 
 
@@ -92,7 +89,7 @@ def cmd_baseline(args) -> int:
     config = _load_with_overrides(args)
     logs = run_baseline_suite(config, args.objective)
     rates = [float(np.mean(log["violated"])) for _, _, log in logs]
-    out_dir = _resolve_output(args.output or config.run.output_dir)
+    out_dir = _resolve_output(config.run.output_dir)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"baseline_{args.objective}.csv")
     write_csv(
@@ -110,18 +107,13 @@ def cmd_baseline(args) -> int:
 
 def cmd_enumerate(args) -> int:
     skeletons = enumerate_configs(args.cuts)
-    by_kind = {"full": 0, "single": 0, "double": 0}
-    for s in skeletons:
-        if s.category.startswith("full"):
-            by_kind["full"] += 1
-        elif s.category == "sew-phone-cloud":
-            by_kind["double"] += 1
-        else:
-            by_kind["single"] += 1
+    full = (CATEGORY_FULL_SEW, CATEGORY_FULL_PHONE, CATEGORY_FULL_CLOUD)
+    n_full = sum(s.category in full for s in skeletons)
+    n_double = sum(s.category == CATEGORY_SEW_PHONE_CLOUD for s in skeletons)
     print(len(skeletons))
     print(
-        f"full-device={by_kind['full']} single-split={by_kind['single']} "
-        f"double-split={by_kind['double']} (cuts={args.cuts})"
+        f"full-device={n_full} single-split={len(skeletons) - n_full - n_double} "
+        f"double-split={n_double} (cuts={args.cuts})"
     )
     return 0
 
@@ -129,9 +121,9 @@ def cmd_enumerate(args) -> int:
 def cmd_profile(args) -> int:
     if args.profile_command == "synth":
         config = load_config(args.config) if args.config else ExperimentConfig()
-        scenario = build_scenario(config)
-        save_profile(scenario.profile, args.out)
-        print(f"wrote {scenario.profile.n_configs} configs to {args.out}")
+        profile = synthesize_profile(config.profile)
+        save_profile(profile, args.out)
+        print(f"wrote {profile.n_configs} configs to {args.out}")
         return 0
     profile = load_profile(args.path)
     print(

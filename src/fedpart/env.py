@@ -25,6 +25,8 @@ import numpy as np
 from .profiles import ApplicationProfile, DeviceProfile, PartitionConfig
 from .traces import PerturbedReplay, sample_cloud_latency
 
+OBS_DIM = 5  # observation entries: Wi-Fi and 5G throughput, SEW, phone and cloud latency
+
 
 @dataclass(frozen=True)
 class ObservationBounds:

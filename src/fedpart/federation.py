@@ -21,8 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import QNetwork
-
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
@@ -221,9 +219,7 @@ class AgentHost:
         logs = {}
         for i, agent in self.agents.items():
             agent.finalize_validation()
-            probe = agent.validation
-            series = ([], []) if probe is None else (probe.steps_trained, probe.rates)
-            logs[i] = AgentLog(agent.log, *series)
+            logs[i] = AgentLog(agent.log, agent.validation.steps_trained, agent.validation.rates)
         return logs
 
     def close(self):
@@ -341,19 +337,20 @@ def run_federation(
 ) -> FederationResult:
     """Execute the full federated training loop.
 
-    ``builder`` must provide ``build(agent_index, seed_sequence) -> DQNAgent``
-    and ``network_spec() -> dict`` (QNetwork constructor arguments used for
-    the initial global weights when ``initial_weights`` is None). Weight
-    math runs in float64. Per-agent seeds derive from ``master_seed``, so
-    repeated runs are bit-identical regardless of ``workers``. With zero
-    steps no agent is built: the initial weights come back with empty logs.
+    ``builder`` provides two methods: ``build(agent_index, seed_sequence)``
+    returns a ``DQNAgent`` with its validation probe, and
+    ``initial_weights(seed_sequence)`` returns a flat weight vector, called
+    with the master seed's network stream when ``initial_weights`` is None.
+    Weight math runs in float64. Per-agent seeds derive from
+    ``master_seed``, so repeated runs are bit-identical regardless of
+    ``workers``. With zero steps no agent is built: the initial weights
+    come back with empty logs.
     """
     agent_seqs, net_seq, sched_seq = derive_seed_sequences(config, master_seed)
     sched_rng = np.random.default_rng(sched_seq)
 
     if initial_weights is None:
-        net = QNetwork(rng=np.random.default_rng(net_seq), **builder.network_spec())
-        theta = net.get_weights()
+        theta = builder.initial_weights(net_seq)
     else:
         theta = np.asarray(initial_weights, dtype=np.float64).copy()
     if config.n_iterations == 0:

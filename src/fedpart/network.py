@@ -47,6 +47,10 @@ def expected_weight_count(layer_dims: tuple[int, ...]) -> int:
 class QNetwork:
     """MLP mapping a state vector to one value per action.
 
+    ``forward`` takes one 1-D state of ``input_dim`` entries and runs in
+    eval mode; batches, and every training-mode forward, go through
+    ``forward_cached``.
+
     ``dropout_rates`` apply inverted dropout to the hidden activations in
     training-mode forwards only; eval forwards are deterministic. Kept units
     are scaled by ``1 / (1 - rate)``, so each layer's activations keep their
@@ -69,7 +73,8 @@ class QNetwork:
         n_actions: int,
         hidden: tuple[int, ...] = (100, 100, 60),
         dropout_rates: tuple[float, ...] = (0.4, 0.3, 0.0),
-        input_dim: int = 5,
+        *,
+        input_dim: int,
         rng: np.random.Generator | None = None,
         dtype=np.float32,
     ):
@@ -172,24 +177,13 @@ class QNetwork:
         out += self.biases[-1]
         return out, (inputs, relu_masks, dropout_masks)
 
-    def forward(
-        self,
-        x: np.ndarray,
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> np.ndarray:
-        """Q-values for one state (1-D input) or a batch (2-D input).
-
-        Returns a fresh array safe to keep across calls.
-        """
-        arr = np.asarray(x, dtype=self.dtype)
-        single = arr.ndim == 1
-        if single:
-            arr = arr[None, :]
-        if arr.shape[1] != self.dims[0]:
-            raise ValueError(f"state dimension {arr.shape[1]} != {self.dims[0]}")
-        q, _ = self._forward(arr, train, rng)
-        return q[0].copy() if single else q.copy()
+    def forward(self, state: np.ndarray) -> np.ndarray:
+        """Eval-mode Q-values for one 1-D state, as a fresh array."""
+        x = np.asarray(state, dtype=self.dtype)
+        if x.shape != (self.dims[0],):
+            raise ValueError(f"expected one state of shape ({self.dims[0]},), got {x.shape}")
+        q, _ = self._forward(x[None, :], False, None)
+        return q[0].copy()
 
     def forward_cached(self, x: np.ndarray, train: bool, rng=None):
         """(q, cache) for a 2-D batch; both reuse scratch storage (no copies)."""
@@ -241,11 +235,6 @@ class QNetwork:
                 f"for dims {self.dims}"
             )
         self.flat[...] = flat
-
-    def copy_weights_from(self, other: "QNetwork") -> None:
-        if other.dims != self.dims:
-            raise ValueError(f"dims mismatch: {other.dims} vs {self.dims}")
-        self.flat[...] = other.flat
 
     def clone(self) -> "QNetwork":
         twin = QNetwork.__new__(QNetwork)

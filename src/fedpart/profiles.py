@@ -140,14 +140,6 @@ class ApplicationProfile:
     def n_configs(self) -> int:
         return len(self.configs)
 
-    def config_by_category(self, category: str) -> PartitionConfig:
-        """First config matching an enumeration category (full-device lookup)."""
-        skeletons = enumerate_configs(self.cut_points)
-        for skel, cfg in zip(skeletons, self.configs):
-            if skel.category == category:
-                return cfg
-        raise ProfileError(f"no config with category {category!r}")
-
     def validate(self) -> None:
         """Raise :class:`ProfileError` on any violated structural invariant.
 

@@ -20,7 +20,7 @@ from . import __version__
 from .agent import DQNAgent, ValidationProbe
 from .baseline import run_baseline
 from .config import ConfigError, ExperimentConfig, dump_config
-from .env import STEP_LOG, OffloadEnv
+from .env import OBS_DIM, STEP_LOG, OffloadEnv
 from .federation import FederationResult, ScheduleRow, derive_seed_sequences, run_federation
 from .metrics import band, moving_avg_violations
 from .network import load_checkpoint, save_checkpoint
@@ -95,21 +95,17 @@ class AgentBuilder:
             steps=config.run.validation_steps,
             interval=config.run.validation_interval,
         )
-        return DQNAgent(env, config.agent, seed=learner_seq, validation=probe)
+        return DQNAgent(env, config.agent, learner_seq, probe)
 
-    def network_spec(self) -> dict:
-        settings = self.scenario.config.agent
-        return {
-            "n_actions": self.scenario.profile.n_configs + 1,
-            "hidden": settings.hidden,
-            "dropout_rates": settings.dropout_rates,
-            "dtype": np.dtype(settings.dtype),
-        }
+    def initial_weights(self, seq: np.random.SeedSequence) -> np.ndarray:
+        """A run's starting global weights: a fresh network drawn from ``seq``."""
+        net = self.scenario.config.agent.network(self.dims()[-1], np.random.default_rng(seq))
+        return net.get_weights()
 
     def dims(self) -> tuple[int, ...]:
         """Network layer widths, input to output, as a checkpoint records them."""
-        spec = self.network_spec()
-        return (5, *spec["hidden"], spec["n_actions"])  # five observation entries
+        hidden = self.scenario.config.agent.hidden
+        return (OBS_DIM, *hidden, self.scenario.profile.n_configs + 1)
 
 
 class Experiment(NamedTuple):

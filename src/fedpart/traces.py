@@ -51,7 +51,8 @@ class TraceSynthesisSpec:
     deviation ``variability``, clipped to ``[0, max_value]``.
     Optional outages model bursts of degraded connectivity: entered with
     probability ``outage_rate`` per sample, lasting a geometric number of
-    samples with the given mean, scaling throughput by ``outage_depth``.
+    samples with the given mean (at least 1), scaling throughput by
+    ``outage_depth``; the rate and the depth are in [0, 1].
     """
 
     length: int = 3000
@@ -75,6 +76,12 @@ class TraceSynthesisSpec:
             raise TraceError(f"granularity_ms must be > 0, got {self.granularity_ms}")
         if self.max_value < 0:
             raise TraceError(f"max_value must be >= 0, got {self.max_value}")
+        for name in ("outage_rate", "outage_depth"):
+            value = getattr(self, name)
+            if not (0.0 <= value <= 1.0):
+                raise TraceError(f"{name} must be in [0, 1], got {value}")
+        if not self.outage_duration_mean >= 1.0:  # a geometric duration is at least one sample
+            raise TraceError(f"outage_duration_mean must be >= 1, got {self.outage_duration_mean}")
 
 
 def synthesize_trace(spec: TraceSynthesisSpec, seed: int) -> Trace:
@@ -92,7 +99,7 @@ def synthesize_trace(spec: TraceSynthesisSpec, seed: int) -> Trace:
 
     if spec.outage_rate > 0.0:
         enter = rng.random(spec.length)
-        durations = rng.geometric(1.0 / max(spec.outage_duration_mean, 1.0), size=spec.length)
+        durations = rng.geometric(1.0 / spec.outage_duration_mean, size=spec.length)
         in_outage = 0
         for t in range(spec.length):
             if in_outage > 0:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedpart.agent import AgentSettings
+from fedpart.agent import AgentSettings, DQNAgent, ValidationProbe
 from fedpart.config import ExperimentConfig
 from fedpart.env import CostWeights
 from fedpart.profiles import ProfileSpec, synthesize_profile
@@ -57,6 +57,22 @@ def make_tiny_env(profile, seed=0, l_max=400.0, weights=None):
     )
     config = ExperimentConfig(cost=weights or CostWeights(l_max=l_max))
     return Scenario(config, profile, wifi, fiveg).env(np.random.SeedSequence(seed))
+
+
+def quiet_probe(profile, seed=0):
+    """A one-step probe that runs only at step 0 of runs under a million steps."""
+    return ValidationProbe(make_tiny_env(profile, seed=seed), steps=1, interval=10**6)
+
+
+def make_tiny_agent(profile, settings, env_seed=0, seed=0, probe=None):
+    """An agent on ``make_tiny_env(profile, env_seed)`` whose learner streams
+    ``SeedSequence(seed)`` spawns; ``probe`` defaults to a ``quiet_probe``."""
+    return DQNAgent(
+        make_tiny_env(profile, seed=env_seed),
+        settings,
+        np.random.SeedSequence(seed),
+        probe or quiet_probe(profile, env_seed),
+    )
 
 
 @pytest.fixture()

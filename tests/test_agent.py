@@ -12,33 +12,34 @@ from fedpart.agent import (
 from fedpart.env import STEP_LOG
 from fedpart.network import AdamOptimizer, QNetwork
 
-from conftest import make_tiny_env, subnormal_count
+from conftest import make_tiny_agent, make_tiny_env, subnormal_count
 
 
 class TestReplayBuffer:
     def test_fifo_eviction(self):
-        buf = ReplayBuffer(capacity=3, state_dim=2)
+        buf = ReplayBuffer(3, 2, np.float32)
         for i in range(5):
             buf.push([i, i], i, float(i), [i, i])
         assert len(buf) == 3
         assert sorted(buf.actions.tolist()) == [2, 3, 4]  # 0 and 1 evicted first
 
     def test_size_never_exceeds_capacity(self):
-        buf = ReplayBuffer(capacity=10, state_dim=2)
+        buf = ReplayBuffer(10, 2, np.float32)
         for i in range(50):
             buf.push([0, 0], 0, 0.0, [0, 0])
             assert len(buf) <= 10
 
     def test_sample_too_large_rejected(self):
-        buf = ReplayBuffer(capacity=8, state_dim=2)
+        buf = ReplayBuffer(8, 2, np.float32)
         buf.push([0, 0], 0, 0.0, [0, 0])
         target = QNetwork(3, hidden=(4,), dropout_rates=(0.0,), input_dim=2)
         with pytest.raises(ValueError):
             buf.sample(2, np.random.default_rng(0), target)
 
     def test_sample_shapes(self):
-        target = QNetwork(3, hidden=(4,), dropout_rates=(0.0,), rng=np.random.default_rng(0))
-        buf = ReplayBuffer(capacity=8, state_dim=5)
+        target = QNetwork(3, hidden=(4,), dropout_rates=(0.0,), input_dim=5,
+                          rng=np.random.default_rng(0))
+        buf = ReplayBuffer(8, 5, np.float32)
         for i in range(6):
             buf.push(np.full(5, i), i, float(i), np.full(5, i + 1))
         s, a, r, next_q = buf.sample(4, np.random.default_rng(1), target)
@@ -52,19 +53,22 @@ class TestReplayBuffer:
 
 class TestSelectAction:
     def test_greedy_takes_argmax(self):
-        net = QNetwork(4, hidden=(4,), dropout_rates=(0.0,), rng=np.random.default_rng(0))
+        net = QNetwork(4, hidden=(4,), dropout_rates=(0.0,), input_dim=5,
+                       rng=np.random.default_rng(0))
         state = np.random.default_rng(1).random(5)
         q = net.forward(state)
         act = select_action(net, state, 0.0, np.random.default_rng(2))
         assert act == int(np.argmax(q))
 
     def test_tie_breaks_to_lowest_index(self):
-        net = QNetwork(8, hidden=(4,), dropout_rates=(0.0,), rng=np.random.default_rng(0))
+        net = QNetwork(8, hidden=(4,), dropout_rates=(0.0,), input_dim=5,
+                       rng=np.random.default_rng(0))
         net.set_weights(np.zeros(net.flat.size))  # all q equal zero
         assert select_action(net, np.ones(5), 0.0, np.random.default_rng(0)) == 0
 
     def test_argmax_invariant_under_constant_shift(self):
-        net = QNetwork(5, hidden=(6,), dropout_rates=(0.0,), rng=np.random.default_rng(3))
+        net = QNetwork(5, hidden=(6,), dropout_rates=(0.0,), input_dim=5,
+                       rng=np.random.default_rng(3))
         state = np.random.default_rng(4).random(5)
         base = select_action(net, state, 0.0, np.random.default_rng(0))
         shifted = net.clone()
@@ -73,7 +77,8 @@ class TestSelectAction:
 
     def test_full_exploration_is_uniform(self):
         """epsilon = 1: empirical action frequencies close to uniform."""
-        net = QNetwork(4, hidden=(4,), dropout_rates=(0.0,), rng=np.random.default_rng(0))
+        net = QNetwork(4, hidden=(4,), dropout_rates=(0.0,), input_dim=5,
+                       rng=np.random.default_rng(0))
         rng = np.random.default_rng(123)
         state = np.zeros(5)
         counts = np.zeros(4)
@@ -83,19 +88,20 @@ class TestSelectAction:
         assert np.all(np.abs(counts / n - 0.25) / 0.25 < 0.01)
 
     def test_epsilon_out_of_range_rejected(self):
-        net = QNetwork(3, hidden=(4,), dropout_rates=(0.0,))
+        net = QNetwork(3, hidden=(4,), dropout_rates=(0.0,), input_dim=5)
         with pytest.raises(ValueError):
             select_action(net, np.zeros(5), 1.5, np.random.default_rng(0))
 
 
 def max_target_q(target: QNetwork, next_states) -> np.ndarray:
     """Uncached bootstrap values: one eval-mode target forward over the rows."""
-    return target.forward(np.asarray(next_states, dtype=target.dtype)).max(axis=1)
+    q, _ = target.forward_cached(np.asarray(next_states, dtype=target.dtype), train=False)
+    return q.max(axis=1)
 
 
 class TestTrainStep:
     def test_gamma_zero_single_transition_loss(self):
-        net = QNetwork(3, hidden=(4, 4, 3), dropout_rates=(0.0, 0.0, 0.0),
+        net = QNetwork(3, hidden=(4, 4, 3), dropout_rates=(0.0, 0.0, 0.0), input_dim=5,
                        rng=np.random.default_rng(5), dtype=np.float64)
         target = net.clone()
         opt = AdamOptimizer(net.flat, lr=0.0)  # lr 0: measure loss only
@@ -107,7 +113,7 @@ class TestTrainStep:
 
     def test_single_transition_converges_to_reward(self):
         """gamma=0 fixed-point: Q(s, a) is driven to r."""
-        net = QNetwork(3, hidden=(8, 8, 4), dropout_rates=(0.0, 0.0, 0.0),
+        net = QNetwork(3, hidden=(8, 8, 4), dropout_rates=(0.0, 0.0, 0.0), input_dim=5,
                        rng=np.random.default_rng(7), dtype=np.float64)
         target = net.clone()
         opt = AdamOptimizer(net.flat, lr=0.01)
@@ -120,11 +126,12 @@ class TestTrainStep:
         assert np.all(np.diff(blocks) < 1e-9)
 
     def test_target_network_treated_as_constant(self):
-        net = QNetwork(3, hidden=(4,), dropout_rates=(0.0,), rng=np.random.default_rng(9))
+        net = QNetwork(3, hidden=(4,), dropout_rates=(0.0,), input_dim=5,
+                       rng=np.random.default_rng(9))
         target = net.clone()
         before = target.get_weights()
         rng = np.random.default_rng(10)
-        buf = ReplayBuffer(capacity=4)
+        buf = ReplayBuffer(4, 5, np.float32)
         for _ in range(4):
             buf.push(rng.random(5), rng.integers(0, 3), rng.random(), rng.random(5))
         for _ in range(3):
@@ -141,7 +148,7 @@ CACHE_SETTINGS = AgentSettings(buffer_capacity=600, target_update_freq=50)
 
 def averaged_weights(agent: DQNAgent, seed: int) -> np.ndarray:
     """Weights as a federated round installs them: a mean with another agent's."""
-    other = DQNAgent(make_tiny_env(agent.env.profile, seed=seed), agent.settings, seed=seed)
+    other = make_tiny_agent(agent.env.profile, agent.settings, env_seed=seed, seed=seed)
     return (agent.get_weights() + other.get_weights()) / 2.0
 
 
@@ -176,7 +183,7 @@ def run_uncached_phase(agent: DQNAgent, steps: int) -> np.ndarray:
             train_step(agent.net, batch, s.gamma, agent.optimizer, agent._dropout_rng)
             agent.grad_updates += 1
             if agent.grad_updates % s.target_update_freq == 0:
-                agent.target_net.copy_weights_from(agent.net)
+                agent.target_net.set_weights(agent.net.flat)
     return log
 
 
@@ -189,7 +196,7 @@ class TestTargetCache:
         assert np.array_equal(buf.next_q[: len(buf)][fresh], expected)
 
     def test_cached_targets_equal_a_fresh_512_row_forward(self, default_profile):
-        agent = DQNAgent(make_tiny_env(default_profile, seed=8), CACHE_SETTINGS, seed=21)
+        agent = make_tiny_agent(default_profile, CACHE_SETTINGS, env_seed=8, seed=21)
         batch, freq = CACHE_SETTINGS.batch_size, CACHE_SETTINGS.target_update_freq
         agent.run_training_phase(batch - 1 + 2 * freq + 10)  # two syncs, ring wrapped
         assert agent.total_steps > CACHE_SETTINGS.buffer_capacity
@@ -202,8 +209,8 @@ class TestTargetCache:
         self.check_cache(agent)
 
     def test_cached_agent_equals_uncached_reference(self, default_profile):
-        cached = DQNAgent(make_tiny_env(default_profile, seed=8), CACHE_SETTINGS, seed=21)
-        plain = DQNAgent(make_tiny_env(default_profile, seed=8), CACHE_SETTINGS, seed=21)
+        cached = make_tiny_agent(default_profile, CACHE_SETTINGS, env_seed=8, seed=21)
+        plain = make_tiny_agent(default_profile, CACHE_SETTINGS, env_seed=8, seed=21)
         freq = CACHE_SETTINGS.target_update_freq
         ref_logs = []
         for steps in (CACHE_SETTINGS.batch_size - 1 + 2 * freq + 10, freq - 20, freq):
@@ -222,20 +229,20 @@ class TestTargetCache:
 
 class TestAgentLoop:
     def test_zero_steps_leave_weights_unchanged(self, tiny_profile, tiny_settings):
-        agent = DQNAgent(make_tiny_env(tiny_profile), tiny_settings, seed=0)
+        agent = make_tiny_agent(tiny_profile, tiny_settings, seed=0)
         before = agent.get_weights()
         agent.run_training_phase(0)
         assert np.array_equal(agent.get_weights(), before)
 
     def test_buffer_grows_with_steps(self, tiny_profile, tiny_settings):
-        agent = DQNAgent(make_tiny_env(tiny_profile), tiny_settings, seed=0)
+        agent = make_tiny_agent(tiny_profile, tiny_settings, seed=0)
         agent.run_training_phase(30)
         assert len(agent.buffer) == 30
         assert agent.total_steps == 30
 
     def test_identical_agents_identical_histories(self, tiny_profile, tiny_settings):
-        a = DQNAgent(make_tiny_env(tiny_profile, seed=3), tiny_settings, seed=11)
-        b = DQNAgent(make_tiny_env(tiny_profile, seed=3), tiny_settings, seed=11)
+        a = make_tiny_agent(tiny_profile, tiny_settings, env_seed=3, seed=11)
+        b = make_tiny_agent(tiny_profile, tiny_settings, env_seed=3, seed=11)
         a.run_training_phase(120)
         b.run_training_phase(120)
         assert np.array_equal(a.log["cost"], b.log["cost"])
@@ -248,7 +255,7 @@ class TestAgentLoop:
         # exactly target_update_freq updates.
         assert tiny_settings.train_every == 1
         batch, freq = tiny_settings.batch_size, tiny_settings.target_update_freq
-        agent = DQNAgent(make_tiny_env(tiny_profile), tiny_settings, seed=1)
+        agent = make_tiny_agent(tiny_profile, tiny_settings, seed=1)
         agent.run_training_phase(batch - 1)
         assert agent.grad_updates == 0
         agent.run_training_phase(1)
@@ -261,8 +268,18 @@ class TestAgentLoop:
         assert agent.grad_updates == freq
         assert np.array_equal(agent.target_net.flat, agent.net.flat)
 
+    def test_sync_target_copies_the_online_weights_bit_for_bit(self, tiny_profile, tiny_settings):
+        agent = make_tiny_agent(tiny_profile, tiny_settings, seed=4)
+        agent.run_training_phase(tiny_settings.batch_size + 5)
+        assert agent.grad_updates < tiny_settings.target_update_freq  # no sync yet
+        assert agent.target_net.flat.tobytes() != agent.net.flat.tobytes()
+        agent.sync_target()
+        assert agent.target_net.flat.tobytes() == agent.net.flat.tobytes()
+        assert agent.target_net.flat is not agent.net.flat
+        assert agent.buffer.stale.all()
+
     def test_set_weights_resets_target_and_optimizer(self, tiny_profile, tiny_settings):
-        agent = DQNAgent(make_tiny_env(tiny_profile), tiny_settings, seed=2)
+        agent = make_tiny_agent(tiny_profile, tiny_settings, seed=2)
         agent.run_training_phase(40)
         fresh = np.zeros(agent.net.flat.size)
         agent.set_weights(fresh)
@@ -273,8 +290,7 @@ class TestAgentLoop:
     def test_stability_at_default_hyperparameters(self, default_profile):
         """No NaN/Inf parameters and no subnormal Adam moments across a long
         run at the defaults."""
-        env = make_tiny_env(default_profile)
-        agent = DQNAgent(env, AgentSettings(), seed=3)
+        agent = make_tiny_agent(default_profile, AgentSettings(), seed=3)
         for _ in range(21):
             agent.run_training_phase(1000)
             assert np.isfinite(agent.net.flat).all()
@@ -286,19 +302,22 @@ class TestAgentLoop:
 class TestValidationProbe:
     def test_schedule_and_rates(self, tiny_profile, tiny_settings):
         probe = ValidationProbe(make_tiny_env(tiny_profile, seed=4), steps=20, interval=25)
-        agent = DQNAgent(make_tiny_env(tiny_profile), tiny_settings, seed=5, validation=probe)
+        agent = make_tiny_agent(tiny_profile, tiny_settings, seed=5, probe=probe)
         agent.run_training_phase(60)
         agent.finalize_validation()
         assert probe.steps_trained == [0, 25, 50]
         assert all(0.0 <= r <= 1.0 for r in probe.rates)
 
     def test_validation_does_not_disturb_training(self, tiny_profile, tiny_settings):
-        """Bit-identical training with and without interleaved validation."""
-        plain = DQNAgent(make_tiny_env(tiny_profile, seed=6), tiny_settings, seed=12)
-        probe = ValidationProbe(make_tiny_env(tiny_profile, seed=7), steps=15, interval=20)
-        probed = DQNAgent(make_tiny_env(tiny_profile, seed=6), tiny_settings, seed=12,
-                          validation=probe)
-        plain.run_training_phase(100)
-        probed.run_training_phase(100)
-        assert np.array_equal(plain.get_weights(), probed.get_weights())
-        assert np.array_equal(plain.log["cost"], probed.log["cost"])
+        """Bit-identical training under two different validation schedules."""
+        probes = [
+            ValidationProbe(make_tiny_env(tiny_profile, seed=7), steps=15, interval=20),
+            ValidationProbe(make_tiny_env(tiny_profile, seed=7), steps=3, interval=7),
+        ]
+        a, b = (make_tiny_agent(tiny_profile, tiny_settings, env_seed=6, seed=12, probe=probe)
+                for probe in probes)
+        a.run_training_phase(100)
+        b.run_training_phase(100)
+        assert [len(probe.rates) for probe in probes] == [5, 15]
+        assert np.array_equal(a.get_weights(), b.get_weights())
+        assert np.array_equal(a.log["cost"], b.log["cost"])

@@ -6,7 +6,7 @@ import pytest
 from fedpart.baseline import BaselineObservation, neurosurgeon_select, run_baseline
 from fedpart.config import ExperimentConfig
 from fedpart.env import CostWeights, energy_per_window, throughput_floor, total_latency_ms
-from fedpart.profiles import CATEGORY_FULL_CLOUD, DeviceProfile
+from fedpart.profiles import CATEGORY_FULL_CLOUD, DeviceProfile, enumerate_configs
 from fedpart.runner import Scenario
 from fedpart.traces import TraceSynthesisSpec, synthesize_trace
 
@@ -83,7 +83,8 @@ def test_run_baseline_matches_a_loop_over_a_twin_env(tiny_profile, objective):
     twin = varying_env(tiny_profile, seed=3)
     floors = (throughput_floor(twin.bounds.wifi), throughput_floor(twin.bounds.fiveg))
     r_wifi, r_5g = twin.wifi_replay.base.mean, twin.fiveg_replay.base.mean
-    cloud = tiny_profile.config_by_category(CATEGORY_FULL_CLOUD).t3
+    cloud = tiny_profile.configs[2].t3
+    assert enumerate_configs(tiny_profile.cut_points)[2].category == CATEGORY_FULL_CLOUD
     kinds = set()
     for row in log:
         obs = BaselineObservation(r_wifi, r_5g, cloud)

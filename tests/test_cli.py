@@ -3,10 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedpart import cli
+from fedpart import cli, runner
 from fedpart.agent import AgentSettings
 from fedpart.config import ExperimentConfig
 from fedpart.network import expected_weight_count, load_checkpoint, save_checkpoint
+from fedpart.profiles import load_profile
 from fedpart.traces import load_trace, synthesize_trace
 
 
@@ -62,6 +63,43 @@ class TestProfileCommand:
         capsys.readouterr()
         assert cli.main(["profile", "validate", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}:6: not a finite number: 'nan'\n"
+
+
+    def test_synth_writes_the_profile_section_even_with_a_profile_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``[inputs] profile_path`` names what ``train`` reads; ``profile
+        synth`` writes what ``[profile]`` synthesizes, and no trace."""
+        existing = tmp_path / "a.profile"
+        assert cli.main(["profile", "synth", "--out", str(existing)]) == 0
+        assert load_profile(existing).n_configs == 105
+        ini = tmp_path / "p.ini"
+        ini.write_text(
+            f"[inputs]\nprofile_path = {existing}\n\n[profile]\ncut_points = 3\n",
+            encoding="utf-8",
+        )
+
+        def no_trace(spec, seed):
+            raise AssertionError("a trace was synthesized")
+
+        monkeypatch.setattr(runner, "synthesize_trace", no_trace)
+        monkeypatch.setattr(cli, "synthesize_trace", no_trace)
+        out = tmp_path / "b.profile"
+        capsys.readouterr()
+        assert cli.main(["profile", "synth", "--config", str(ini), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 15 configs to {out}\n"
+        profile = load_profile(out)
+        assert (profile.cut_points, profile.n_configs) == (3, 15)
+
+
+class TestEnumerateCommand:
+    @pytest.mark.parametrize("cuts, expected", [
+        (12, "105\nfull-device=3 single-split=36 double-split=66 (cuts=12)\n"),
+        (0, "3\nfull-device=3 single-split=0 double-split=0 (cuts=0)\n"),
+    ])
+    def test_counts_by_kind(self, capsys, cuts, expected):
+        assert cli.main(["enumerate", "--cuts", str(cuts)]) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestTrainTransfer:

@@ -46,7 +46,8 @@ def traces(draw):
         length=draw(st.integers(1, 20000)), granularity_ms=draw(positive), mean=draw(positive),
         variability=draw(positive), correlation=draw(st.floats(0.0, 1.0, exclude_max=True)),
         max_value=draw(positive),
-        outage_rate=draw(unit), outage_depth=draw(unit), outage_duration_mean=draw(positive),
+        outage_rate=draw(unit), outage_depth=draw(unit),
+        outage_duration_mean=draw(st.floats(1.0, 1e4)),
     )
 
 
@@ -219,6 +220,14 @@ class TestParse:
         ("[profile]\ndelta0 = -1\n", "[profile] delta0 must be > 0, got -1.0"),
         ("[profile]\ntotal_flops = 0\n", "[profile] total_flops must be > 0, got 0.0"),
         ("[profile]\ncut_points = 0\n", "[profile] cut_points must be >= 1 for synthesis, got 0"),
+        ("[wifi]\noutage_rate = -1\n", "[wifi] outage_rate must be in [0, 1], got -1.0"),
+        ("[wifi]\noutage_rate = 5\n", "[wifi] outage_rate must be in [0, 1], got 5.0"),
+        ("[wifi]\noutage_depth = -0.5\n", "[wifi] outage_depth must be in [0, 1], got -0.5"),
+        ("[fiveg]\noutage_depth = 1.5\n", "[fiveg] outage_depth must be in [0, 1], got 1.5"),
+        ("[wifi]\noutage_duration_mean = -4\n",
+         "[wifi] outage_duration_mean must be >= 1, got -4.0"),
+        ("[fiveg]\noutage_duration_mean = 0.5\n",
+         "[fiveg] outage_duration_mean must be >= 1, got 0.5"),
     ])
     def test_rejected_values_name_their_section(self, text, prefix):
         with pytest.raises(ConfigError) as info:
@@ -250,6 +259,7 @@ class TestCliErrors:
         ("[devices]\nz_sew = nan\n", "error: [devices] z_sew: must be finite"),
         ("[wifi]\nmean = nan\n", "error: [wifi] mean: must be finite"),
         ("[profile]\nsew_mflops_per_ms = 0\n", "error: [profile] sew_mflops_per_ms must be > 0"),
+        ("[wifi]\noutage_depth = -0.5\n", "error: [wifi] outage_depth must be in [0, 1]"),
     ])
     def test_domain_rejected_value_is_an_error_not_a_traceback(
         self, tmp_path, capsys, text, prefix

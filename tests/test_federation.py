@@ -19,9 +19,8 @@ from fedpart.federation import (
     schedule_roles,
     slow_step_count,
 )
-from fedpart.network import QNetwork
 
-from conftest import make_tiny_env
+from conftest import make_tiny_env, quiet_probe
 
 
 @st.composite
@@ -132,7 +131,9 @@ class _Builder:
         self.test_pid = os.getpid()
 
     def build(self, index, seq):
-        agent = DQNAgent(make_tiny_env(self.profile, seed=index), self.settings, seed=seq)
+        agent = DQNAgent(
+            make_tiny_env(self.profile, seed=index), self.settings, seq, quiet_probe(self.profile)
+        )
         if index in (self.poisoned, self.exits):
             train = agent.run_training_phase
 
@@ -147,13 +148,9 @@ class _Builder:
             agent.run_training_phase = run_training_phase
         return agent
 
-    def network_spec(self):
-        return {
-            "n_actions": self.profile.n_configs + 1,
-            "hidden": self.settings.hidden,
-            "dropout_rates": self.settings.dropout_rates,
-            "dtype": np.dtype(self.settings.dtype),
-        }
+    def initial_weights(self, seq):
+        n_actions = self.profile.n_configs + 1
+        return self.settings.network(n_actions, np.random.default_rng(seq)).get_weights()
 
 
 class TestRunFederation:
@@ -206,7 +203,8 @@ class TestZeroSteps:
         builder = _UnbuildableBuilder(tiny_profile, tiny_settings, poisoned=None)
         result = run_federation(config, builder, 2, workers=workers)
         _, net_seq, _ = derive_seed_sequences(config, 2)
-        expected = QNetwork(rng=np.random.default_rng(net_seq), **builder.network_spec())
+        n_actions = tiny_profile.n_configs + 1
+        expected = tiny_settings.network(n_actions, np.random.default_rng(net_seq))
         assert np.array_equal(result.final_weights, expected.get_weights())
         assert result.schedule_rows == [] and result.agent_logs == []
 

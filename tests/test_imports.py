@@ -1,6 +1,8 @@
-"""Names under ``src/fedpart/`` are used: no unused imports, no test-only API;
-``tests/`` has no unused imports either. The worker pool's modules stay off
-the import path of ``fedpart.cli``.
+"""Names under ``src/fedpart/`` are used: no unused imports, no test-only API,
+no parameter its function never reads; ``tests/`` has no unused imports
+either. The worker pool's modules stay off the import path of
+``fedpart.cli``, the network imports nothing from ``fedpart`` and the
+federation does not import the network.
 
 No linter is installed, so these are stdlib ``ast`` checks.
 """
@@ -161,3 +163,99 @@ def test_importing_the_cli_loads_no_pool_module():
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+def fedpart_imports(path: Path) -> list[str]:
+    """Modules of ``fedpart`` a file imports anywhere, relative ones as written."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name.split(".")[0] == "fedpart"]
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            dots = "." * node.level
+            names = [dots + node.module] if node.module else [dots + a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "fedpart":
+            names = [node.module]
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}: {name}" for name in names]
+    return found
+
+
+def test_the_network_imports_nothing_from_fedpart():
+    assert fedpart_imports(SRC / "network.py") == []
+
+
+def test_the_federation_does_not_import_the_network():
+    """The master draws initial weights through the builder, not a ``QNetwork``."""
+    imported = fedpart_imports(SRC / "federation.py")
+    assert [e for e in imported if e.rsplit(".", 1)[-1] == "network"] == []
+
+
+def test_the_fedpart_import_check_sees_every_form(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import numpy\nimport fedpart.env\nfrom fedpart.network import QNetwork\n"
+        "from . import network\n\ndef f():\n    from ..agent import DQNAgent\n",
+        encoding="utf-8",
+    )
+    assert fedpart_imports(module) == [
+        "mod.py:2: fedpart.env", "mod.py:3: fedpart.network", "mod.py:4: .network",
+        "mod.py:7: ..agent",
+    ]
+
+
+def unread_parameters(path: Path) -> list[str]:
+    """Parameters, other than ``self`` and ``cls``, that their function never reads."""
+    found = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                a = child.args
+                params = [
+                    p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+                    if p is not None and p.arg not in ("self", "cls")
+                ]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                nodes = [n for stmt in body for n in ast.walk(stmt)]
+                read = {n.id for n in nodes
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                read |= {n.target.id for n in nodes  # ``x += 1`` reads ``x``
+                         if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+                found.extend(f"{path.name}: {prefix}{name}({p})" for p in params if p not in read)
+                prefix_inner = f"{prefix}{name}."
+            else:
+                prefix_inner = prefix
+            visit(child, prefix_inner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+# The builder protocol passes every builder the agent index; this one needs only the seed.
+UNREAD_BY_PROTOCOL = ["runner.py: AgentBuilder.build(index)"]
+
+
+def test_every_parameter_is_read():
+    unread = [entry for path in sorted(SRC.glob("*.py")) for entry in unread_parameters(path)]
+    assert unread == UNREAD_BY_PROTOCOL
+
+
+def test_the_parameter_check_sees_an_unread_parameter(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "def f(a, b, *rest, c=1, d=0, **kw):\n    d += 1\n    return a + c\n\n"
+        "class A:\n    def m(self, x, y):\n        def inner(z):\n            return y\n"
+        "        return inner\n\n"
+        "key = lambda row, unused: row\n",
+        encoding="utf-8",
+    )
+    assert unread_parameters(module) == [
+        "mod.py: f(b)", "mod.py: f(rest)", "mod.py: f(kw)",
+        "mod.py: A.m(x)", "mod.py: A.m.inner(z)", "mod.py: <lambda>(unused)",
+    ]

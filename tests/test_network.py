@@ -18,9 +18,9 @@ from conftest import subnormal_count
 def td_loss(net: QNetwork, target_net: QNetwork, batch, gamma: float) -> float:
     """Mean squared TD error of a batch, eval-mode (no dropout), no update."""
     states, actions, rewards, next_states = batch
-    q_next = target_net.forward(np.asarray(next_states, dtype=target_net.dtype))
+    q_next, _ = target_net.forward_cached(next_states, train=False)
     targets = np.asarray(rewards, dtype=net.dtype) + gamma * q_next.max(axis=1)
-    q = net.forward(np.asarray(states, dtype=net.dtype))
+    q, _ = net.forward_cached(states, train=False)
     chosen = q[np.arange(len(actions)), actions]
     return float(np.mean((chosen - targets) ** 2))
 
@@ -44,8 +44,8 @@ class TestForward:
         assert np.array_equal(q, np.zeros(net.n_actions))
 
     def test_eval_mode_deterministic(self):
-        net = QNetwork(7, rng=np.random.default_rng(1))
-        x = np.random.default_rng(2).random((16, 5))
+        net = QNetwork(7, input_dim=5, rng=np.random.default_rng(1))
+        x = np.random.default_rng(2).random(5)
         assert np.array_equal(net.forward(x), net.forward(x))
 
     def test_hand_computed_two_unit_net(self):
@@ -67,11 +67,19 @@ class TestForward:
         with pytest.raises(ValueError):
             net.forward(np.zeros(4))
 
+    def test_a_batch_is_rejected(self):
+        """``forward`` is one state; batches go through ``forward_cached``."""
+        net = toy_net()
+        with pytest.raises(ValueError, match="one state"):
+            net.forward(np.zeros((2, 5)))
+        with pytest.raises(ValueError, match="one state"):
+            net.forward(np.zeros((1, 5)))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_dropout_mask_is_inverted(self, dtype):
         """Train-mode masks take only {0, 1/(1-r)} and average 1 per layer."""
         rates = (0.4, 0.3, 0.0)
-        net = QNetwork(4, hidden=(64, 64, 32), dropout_rates=rates,
+        net = QNetwork(4, hidden=(64, 64, 32), dropout_rates=rates, input_dim=5,
                        rng=np.random.default_rng(3), dtype=dtype)
         x = np.random.default_rng(4).random((8, 5))
         rng = np.random.default_rng(5)
@@ -101,11 +109,12 @@ class TestForward:
         x = np.random.default_rng(4).random((8, 5))
 
         def max_z(dropout_rates, draws=2000):
-            net = QNetwork(4, hidden=(64, 64, 32), dropout_rates=dropout_rates,
+            net = QNetwork(4, hidden=(64, 64, 32), dropout_rates=dropout_rates, input_dim=5,
                            rng=np.random.default_rng(3), dtype=np.float64)
-            eval_q = net.forward(x)
+            eval_q = net.forward_cached(x, train=False)[0].copy()
             rng = np.random.default_rng(5)
-            q = np.stack([net.forward(x, train=True, rng=rng) for _ in range(draws)])
+            q = np.stack([net.forward_cached(x, train=True, rng=rng)[0].copy()
+                          for _ in range(draws)])
             stderr = q.std(axis=0, ddof=1) / np.sqrt(draws)
             return np.max(np.abs(q.mean(axis=0) - eval_q) / stderr)
 
@@ -127,7 +136,7 @@ class TestDropoutMaskStream:
     def test_odd_sized_masks_follow_the_raw_word_rule(self, dtype):
         """Batch 7 x width 3: 21 units take 6 words, the last one in part."""
         rates = (0.4, 0.3, 0.0)
-        net = QNetwork(2, hidden=(3, 3, 3), dropout_rates=rates,
+        net = QNetwork(2, hidden=(3, 3, 3), dropout_rates=rates, input_dim=5,
                        rng=np.random.default_rng(1), dtype=dtype)
         x = np.random.default_rng(2).random((7, 5))
         rng, twin = np.random.default_rng(3), np.random.default_rng(3)
@@ -142,7 +151,8 @@ class TestDropoutMaskStream:
 
     @pytest.mark.parametrize("rate", [0.4, 0.3, 0.1])
     def test_keep_fraction_is_the_quantised_rate(self, rate):
-        net = QNetwork(4, hidden=(64,), dropout_rates=(rate,), rng=np.random.default_rng(3))
+        net = QNetwork(4, hidden=(64,), dropout_rates=(rate,), input_dim=5,
+                       rng=np.random.default_rng(3))
         x = np.random.default_rng(4).random((512, 5))
         rng = np.random.default_rng(5)
         kept = [net.forward_cached(x, train=True, rng=rng)[1][2][0] > 0 for _ in range(20)]
@@ -151,7 +161,8 @@ class TestDropoutMaskStream:
         assert abs(np.mean(kept) - p) < 4.0 * np.sqrt(p * (1.0 - p) / n)
 
     def test_eval_forward_draws_nothing(self):
-        net = QNetwork(4, hidden=(8, 8), dropout_rates=(0.4, 0.3), rng=np.random.default_rng(3))
+        net = QNetwork(4, hidden=(8, 8), dropout_rates=(0.4, 0.3), input_dim=5,
+                       rng=np.random.default_rng(3))
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         net.forward_cached(np.ones((7, 5)), train=False, rng=rng)
@@ -160,7 +171,7 @@ class TestDropoutMaskStream:
     @pytest.mark.parametrize("rates", [(1.5, 0.3), (0.4, float("nan")), (0.999995, 0.0)])
     def test_bad_rates_are_rejected(self, rates):
         with pytest.raises(ValueError, match="dropout_rates"):
-            QNetwork(4, hidden=(8, 8), dropout_rates=rates)
+            QNetwork(4, hidden=(8, 8), dropout_rates=rates, input_dim=5)
 
 
 class TestGradients:
@@ -222,7 +233,7 @@ class TestGradients:
         rows = np.arange(7)
 
         def loss() -> float:
-            q = net.forward(states, train=True, rng=copy.deepcopy(dropout_rng))
+            q, _ = net.forward_cached(states, train=True, rng=copy.deepcopy(dropout_rng))
             return float(np.mean((q[rows, actions] - targets) ** 2))
 
         q, cache = net.forward_cached(states, train=True, rng=copy.deepcopy(dropout_rng))
@@ -251,21 +262,23 @@ class TestGradients:
 
 class TestWeightVector:
     def test_round_trip_identity(self):
-        net = QNetwork(9, rng=np.random.default_rng(7))
+        net = QNetwork(9, input_dim=5, rng=np.random.default_rng(7))
         x = np.random.default_rng(8).random((4, 5))
-        before = net.forward(x)
+        before = net.forward_cached(x, train=False)[0].copy()
         net.set_weights(net.get_weights())
-        assert np.array_equal(net.forward(x), before)
+        assert np.array_equal(net.forward_cached(x, train=False)[0], before)
 
     def test_two_nets_same_weights_same_outputs(self):
-        a = QNetwork(6, rng=np.random.default_rng(1))
-        b = QNetwork(6, rng=np.random.default_rng(2))
+        a = QNetwork(6, input_dim=5, rng=np.random.default_rng(1))
+        b = QNetwork(6, input_dim=5, rng=np.random.default_rng(2))
         b.set_weights(a.get_weights())
         x = np.random.default_rng(3).random((10, 5))
-        assert np.array_equal(a.forward(x), b.forward(x))
+        q_a, _ = a.forward_cached(x, train=False)
+        q_b, _ = b.forward_cached(x, train=False)
+        assert np.array_equal(q_a, q_b)
 
     def test_length_formula(self):
-        net = QNetwork(106)
+        net = QNetwork(106, input_dim=5)
         dims = (5, 100, 100, 60, 106)
         expected = sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
         assert net.get_weights().size == expected == expected_weight_count(dims)
@@ -343,7 +356,7 @@ class TestOptimizers:
 
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
-        net = QNetwork(11, rng=np.random.default_rng(4))
+        net = QNetwork(11, input_dim=5, rng=np.random.default_rng(4))
         path = tmp_path / "weights.ckpt"
         save_checkpoint(path, net.dims, net.get_weights())
         dims, weights = load_checkpoint(path)
@@ -356,7 +369,7 @@ class TestCheckpoints:
         assert path.read_text(encoding="utf-8") == expected
 
     def test_wrong_count_rejected(self, tmp_path):
-        net = QNetwork(3, hidden=(4, 4, 4))
+        net = QNetwork(3, hidden=(4, 4, 4), input_dim=5)
         with pytest.raises(ValueError):
             save_checkpoint(tmp_path / "x.ckpt", net.dims, np.zeros(10))
 

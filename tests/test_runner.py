@@ -8,6 +8,7 @@ from fedpart.baseline import run_baseline
 from fedpart.config import apply_overrides, parse_config
 from fedpart.env import CostWeights, resolve_cost_weights
 from fedpart.federation import derive_seed_sequences
+from fedpart.network import expected_weight_count
 from fedpart.profiles import ApplicationProfile
 from fedpart.traces import PerturbedReplay
 
@@ -113,6 +114,14 @@ def test_baseline_replays_each_agents_training_env(objective):
         agent_seqs, _, _ = derive_seed_sequences(config.federation, seed)
         env = builder.build(m, agent_seqs[m]).env
         assert np.array_equal(log, run_baseline(env, objective, 40))
+
+
+def test_agents_and_initial_weights_share_the_checkpoint_dims():
+    builder = runner.AgentBuilder(runner.build_scenario(parse_config(TINY_INI)))
+    weights = builder.initial_weights(np.random.SeedSequence(4))
+    assert weights.dtype == np.float64
+    assert weights.size == expected_weight_count(builder.dims())
+    assert builder.build(0, np.random.SeedSequence(4)).net.dims == builder.dims()
 
 
 def test_an_experiment_builds_its_scenario_once(tmp_path, monkeypatch):
