@@ -112,7 +112,7 @@ def train_step(
     batch,
     gamma: float,
     optimizer,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> float:
     """One gradient step on the squared TD error; returns the pre-update loss.
 
@@ -167,6 +167,8 @@ class AgentSettings:
             raise ValueError("target_update_freq and train_every must be >= 1")
         if not self.lr > 0.0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if len(self.dropout_rates) != len(self.hidden):
@@ -177,12 +179,13 @@ class AgentSettings:
         for rate in self.dropout_rates:
             drop_threshold(rate)
 
+    def dims(self, n_actions: int) -> tuple[int, ...]:
+        """Network layer widths, input to output, as a checkpoint records them."""
+        return (OBS_DIM, *self.hidden, n_actions)
+
     def network(self, n_actions: int, rng: np.random.Generator) -> QNetwork:
         """A fresh online network over the env's observation, its weights drawn from ``rng``."""
-        return QNetwork(
-            n_actions, self.hidden, self.dropout_rates,
-            input_dim=OBS_DIM, rng=rng, dtype=np.dtype(self.dtype),
-        )
+        return QNetwork(self.dims(n_actions), self.dropout_rates, rng=rng, dtype=self.dtype)
 
 
 class ValidationProbe:
@@ -194,7 +197,7 @@ class ValidationProbe:
     schedule.
     """
 
-    def __init__(self, env: OffloadEnv, steps: int = 300, interval: int = 250):
+    def __init__(self, env: OffloadEnv, steps: int, interval: int):
         if steps < 1 or interval < 1:
             raise ValueError("steps and interval must be >= 1")
         self.env = env

@@ -64,6 +64,8 @@ class InputsSection:
             raise ValueError(f"floor_frac must be in (0, 1], got {self.floor_frac}")
         if self.noise_rel < 0:
             raise ValueError(f"noise_rel must be >= 0, got {self.noise_rel}")
+        if self.trace_seed < 0:
+            raise ValueError(f"trace_seed must be >= 0, got {self.trace_seed}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,8 @@ class RunSection:
         for name in ("n_runs", "workers", "validation_interval", "validation_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
 @dataclass(frozen=True)

@@ -118,11 +118,6 @@ STEP_LOG = np.dtype(
 )
 
 
-def throughput_floor(bound_max: float, floor_frac: float = 0.001) -> float:
-    """Positive floor applied to raw throughput before any division."""
-    return floor_frac * bound_max
-
-
 def total_latency_ms(
     config: PartitionConfig, r_wifi: float, r_5g: float, cloud_latency_ms: float
 ) -> float:
@@ -205,24 +200,22 @@ def resolve_cost_weights(
     weights: CostWeights,
     profile: ApplicationProfile,
     devices: DeviceProfile,
-    bounds: ObservationBounds,
-    floor_frac: float = 0.001,
+    wifi_floor: float,
+    fiveg_floor: float,
 ) -> CostWeights:
     """Fill unset normalization constants from the profile's worst case.
 
     Each constant is the maximum per-window component over the whole config
-    space evaluated at the throughput floor (the worst transmit conditions),
-    so clamped ratios reach 1 only in genuinely extreme windows.
+    space at ``wifi_floor`` and ``fiveg_floor`` (the worst transmit
+    conditions), so clamped ratios reach 1 only in genuinely extreme windows.
     """
     if weights.resolved:
         return weights
-    r_wifi = throughput_floor(bounds.wifi, floor_frac)
-    r_5g = throughput_floor(bounds.fiveg, floor_frac)
     e_sew_max = 0.0
     e_phone_max = 0.0
     c5_max = 0.0
     for cfg in profile.configs:
-        e_sew, e_phone = energy_per_window(cfg, r_wifi, r_5g, devices, weights)
+        e_sew, e_phone = energy_per_window(cfg, wifi_floor, fiveg_floor, devices, weights)
         e_sew_max = max(e_sew_max, weights.alpha * e_sew)
         e_phone_max = max(e_phone_max, weights.alpha * e_phone)
         c5_max = max(c5_max, comm_cost_5g(cfg, weights))
@@ -257,7 +250,7 @@ class OffloadEnv:
     deployed config's SEW and phone latencies, and the sampled cloud latency
     (0 without a cloud stage). ``observe`` returns it normalized.
     ``wifi_floor`` and ``fiveg_floor`` are the throughput floors applied
-    before any division.
+    before any division: ``floor_frac`` of the Wi-Fi and 5G bounds.
     """
 
     def __init__(
@@ -273,13 +266,14 @@ class OffloadEnv:
     ):
         self.profile = profile
         self.devices = devices
-        self.weights = resolve_cost_weights(weights, profile, devices, bounds, floor_frac)
+        self.wifi_floor = floor_frac * bounds.wifi
+        self.fiveg_floor = floor_frac * bounds.fiveg
+        floors = (self.wifi_floor, self.fiveg_floor)
+        self.weights = resolve_cost_weights(weights, profile, devices, *floors)
         self.bounds = bounds
         self.wifi_replay = wifi_replay
         self.fiveg_replay = fiveg_replay
         self.cloud_rng = cloud_rng
-        self.wifi_floor = throughput_floor(bounds.wifi, floor_frac)
-        self.fiveg_floor = throughput_floor(bounds.fiveg, floor_frac)
         self.reset()
 
     @property

@@ -332,8 +332,8 @@ def run_federation(
     config: FederationConfig,
     builder,
     master_seed: int,
-    initial_weights: np.ndarray | None = None,
-    workers: int = 1,
+    initial_weights: np.ndarray | None,
+    workers: int,
 ) -> FederationResult:
     """Execute the full federated training loop.
 
@@ -341,6 +341,7 @@ def run_federation(
     returns a ``DQNAgent`` with its validation probe, and
     ``initial_weights(seed_sequence)`` returns a flat weight vector, called
     with the master seed's network stream when ``initial_weights`` is None.
+    Above 1, ``workers`` forks that many processes, at most one per agent.
     Weight math runs in float64. Per-agent seeds derive from
     ``master_seed``, so repeated runs are bit-identical regardless of
     ``workers``. With zero steps no agent is built: the initial weights

@@ -9,8 +9,8 @@ layer-major W-then-b order), so weight exchange is a single copy and the
 optimizer updates one contiguous array. Forward/backward reuse per-batch
 scratch buffers: ``forward_cached`` and ``backward`` return arrays that are
 overwritten by the next call on the same network; copy them to keep them.
-float32 by default for speed; pass ``dtype=np.float64`` where precision
-matters (e.g. gradient checks).
+The caller chooses the dtype: runs take it from ``[agent] dtype`` (float32
+unless set), and gradient checks use float64.
 """
 
 from __future__ import annotations
@@ -47,9 +47,10 @@ def expected_weight_count(layer_dims: tuple[int, ...]) -> int:
 class QNetwork:
     """MLP mapping a state vector to one value per action.
 
-    ``forward`` takes one 1-D state of ``input_dim`` entries and runs in
-    eval mode; batches, and every training-mode forward, go through
-    ``forward_cached``.
+    ``dims`` are the layer widths as a checkpoint records them: ``dims[0]``
+    state entries, the hidden widths, then ``dims[-1]`` actions. ``forward``
+    takes one 1-D state of ``dims[0]`` entries and runs in eval mode;
+    batches, and every training-mode forward, go through ``forward_cached``.
 
     ``dropout_rates`` apply inverted dropout to the hidden activations in
     training-mode forwards only; eval forwards are deterministic. Kept units
@@ -70,18 +71,16 @@ class QNetwork:
 
     def __init__(
         self,
-        n_actions: int,
-        hidden: tuple[int, ...] = (100, 100, 60),
-        dropout_rates: tuple[float, ...] = (0.4, 0.3, 0.0),
+        dims: tuple[int, ...],
+        dropout_rates: tuple[float, ...],
         *,
-        input_dim: int,
-        rng: np.random.Generator | None = None,
-        dtype=np.float32,
+        rng: np.random.Generator,
+        dtype,
     ):
-        if len(dropout_rates) != len(hidden):
+        if len(dropout_rates) != len(dims) - 2:
             raise ValueError("need one dropout rate per hidden layer")
         thresholds = [drop_threshold(r) for r in dropout_rates]
-        self.dims = (input_dim, *hidden, n_actions)
+        self.dims = tuple(dims)
         self.dropout_rates = tuple(float(r) for r in dropout_rates)
         self.dtype = np.dtype(dtype)
         one = self.dtype.type(1.0)
@@ -91,7 +90,6 @@ class QNetwork:
             for r, t in zip(self.dropout_rates, thresholds)
         )
         self._allocate()
-        rng = rng or np.random.default_rng()
         for w, fan_in in zip(self.weights, self.dims[:-1]):
             bound = 1.0 / np.sqrt(fan_in)
             w[...] = rng.uniform(-bound, bound, size=w.shape)
@@ -257,7 +255,7 @@ class AdamOptimizer:
     subnormal arithmetic makes every step several times slower. The flush
     does not change the trained weights in practice: a first moment below
     ``tiny`` moves a parameter by less than ``10 * lr * tiny / eps`` (the 10
-    bounds the bias correction; 5e-31 at the defaults in float32), under
+    bounds the bias correction; 5e-31 at lr 0.04 and eps 1e-8 in float32), under
     half an ulp of any parameter larger in magnitude than about 1e-23. A
     second moment below ``tiny`` enters the step as ``sqrt(v_hat) + eps``
     with ``sqrt(v_hat) < sqrt(tiny / (1 - beta2))`` (the bias correction
@@ -267,7 +265,7 @@ class AdamOptimizer:
     operation, as in plain Adam.
     """
 
-    def __init__(self, params: np.ndarray, lr: float = 0.04, beta1: float = 0.9,
+    def __init__(self, params: np.ndarray, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1

@@ -224,6 +224,8 @@ class ProfileSpec:
         ):
             if not getattr(self, name) > 0:
                 raise ProfileError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.rng_seed < 0:
+            raise ProfileError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def synthesize_profile(spec: ProfileSpec) -> ApplicationProfile:

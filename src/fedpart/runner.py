@@ -20,7 +20,7 @@ from . import __version__
 from .agent import DQNAgent, ValidationProbe
 from .baseline import run_baseline
 from .config import ConfigError, ExperimentConfig, dump_config
-from .env import OBS_DIM, STEP_LOG, OffloadEnv
+from .env import STEP_LOG, OffloadEnv
 from .federation import FederationResult, ScheduleRow, derive_seed_sequences, run_federation
 from .metrics import band, moving_avg_violations
 from .network import load_checkpoint, save_checkpoint
@@ -91,9 +91,7 @@ class AgentBuilder:
         config = self.scenario.config
         env = self.scenario.env(env_seq)
         probe = ValidationProbe(
-            self.scenario.env(val_seq),
-            steps=config.run.validation_steps,
-            interval=config.run.validation_interval,
+            self.scenario.env(val_seq), config.run.validation_steps, config.run.validation_interval
         )
         return DQNAgent(env, config.agent, learner_seq, probe)
 
@@ -104,8 +102,7 @@ class AgentBuilder:
 
     def dims(self) -> tuple[int, ...]:
         """Network layer widths, input to output, as a checkpoint records them."""
-        hidden = self.scenario.config.agent.hidden
-        return (OBS_DIM, *hidden, self.scenario.profile.n_configs + 1)
+        return self.scenario.config.agent.dims(self.scenario.profile.n_configs + 1)
 
 
 class Experiment(NamedTuple):
@@ -119,9 +116,9 @@ def master_seeds(config: ExperimentConfig) -> list[int]:
     return [config.run.base_seed + i for i in range(config.run.n_runs)]
 
 
-def run_experiment(config: ExperimentConfig, checkpoint=None) -> Experiment:
+def run_experiment(config: ExperimentConfig, checkpoint) -> Experiment:
     """Run every master seed on one scenario, warm-started from ``checkpoint``
-    if given; a checkpoint of other network dims is a ``ConfigError``."""
+    unless it is None; a checkpoint of other network dims is a ``ConfigError``."""
     builder = AgentBuilder(build_scenario(config))
     dims, weights = builder.dims(), None
     if checkpoint is not None:
@@ -129,10 +126,7 @@ def run_experiment(config: ExperimentConfig, checkpoint=None) -> Experiment:
         if found != dims:
             raise ConfigError(f"checkpoint dims {found} do not match the config's {dims}")
     runs = {
-        seed: run_federation(
-            config.federation, builder, seed,
-            initial_weights=weights, workers=config.run.workers,
-        )
+        seed: run_federation(config.federation, builder, seed, weights, config.run.workers)
         for seed in master_seeds(config)
     }
     return Experiment(dims, runs)

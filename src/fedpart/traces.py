@@ -24,7 +24,7 @@ class Trace:
     """A time series of throughput samples at a fixed sampling period."""
 
     samples: np.ndarray
-    granularity_ms: float = 250.0
+    granularity_ms: float
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -189,9 +189,9 @@ class PerturbedReplay:
         self,
         base: Trace,
         seed,
-        noise_rel: float = 0.10,
-        shift_enabled: bool = True,
-        inversion_enabled: bool = True,
+        noise_rel: float,
+        shift_enabled: bool,
+        inversion_enabled: bool,
     ):
         if noise_rel < 0:
             raise TraceError("noise_rel must be >= 0")

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fedpart.agent import AgentSettings, DQNAgent, ValidationProbe
-from fedpart.config import ExperimentConfig
+from fedpart.config import ExperimentConfig, InputsSection
 from fedpart.env import CostWeights
+from fedpart.network import QNetwork
 from fedpart.profiles import ProfileSpec, synthesize_profile
 from fedpart.runner import Scenario
 from fedpart.traces import Trace, TraceSynthesisSpec, synthesize_trace
@@ -46,6 +47,22 @@ def tiny_settings():
 def subnormal_count(a: np.ndarray) -> int:
     """Number of nonzero entries smaller in magnitude than ``finfo(a.dtype).tiny``."""
     return int(np.count_nonzero((a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)))
+
+
+def make_net(dims, dropout, seed, dtype):
+    """A ``QNetwork`` of layer widths ``dims``, its weights drawn from ``default_rng(seed)``."""
+    return QNetwork(dims, dropout, rng=np.random.default_rng(seed), dtype=dtype)
+
+
+def paper_net(n_actions, seed):
+    """A network as ``[agent]``'s defaults build it, weights drawn from ``default_rng(seed)``."""
+    return AgentSettings().network(n_actions, np.random.default_rng(seed))
+
+
+def default_floors(bounds):
+    """The Wi-Fi and 5G throughput floors of ``bounds`` at ``[inputs]``'s default floor_frac."""
+    floor_frac = InputsSection().floor_frac
+    return floor_frac * bounds.wifi, floor_frac * bounds.fiveg
 
 
 def make_tiny_env(profile, seed=0, l_max=400.0, weights=None):

@@ -12,7 +12,7 @@ from fedpart.agent import (
 from fedpart.env import STEP_LOG
 from fedpart.network import AdamOptimizer, QNetwork
 
-from conftest import make_tiny_agent, make_tiny_env, subnormal_count
+from conftest import make_net, make_tiny_agent, make_tiny_env, subnormal_count
 
 
 class TestReplayBuffer:
@@ -32,13 +32,12 @@ class TestReplayBuffer:
     def test_sample_too_large_rejected(self):
         buf = ReplayBuffer(8, 2, np.float32)
         buf.push([0, 0], 0, 0.0, [0, 0])
-        target = QNetwork(3, hidden=(4,), dropout_rates=(0.0,), input_dim=2)
+        target = make_net((2, 4, 3), (0.0,), 0, np.float32)
         with pytest.raises(ValueError):
             buf.sample(2, np.random.default_rng(0), target)
 
     def test_sample_shapes(self):
-        target = QNetwork(3, hidden=(4,), dropout_rates=(0.0,), input_dim=5,
-                          rng=np.random.default_rng(0))
+        target = make_net((5, 4, 3), (0.0,), 0, np.float32)
         buf = ReplayBuffer(8, 5, np.float32)
         for i in range(6):
             buf.push(np.full(5, i), i, float(i), np.full(5, i + 1))
@@ -53,22 +52,19 @@ class TestReplayBuffer:
 
 class TestSelectAction:
     def test_greedy_takes_argmax(self):
-        net = QNetwork(4, hidden=(4,), dropout_rates=(0.0,), input_dim=5,
-                       rng=np.random.default_rng(0))
+        net = make_net((5, 4, 4), (0.0,), 0, np.float32)
         state = np.random.default_rng(1).random(5)
         q = net.forward(state)
         act = select_action(net, state, 0.0, np.random.default_rng(2))
         assert act == int(np.argmax(q))
 
     def test_tie_breaks_to_lowest_index(self):
-        net = QNetwork(8, hidden=(4,), dropout_rates=(0.0,), input_dim=5,
-                       rng=np.random.default_rng(0))
+        net = make_net((5, 4, 8), (0.0,), 0, np.float32)
         net.set_weights(np.zeros(net.flat.size))  # all q equal zero
         assert select_action(net, np.ones(5), 0.0, np.random.default_rng(0)) == 0
 
     def test_argmax_invariant_under_constant_shift(self):
-        net = QNetwork(5, hidden=(6,), dropout_rates=(0.0,), input_dim=5,
-                       rng=np.random.default_rng(3))
+        net = make_net((5, 6, 5), (0.0,), 3, np.float32)
         state = np.random.default_rng(4).random(5)
         base = select_action(net, state, 0.0, np.random.default_rng(0))
         shifted = net.clone()
@@ -77,8 +73,7 @@ class TestSelectAction:
 
     def test_full_exploration_is_uniform(self):
         """epsilon = 1: empirical action frequencies close to uniform."""
-        net = QNetwork(4, hidden=(4,), dropout_rates=(0.0,), input_dim=5,
-                       rng=np.random.default_rng(0))
+        net = make_net((5, 4, 4), (0.0,), 0, np.float32)
         rng = np.random.default_rng(123)
         state = np.zeros(5)
         counts = np.zeros(4)
@@ -88,7 +83,7 @@ class TestSelectAction:
         assert np.all(np.abs(counts / n - 0.25) / 0.25 < 0.01)
 
     def test_epsilon_out_of_range_rejected(self):
-        net = QNetwork(3, hidden=(4,), dropout_rates=(0.0,), input_dim=5)
+        net = make_net((5, 4, 3), (0.0,), 0, np.float32)
         with pytest.raises(ValueError):
             select_action(net, np.zeros(5), 1.5, np.random.default_rng(0))
 
@@ -101,33 +96,31 @@ def max_target_q(target: QNetwork, next_states) -> np.ndarray:
 
 class TestTrainStep:
     def test_gamma_zero_single_transition_loss(self):
-        net = QNetwork(3, hidden=(4, 4, 3), dropout_rates=(0.0, 0.0, 0.0), input_dim=5,
-                       rng=np.random.default_rng(5), dtype=np.float64)
+        net = make_net((5, 4, 4, 3, 3), (0.0, 0.0, 0.0), 5, np.float64)
         target = net.clone()
         opt = AdamOptimizer(net.flat, lr=0.0)  # lr 0: measure loss only
         s = np.random.default_rng(6).random((1, 5))
         batch = (s, np.array([1]), np.array([0.7]), max_target_q(target, s))
         q_before = net.forward(s[0])
-        loss = train_step(net, batch, 0.0, opt)
+        loss = train_step(net, batch, 0.0, opt, np.random.default_rng(0))
         assert loss == pytest.approx((0.7 - q_before[1]) ** 2, rel=1e-9)
 
     def test_single_transition_converges_to_reward(self):
         """gamma=0 fixed-point: Q(s, a) is driven to r."""
-        net = QNetwork(3, hidden=(8, 8, 4), dropout_rates=(0.0, 0.0, 0.0), input_dim=5,
-                       rng=np.random.default_rng(7), dtype=np.float64)
+        net = make_net((5, 8, 8, 4, 3), (0.0, 0.0, 0.0), 7, np.float64)
         target = net.clone()
         opt = AdamOptimizer(net.flat, lr=0.01)
         s = np.random.default_rng(8).random((1, 5))
         batch = (s, np.array([2]), np.array([-0.4]), max_target_q(target, s))
-        losses = [train_step(net, batch, 0.0, opt) for _ in range(5000)]
+        rng = np.random.default_rng(0)  # no dropout: nothing is drawn from it
+        losses = [train_step(net, batch, 0.0, opt, rng) for _ in range(5000)]
         assert abs(net.forward(s[0])[2] - (-0.4)) < 1e-3
         # coarse monotonicity: block means of the loss decrease to convergence
         blocks = np.asarray(losses[:2000]).reshape(20, 100).mean(axis=1)
         assert np.all(np.diff(blocks) < 1e-9)
 
     def test_target_network_treated_as_constant(self):
-        net = QNetwork(3, hidden=(4,), dropout_rates=(0.0,), input_dim=5,
-                       rng=np.random.default_rng(9))
+        net = make_net((5, 4, 3), (0.0,), 9, np.float32)
         target = net.clone()
         before = target.get_weights()
         rng = np.random.default_rng(10)
@@ -136,7 +129,7 @@ class TestTrainStep:
             buf.push(rng.random(5), rng.integers(0, 3), rng.random(), rng.random(5))
         for _ in range(3):
             batch = buf.sample(4, rng, target)
-            train_step(net, batch, 0.99, AdamOptimizer(net.flat), rng)
+            train_step(net, batch, 0.99, AdamOptimizer(net.flat, lr=0.04), rng)
         assert np.array_equal(target.get_weights(), before)
         assert not np.array_equal(net.get_weights(), before)
 

@@ -5,13 +5,15 @@ import pytest
 
 from fedpart.baseline import BaselineObservation, neurosurgeon_select, run_baseline
 from fedpart.config import ExperimentConfig
-from fedpart.env import CostWeights, energy_per_window, throughput_floor, total_latency_ms
+from fedpart.env import CostWeights, ObservationBounds, energy_per_window, total_latency_ms
 from fedpart.profiles import CATEGORY_FULL_CLOUD, DeviceProfile, enumerate_configs
 from fedpart.runner import Scenario
 from fedpart.traces import TraceSynthesisSpec, synthesize_trace
 
+from conftest import default_floors
+
 OBJECTIVES = ("latency", "energy")
-FLOORS = (throughput_floor(580.0), throughput_floor(350.0))  # at the default bounds
+FLOORS = default_floors(ObservationBounds())
 
 
 def brute_force(profile, obs, objective, devices, weights, wifi_floor, fiveg_floor):
@@ -81,7 +83,7 @@ def test_run_baseline_matches_a_loop_over_a_twin_env(tiny_profile, objective):
     assert len(log) == steps
 
     twin = varying_env(tiny_profile, seed=3)
-    floors = (throughput_floor(twin.bounds.wifi), throughput_floor(twin.bounds.fiveg))
+    floors = default_floors(twin.bounds)
     r_wifi, r_5g = twin.wifi_replay.base.mean, twin.fiveg_replay.base.mean
     cloud = tiny_profile.configs[2].t3
     assert enumerate_configs(tiny_profile.cut_points)[2].category == CATEGORY_FULL_CLOUD

@@ -228,6 +228,12 @@ class TestParse:
          "[wifi] outage_duration_mean must be >= 1, got -4.0"),
         ("[fiveg]\noutage_duration_mean = 0.5\n",
          "[fiveg] outage_duration_mean must be >= 1, got 0.5"),
+        ("[run]\nbase_seed = -1\n", "[run] base_seed must be >= 0, got -1"),
+        ("[inputs]\ntrace_seed = -1\n", "[inputs] trace_seed must be >= 0, got -1"),
+        ("[profile]\nrng_seed = -1\n", "[profile] rng_seed must be >= 0, got -1"),
+        ("[agent]\nhidden = 100,-5,60\n",
+         "[agent] hidden widths must be >= 1, got (100, -5, 60)"),
+        ("[agent]\nhidden = 100,0,60\n", "[agent] hidden widths must be >= 1, got (100, 0, 60)"),
     ])
     def test_rejected_values_name_their_section(self, text, prefix):
         with pytest.raises(ConfigError) as info:
@@ -299,6 +305,14 @@ class TestCliErrors:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith(prefix)
         assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_flag_is_an_error_before_any_output(self, tmp_path, capsys):
+        """Before, the seed reached NumPy: ``ValueError: expected non-negative integer``."""
+        out = tmp_path / "o"
+        argv = ["baseline", "--objective", "latency", "--seed", "-1", "--output", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: [run] base_seed must be >= 0, got -1\n"
+        assert not out.exists()
 
 
 def test_a_non_finite_float_in_a_tuple_is_rejected(monkeypatch):

@@ -10,12 +10,11 @@ from fedpart.env import (
     energy_per_window,
     resolve_cost_weights,
     step_cost,
-    throughput_floor,
     total_latency_ms,
 )
 from fedpart.profiles import DeviceProfile, PartitionConfig
 
-from conftest import make_tiny_env
+from conftest import default_floors, make_tiny_env
 
 
 def make_config(**kw):
@@ -222,8 +221,8 @@ class TestEnvStep:
         env = make_tiny_env(tiny_profile, seed=4)
         assert np.array_equal(env.raw[2:], [tiny_profile.configs[0].t1,
                                             tiny_profile.configs[0].t2, 0.0])
-        wifi_floor = throughput_floor(env.bounds.wifi)
-        fiveg_floor = throughput_floor(env.bounds.fiveg)
+        wifi_floor, fiveg_floor = default_floors(env.bounds)
+        assert (env.wifi_floor, env.fiveg_floor) == (wifi_floor, fiveg_floor)
         rng = np.random.default_rng(6)
         clouds = 0
         for _ in range(80):
@@ -265,13 +264,10 @@ class TestStepLog:
 
 
 def test_resolved_constants_are_positive(default_profile):
-    weights = resolve_cost_weights(
-        CostWeights(), default_profile, DeviceProfile(), ObservationBounds()
-    )
+    floors = default_floors(ObservationBounds())
+    weights = resolve_cost_weights(CostWeights(), default_profile, DeviceProfile(), *floors)
     assert weights.c_sew_max > 0
     assert weights.c_phone_max > 0
     assert weights.c_5g_max > 0
     # already-resolved weights pass through untouched
-    assert resolve_cost_weights(
-        weights, default_profile, DeviceProfile(), ObservationBounds()
-    ) is weights
+    assert resolve_cost_weights(weights, default_profile, DeviceProfile(), *floors) is weights

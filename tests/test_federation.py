@@ -167,18 +167,19 @@ class TestRunFederation:
                                   proportion_slow=slow)
         builder = _Builder(tiny_profile, tiny_settings, poisoned=1)
         with pytest.raises(FloatingPointError, match=r"agent 1 .* iteration 1$"):
-            run_federation(config, builder, 2, workers=workers)
+            run_federation(config, builder, 2, None, workers)
 
     def test_dead_pool_worker_names_its_agents_and_exit_code(self, tiny_profile, tiny_settings):
         config = FederationConfig(agents=3, steps_per_agent=60, freq_updates=20)
         builder = _Builder(tiny_profile, tiny_settings, poisoned=None, exits=2)
         # Two workers: agents 0 and 2 share worker 0, agent 1 has worker 1.
         with pytest.raises(RuntimeError, match=r"worker 0 for agents \[0, 2\] exited with code 3$"):
-            run_federation(config, builder, 2, workers=2)
+            run_federation(config, builder, 2, None, 2)
 
     def test_finite_run_completes(self, tiny_profile, tiny_settings):
         config = FederationConfig(agents=3, steps_per_agent=60, freq_updates=20)
-        result = run_federation(config, _Builder(tiny_profile, tiny_settings, poisoned=None), 2)
+        builder = _Builder(tiny_profile, tiny_settings, poisoned=None)
+        result = run_federation(config, builder, 2, None, 1)
         assert np.isfinite(result.final_weights).all()
         assert len(result.schedule_rows) == 9
 
@@ -201,7 +202,7 @@ class TestZeroSteps:
     ):
         config = FederationConfig(agents=3, steps_per_agent=0, freq_updates=20)
         builder = _UnbuildableBuilder(tiny_profile, tiny_settings, poisoned=None)
-        result = run_federation(config, builder, 2, workers=workers)
+        result = run_federation(config, builder, 2, None, workers)
         _, net_seq, _ = derive_seed_sequences(config, 2)
         n_actions = tiny_profile.n_configs + 1
         expected = tiny_settings.network(n_actions, np.random.default_rng(net_seq))
@@ -212,7 +213,7 @@ class TestZeroSteps:
         config = FederationConfig(agents=3, steps_per_agent=0, freq_updates=20)
         builder = _UnbuildableBuilder(tiny_profile, tiny_settings, poisoned=None)
         weights = np.linspace(-1.0, 1.0, 11)
-        result = run_federation(config, builder, 2, initial_weights=weights)
+        result = run_federation(config, builder, 2, weights, 1)
         assert np.array_equal(result.final_weights, weights)
         assert result.schedule_rows == [] and result.agent_logs == []
 
@@ -235,7 +236,7 @@ class TestAgentErrors:
         config = FederationConfig(agents=3, steps_per_agent=40, freq_updates=20)
         builder = _RaisingBuilder(tiny_profile, tiny_settings, poisoned=None)
         with pytest.raises(ValueError, match=r"^agent-side failure$"):
-            run_federation(config, builder, 2, workers=1)
+            run_federation(config, builder, 2, None, 1)
 
     def test_pool_worker_reports_its_agents_exception(self, tiny_profile, tiny_settings):
         config = FederationConfig(agents=3, steps_per_agent=40, freq_updates=20)
@@ -243,4 +244,4 @@ class TestAgentErrors:
         # Two workers: agent 1 has worker 1 to itself.
         with pytest.raises(RuntimeError,
                            match=r"^pool worker 1 for agents \[1\] raised ValueError: agent-side failure$"):
-            run_federation(config, builder, 2, workers=2)
+            run_federation(config, builder, 2, None, 2)

@@ -1,6 +1,7 @@
 """Names under ``src/fedpart/`` are used: no unused imports, no test-only API,
-no parameter its function never reads; ``tests/`` has no unused imports
-either. The worker pool's modules stay off the import path of
+no parameter its function never reads, and no parameter default beyond an
+allow-list (config values arrive as arguments); ``tests/`` has no unused
+imports either. The worker pool's modules stay off the import path of
 ``fedpart.cli``, the network imports nothing from ``fedpart`` and the
 federation does not import the network.
 
@@ -205,35 +206,34 @@ def test_the_fedpart_import_check_sees_every_form(tmp_path):
     ]
 
 
+def functions(node: ast.AST, prefix: str = ""):
+    """Each function, method and lambda under ``node``, as ``(dotted name, node)``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = f"{prefix}{getattr(child, 'name', '<lambda>')}"
+            yield name, child
+            yield from functions(child, f"{name}.")
+        else:
+            yield from functions(child, prefix)
+
+
 def unread_parameters(path: Path) -> list[str]:
     """Parameters, other than ``self`` and ``cls``, that their function never reads."""
     found = []
-
-    def visit(node: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}{child.name}.")
-                continue
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                name = getattr(child, "name", "<lambda>")
-                a = child.args
-                params = [
-                    p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
-                    if p is not None and p.arg not in ("self", "cls")
-                ]
-                body = child.body if isinstance(child.body, list) else [child.body]
-                nodes = [n for stmt in body for n in ast.walk(stmt)]
-                read = {n.id for n in nodes
-                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-                read |= {n.target.id for n in nodes  # ``x += 1`` reads ``x``
-                         if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
-                found.extend(f"{path.name}: {prefix}{name}({p})" for p in params if p not in read)
-                prefix_inner = f"{prefix}{name}."
-            else:
-                prefix_inner = prefix
-            visit(child, prefix_inner)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    for name, fn in functions(ast.parse(path.read_text(encoding="utf-8"))):
+        a = fn.args
+        params = [
+            p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+            if p is not None and p.arg not in ("self", "cls")
+        ]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        nodes = [n for stmt in body for n in ast.walk(stmt)]
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {n.target.id for n in nodes  # ``x += 1`` reads ``x``
+                 if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+        found.extend(f"{path.name}: {name}({p})" for p in params if p not in read)
     return found
 
 
@@ -258,4 +258,53 @@ def test_the_parameter_check_sees_an_unread_parameter(tmp_path):
     assert unread_parameters(module) == [
         "mod.py: f(b)", "mod.py: f(rest)", "mod.py: f(kw)",
         "mod.py: A.m(x)", "mod.py: A.m.inner(z)", "mod.py: <lambda>(unused)",
+    ]
+
+
+def parameter_defaults(path: Path) -> list[str]:
+    """Every parameter default, as ``file: function(parameter=default)``."""
+    found = []
+    for name, fn in functions(ast.parse(path.read_text(encoding="utf-8"))):
+        a = fn.args
+        positional = [*a.posonlyargs, *a.args]
+        pairs = [*zip(positional[len(positional) - len(a.defaults):], a.defaults),
+                 *((p, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)]
+        found.extend(f"{path.name}: {name}({p.arg}={ast.unparse(d)})" for p, d in pairs)
+    return found
+
+
+# Each of these has more than one value in use, or is a constant rather than a
+# config value; everything the config sets is a required argument.
+KEPT_DEFAULTS = [
+    "cli.py: main(argv=None)",
+    "env.py: energy_per_window(tau=None)",
+    "env.py: comm_cost_5g(tau=None)",
+    "metrics.py: moving_avg_violations(window=1000)",
+    "network.py: QNetwork.forward_cached(rng=None)",
+    "network.py: AdamOptimizer.__init__(beta1=0.9)",
+    "network.py: AdamOptimizer.__init__(beta2=0.999)",
+    "network.py: AdamOptimizer.__init__(eps=1e-08)",
+    "profiles.py: _isclose(rtol=1e-05)",
+    "profiles.py: _isclose(atol=1e-08)",
+    "profiles.py: _number(kind=float)",
+]
+
+
+def test_only_the_kept_parameter_defaults_remain():
+    found = [entry for path in sorted(SRC.glob("*.py")) for entry in parameter_defaults(path)]
+    assert sorted(found) == sorted(KEPT_DEFAULTS)
+
+
+def test_the_default_check_sees_every_default(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "def f(a, p=0, /, b=1, *rest, c, d=None, **kw):\n    return a\n\n"
+        "class A:\n    def m(self, x=(1, 2)):\n        def inner(z=0.5):\n            return z\n"
+        "        return inner\n\n"
+        "key = lambda row, k=len: row\n",
+        encoding="utf-8",
+    )
+    assert parameter_defaults(module) == [
+        "mod.py: f(p=0)", "mod.py: f(b=1)", "mod.py: f(d=None)", "mod.py: A.m(x=(1, 2))",
+        "mod.py: A.m.inner(z=0.5)", "mod.py: <lambda>(k=len)",
     ]

@@ -12,7 +12,7 @@ from fedpart.network import (
     save_checkpoint,
 )
 
-from conftest import subnormal_count
+from conftest import make_net, paper_net, subnormal_count
 
 
 def td_loss(net: QNetwork, target_net: QNetwork, batch, gamma: float) -> float:
@@ -25,33 +25,24 @@ def td_loss(net: QNetwork, target_net: QNetwork, batch, gamma: float) -> float:
     return float(np.mean((chosen - targets) ** 2))
 
 
-def toy_net(n_actions=3, hidden=(4, 4, 3), dropout=(0.0, 0.0, 0.0), seed=0, dtype=np.float64):
-    return QNetwork(
-        n_actions,
-        hidden=hidden,
-        dropout_rates=dropout,
-        input_dim=5,
-        rng=np.random.default_rng(seed),
-        dtype=dtype,
-    )
+NO_DROPOUT = (0.0, 0.0, 0.0)
 
 
 class TestForward:
     def test_zero_weights_give_zero_q(self):
-        net = toy_net()
+        net = make_net((5, 4, 4, 3, 3), NO_DROPOUT, 0, np.float64)
         net.set_weights(np.zeros(net.flat.size))
         q = net.forward(np.array([0.3, 0.2, 0.9, 0.1, 0.5]))
         assert np.array_equal(q, np.zeros(net.n_actions))
 
     def test_eval_mode_deterministic(self):
-        net = QNetwork(7, input_dim=5, rng=np.random.default_rng(1))
+        net = paper_net(7, 1)
         x = np.random.default_rng(2).random(5)
         assert np.array_equal(net.forward(x), net.forward(x))
 
     def test_hand_computed_two_unit_net(self):
         """2-2-2 toy (one hidden ReLU layer of width 2) checked by hand."""
-        net = QNetwork(2, hidden=(2,), dropout_rates=(0.0,), input_dim=2,
-                       rng=np.random.default_rng(0), dtype=np.float64)
+        net = make_net((2, 2, 2), (0.0,), 0, np.float64)
         w1 = np.array([[1.0, -1.0], [0.5, 2.0]])
         b1 = np.array([0.1, -0.2])
         w2 = np.array([[2.0, 0.0], [1.0, -1.0]])
@@ -63,13 +54,13 @@ class TestForward:
         assert np.allclose(net.forward(x), [7.0, -2.3])
 
     def test_dimension_mismatch_rejected(self):
-        net = toy_net()
+        net = make_net((5, 4, 4, 3, 3), NO_DROPOUT, 0, np.float64)
         with pytest.raises(ValueError):
             net.forward(np.zeros(4))
 
     def test_a_batch_is_rejected(self):
         """``forward`` is one state; batches go through ``forward_cached``."""
-        net = toy_net()
+        net = make_net((5, 4, 4, 3, 3), NO_DROPOUT, 0, np.float64)
         with pytest.raises(ValueError, match="one state"):
             net.forward(np.zeros((2, 5)))
         with pytest.raises(ValueError, match="one state"):
@@ -79,8 +70,7 @@ class TestForward:
     def test_dropout_mask_is_inverted(self, dtype):
         """Train-mode masks take only {0, 1/(1-r)} and average 1 per layer."""
         rates = (0.4, 0.3, 0.0)
-        net = QNetwork(4, hidden=(64, 64, 32), dropout_rates=rates, input_dim=5,
-                       rng=np.random.default_rng(3), dtype=dtype)
+        net = make_net((5, 64, 64, 32, 4), rates, 3, dtype)
         x = np.random.default_rng(4).random((8, 5))
         rng = np.random.default_rng(5)
         masks = {layer: [] for layer, r in enumerate(rates) if r > 0}
@@ -109,8 +99,7 @@ class TestForward:
         x = np.random.default_rng(4).random((8, 5))
 
         def max_z(dropout_rates, draws=2000):
-            net = QNetwork(4, hidden=(64, 64, 32), dropout_rates=dropout_rates, input_dim=5,
-                           rng=np.random.default_rng(3), dtype=np.float64)
+            net = make_net((5, 64, 64, 32, 4), dropout_rates, 3, np.float64)
             eval_q = net.forward_cached(x, train=False)[0].copy()
             rng = np.random.default_rng(5)
             q = np.stack([net.forward_cached(x, train=True, rng=rng)[0].copy()
@@ -136,8 +125,7 @@ class TestDropoutMaskStream:
     def test_odd_sized_masks_follow_the_raw_word_rule(self, dtype):
         """Batch 7 x width 3: 21 units take 6 words, the last one in part."""
         rates = (0.4, 0.3, 0.0)
-        net = QNetwork(2, hidden=(3, 3, 3), dropout_rates=rates, input_dim=5,
-                       rng=np.random.default_rng(1), dtype=dtype)
+        net = make_net((5, 3, 3, 3, 2), rates, 1, dtype)
         x = np.random.default_rng(2).random((7, 5))
         rng, twin = np.random.default_rng(3), np.random.default_rng(3)
         for _ in range(3):
@@ -151,8 +139,7 @@ class TestDropoutMaskStream:
 
     @pytest.mark.parametrize("rate", [0.4, 0.3, 0.1])
     def test_keep_fraction_is_the_quantised_rate(self, rate):
-        net = QNetwork(4, hidden=(64,), dropout_rates=(rate,), input_dim=5,
-                       rng=np.random.default_rng(3))
+        net = make_net((5, 64, 4), (rate,), 3, np.float32)
         x = np.random.default_rng(4).random((512, 5))
         rng = np.random.default_rng(5)
         kept = [net.forward_cached(x, train=True, rng=rng)[1][2][0] > 0 for _ in range(20)]
@@ -161,8 +148,7 @@ class TestDropoutMaskStream:
         assert abs(np.mean(kept) - p) < 4.0 * np.sqrt(p * (1.0 - p) / n)
 
     def test_eval_forward_draws_nothing(self):
-        net = QNetwork(4, hidden=(8, 8), dropout_rates=(0.4, 0.3), input_dim=5,
-                       rng=np.random.default_rng(3))
+        net = make_net((5, 8, 8, 4), (0.4, 0.3), 3, np.float32)
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         net.forward_cached(np.ones((7, 5)), train=False, rng=rng)
@@ -171,14 +157,14 @@ class TestDropoutMaskStream:
     @pytest.mark.parametrize("rates", [(1.5, 0.3), (0.4, float("nan")), (0.999995, 0.0)])
     def test_bad_rates_are_rejected(self, rates):
         with pytest.raises(ValueError, match="dropout_rates"):
-            QNetwork(4, hidden=(8, 8), dropout_rates=rates, input_dim=5)
+            make_net((5, 8, 8, 4), rates, 0, np.float32)
 
 
 class TestGradients:
     @pytest.mark.parametrize("seed", range(5))
     def test_analytic_matches_central_differences(self, seed):
         rng = np.random.default_rng(seed)
-        net = toy_net(n_actions=3, hidden=(6, 5, 4), seed=seed)
+        net = make_net((5, 6, 5, 4, 3), NO_DROPOUT, seed, np.float64)
         target = net.clone()
         target.set_weights(net.get_weights() + 0.1 * rng.standard_normal(net.flat.size))
         batch = (
@@ -224,7 +210,7 @@ class TestGradients:
         inputs are all dropped sits exactly on a kink.
         """
         rng = np.random.default_rng(seed)
-        net = toy_net(n_actions=3, hidden=(6, 5, 4), dropout=(0.4, 0.3, 0.0), seed=seed)
+        net = make_net((5, 6, 5, 4, 3), (0.4, 0.3, 0.0), seed, np.float64)
         net.set_weights(rng.uniform(-0.5, 0.5, net.flat.size))
         states = rng.random((7, 5))
         actions = rng.integers(0, 3, size=7)
@@ -262,15 +248,15 @@ class TestGradients:
 
 class TestWeightVector:
     def test_round_trip_identity(self):
-        net = QNetwork(9, input_dim=5, rng=np.random.default_rng(7))
+        net = paper_net(9, 7)
         x = np.random.default_rng(8).random((4, 5))
         before = net.forward_cached(x, train=False)[0].copy()
         net.set_weights(net.get_weights())
         assert np.array_equal(net.forward_cached(x, train=False)[0], before)
 
     def test_two_nets_same_weights_same_outputs(self):
-        a = QNetwork(6, input_dim=5, rng=np.random.default_rng(1))
-        b = QNetwork(6, input_dim=5, rng=np.random.default_rng(2))
+        a = paper_net(6, 1)
+        b = paper_net(6, 2)
         b.set_weights(a.get_weights())
         x = np.random.default_rng(3).random((10, 5))
         q_a, _ = a.forward_cached(x, train=False)
@@ -278,18 +264,18 @@ class TestWeightVector:
         assert np.array_equal(q_a, q_b)
 
     def test_length_formula(self):
-        net = QNetwork(106, input_dim=5)
+        net = paper_net(106, 0)
         dims = (5, 100, 100, 60, 106)
         expected = sum(i * o + o for i, o in zip(dims[:-1], dims[1:]))
         assert net.get_weights().size == expected == expected_weight_count(dims)
 
     def test_length_mismatch_rejected(self):
-        net = toy_net()
+        net = make_net((5, 4, 4, 3, 3), NO_DROPOUT, 0, np.float64)
         with pytest.raises(ValueError):
             net.set_weights(np.zeros(net.flat.size + 1))
 
     def test_clone_is_independent(self):
-        net = toy_net()
+        net = make_net((5, 4, 4, 3, 3), NO_DROPOUT, 0, np.float64)
         twin = net.clone()
         net.flat[...] += 1.0
         assert not np.array_equal(net.flat, twin.flat)
@@ -356,7 +342,7 @@ class TestOptimizers:
 
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
-        net = QNetwork(11, input_dim=5, rng=np.random.default_rng(4))
+        net = paper_net(11, 4)
         path = tmp_path / "weights.ckpt"
         save_checkpoint(path, net.dims, net.get_weights())
         dims, weights = load_checkpoint(path)
@@ -369,7 +355,7 @@ class TestCheckpoints:
         assert path.read_text(encoding="utf-8") == expected
 
     def test_wrong_count_rejected(self, tmp_path):
-        net = QNetwork(3, hidden=(4, 4, 4), input_dim=5)
+        net = make_net((5, 4, 4, 4, 3), (0.4, 0.3, 0.0), 0, np.float32)
         with pytest.raises(ValueError):
             save_checkpoint(tmp_path / "x.ckpt", net.dims, np.zeros(10))
 

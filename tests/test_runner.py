@@ -8,7 +8,7 @@ from fedpart.baseline import run_baseline
 from fedpart.config import apply_overrides, parse_config
 from fedpart.env import CostWeights, resolve_cost_weights
 from fedpart.federation import derive_seed_sequences
-from fedpart.network import expected_weight_count
+from fedpart.network import QNetwork, expected_weight_count, load_checkpoint
 from fedpart.profiles import ApplicationProfile
 from fedpart.traces import PerturbedReplay
 
@@ -82,17 +82,19 @@ def test_scenario_env_takes_every_setting_from_the_config(inputs):
         if field.name not in resolved:
             assert getattr(env.weights, field.name) == getattr(config.cost, field.name)
     assert env.weights == resolve_cost_weights(
-        config.cost, scenario.profile, config.devices, config.bounds, settings.floor_frac
+        config.cost, scenario.profile, config.devices,
+        settings.floor_frac * config.bounds.wifi, settings.floor_frac * config.bounds.fiveg,
     )
 
 
 def test_scenario_env_spawns_wifi_fiveg_and_cloud_streams_in_that_order():
     scenario = runner.build_scenario(parse_config(TINY_INI))
     env = scenario.env(np.random.SeedSequence(3))
+    inputs = scenario.config.inputs
     wifi_seq, fiveg_seq, cloud_seq = np.random.SeedSequence(3).spawn(3)
     for replay, base, seq in ((env.wifi_replay, scenario.wifi_trace, wifi_seq),
                               (env.fiveg_replay, scenario.fiveg_trace, fiveg_seq)):
-        twin = PerturbedReplay(base, seq)
+        twin = PerturbedReplay(base, seq, inputs.noise_rel, inputs.shift, inputs.inversion)
         twin.next_sample()  # the one the env's reset took
         n = 2 * base.samples.size  # two passes, two sets of pass draws
         assert np.array_equal(replay.next_window(n), twin.next_window(n))
@@ -117,11 +119,29 @@ def test_baseline_replays_each_agents_training_env(objective):
 
 
 def test_agents_and_initial_weights_share_the_checkpoint_dims():
-    builder = runner.AgentBuilder(runner.build_scenario(parse_config(TINY_INI)))
+    config = parse_config(TINY_INI)
+    builder = runner.AgentBuilder(runner.build_scenario(config))
     weights = builder.initial_weights(np.random.SeedSequence(4))
     assert weights.dtype == np.float64
     assert weights.size == expected_weight_count(builder.dims())
     assert builder.build(0, np.random.SeedSequence(4)).net.dims == builder.dims()
+    assert config.agent.dims(builder.scenario.profile.n_configs + 1) == builder.dims()
+
+
+def test_a_network_of_a_written_checkpoints_dims_takes_its_weights(tmp_path):
+    config = apply_overrides(
+        parse_config(TINY_INI), run__n_runs=1, federation__agents=2,
+        federation__steps_per_agent=20, federation__freq_updates=20,
+    )
+    experiment = runner.run_experiment(config, None)
+    runner.write_experiment(config, experiment, tmp_path)
+    [(seed, run)] = experiment.runs.items()
+    dims, weights = load_checkpoint(tmp_path / f"run_{seed}" / "final_weights.ckpt")
+    net = QNetwork(
+        dims, config.agent.dropout_rates, rng=np.random.default_rng(0), dtype=np.float64
+    )
+    net.set_weights(weights)
+    assert np.array_equal(net.get_weights(), run.final_weights)
 
 
 def test_an_experiment_builds_its_scenario_once(tmp_path, monkeypatch):
@@ -162,7 +182,7 @@ def test_an_experiment_validates_its_profile_once(monkeypatch):
         parse_config(TINY_INI), run__n_runs=1, federation__agents=3,
         federation__steps_per_agent=20, federation__freq_updates=20,
     )
-    runner.run_experiment(config)
+    runner.run_experiment(config, None)
     assert len(calls) == 1
 
 
@@ -172,7 +192,7 @@ def test_schedule_csv_holds_the_runs_schedule_rows(tmp_path):
         federation__proportion_slow=0.34, federation__max_delay_slow=0.5,
         federation__steps_per_agent=40, federation__freq_updates=20,
     )
-    experiment = runner.run_experiment(config)
+    experiment = runner.run_experiment(config, None)
     runner.write_experiment(config, experiment, tmp_path)
     [(seed, run)] = experiment.runs.items()
     assert {row.role for row in run.schedule_rows} == {"fast", "slow"}

@@ -39,16 +39,16 @@ class TestSynthesis:
 
     def test_negative_samples_rejected(self):
         with pytest.raises(TraceError):
-            Trace(samples=np.array([1.0, -0.5]))
+            Trace(samples=np.array([1.0, -0.5]), granularity_ms=250.0)
 
     def test_empty_rejected(self):
         with pytest.raises(TraceError):
-            Trace(samples=np.array([]))
+            Trace(samples=np.array([]), granularity_ms=250.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(TraceError, match="samples must be finite"):
-            Trace(samples=np.array([1.0, bad]))
+            Trace(samples=np.array([1.0, bad]), granularity_ms=250.0)
         with pytest.raises(TraceError, match="granularity_ms must be positive and finite"):
             Trace(samples=np.array([1.0]), granularity_ms=bad)
 
@@ -134,7 +134,7 @@ class TestPerturbedReplay:
         assert out == expected
 
     def test_shift_only_preserves_multiset(self):
-        base = Trace(samples=np.arange(1.0, 32.0))
+        base = Trace(samples=np.arange(1.0, 32.0), granularity_ms=250.0)
         replay = PerturbedReplay(
             base, seed=4, noise_rel=0.0, shift_enabled=True, inversion_enabled=False
         )
@@ -142,7 +142,7 @@ class TestPerturbedReplay:
         assert sorted(one_pass.tolist()) == sorted(base.samples.tolist())
 
     def test_inversion_swaps_halves(self):
-        base = Trace(samples=np.arange(1.0, 9.0))
+        base = Trace(samples=np.arange(1.0, 9.0), granularity_ms=250.0)
         replay = PerturbedReplay(
             base, seed=0, noise_rel=0.0, shift_enabled=False, inversion_enabled=True
         )
@@ -155,19 +155,23 @@ class TestPerturbedReplay:
 
     def test_deterministic_given_seed(self):
         base = synthesize_trace(TraceSynthesisSpec(length=100, variability=15.0), seed=8)
-        a = PerturbedReplay(base, seed=123)
-        b = PerturbedReplay(base, seed=123)
+        a, b = (PerturbedReplay(base, 123, noise_rel=0.10, shift_enabled=True,
+                                inversion_enabled=True) for _ in range(2))
         assert np.array_equal(a.next_window(1000), b.next_window(1000))
 
     def test_samples_never_negative(self):
         base = synthesize_trace(TraceSynthesisSpec(length=50, mean=5.0, variability=4.0), seed=1)
-        replay = PerturbedReplay(base, seed=2, noise_rel=2.0)  # huge noise to force clamps
+        replay = PerturbedReplay(  # huge noise to force clamps
+            base, seed=2, noise_rel=2.0, shift_enabled=True, inversion_enabled=True
+        )
         assert np.min(replay.next_window(5000)) >= 0.0
 
     def test_mean_preserved_with_default_noise(self):
         """Zero-mean multiplicative noise keeps the long-run mean of the base."""
         base = synthesize_trace(TraceSynthesisSpec(length=400, mean=60.0, variability=12.0), seed=5)
-        replay = PerturbedReplay(base, seed=6, noise_rel=0.10)
+        replay = PerturbedReplay(
+            base, seed=6, noise_rel=0.10, shift_enabled=True, inversion_enabled=True
+        )
         emitted = replay.next_window(1_000_000)
         assert abs(emitted.mean() - base.mean) / base.mean < 0.02
 
