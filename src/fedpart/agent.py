@@ -275,6 +275,10 @@ class DQNAgent:
         whose push brings the buffer to ``batch_size`` (a fresh agent takes
         ``batch_size - 1`` steps without one). The target network is synced
         after every ``target_update_freq`` updates.
+
+        Both networks free their scratch buffers on return: agents train one
+        at a time, so only the training agent holds a batch's worth, and the
+        next phase allocates them again.
         """
         settings = self.settings
         self.log = np.concatenate((self.log[: self.total_steps], np.zeros(steps, dtype=STEP_LOG)))
@@ -298,6 +302,8 @@ class DQNAgent:
                 self.grad_updates += 1
                 if self.grad_updates % settings.target_update_freq == 0:
                     self.sync_target()
+        self.net.release_scratch()
+        self.target_net.release_scratch()
 
     def finalize_validation(self) -> None:
         """Run the probe at the final step count if the schedule lands on it."""

@@ -7,8 +7,11 @@ and checkable against finite differences.
 All parameters live in one flat buffer with per-layer views (canonical
 layer-major W-then-b order), so weight exchange is a single copy and the
 optimizer updates one contiguous array. Forward/backward reuse per-batch
-scratch buffers: ``forward_cached`` and ``backward`` return arrays that are
-overwritten by the next call on the same network; copy them to keep them.
+scratch buffers, one set per batch size and network, allocated on first use
+and kept until ``release_scratch`` frees them: ``forward_cached`` and
+``backward`` return arrays that are overwritten by the next call on the same
+network (a call on another network never touches them); copy them to keep
+them.
 The caller chooses the dtype: runs take it from ``[agent] dtype`` (float32
 unless set), and gradient checks use float64.
 """
@@ -184,7 +187,11 @@ class QNetwork:
         return q[0].copy()
 
     def forward_cached(self, x: np.ndarray, train: bool, rng=None):
-        """(q, cache) for a 2-D batch; both reuse scratch storage (no copies)."""
+        """(q, cache) for a 2-D batch; both reuse scratch storage (no copies).
+
+        They stay valid until the next forward or backward on this network;
+        ``release_scratch`` hands the storage to them alone.
+        """
         arr = np.asarray(x, dtype=self.dtype)
         if arr.ndim != 2 or arr.shape[1] != self.dims[0]:
             raise ValueError(f"expected a (batch, {self.dims[0]}) array")
@@ -212,6 +219,10 @@ class QNetwork:
             np.dot(inputs[layer].T, g, out=self._weight_grads[layer])
             g.sum(axis=0, out=self._bias_grads[layer])
         return self.flat_grad
+
+    def release_scratch(self) -> None:
+        """Drop this network's scratch buffers; the next call allocates afresh."""
+        self._scratch = {}
 
     def output_grad_buffer(self, batch: int) -> np.ndarray:
         """Zeroed scratch array shaped like a batch of q-values."""

@@ -89,24 +89,24 @@ def synthesize_trace(spec: TraceSynthesisSpec, seed: int) -> Trace:
     rng = np.random.default_rng(seed)
     phi = spec.correlation
     innovation = spec.variability * math.sqrt(1.0 - phi * phi)
-    noise = rng.standard_normal(spec.length)
-
-    level = np.empty(spec.length)
+    # Both loops run on Python floats, whose arithmetic is the same IEEE
+    # double arithmetic as NumPy's float64 but without per-sample indexing.
+    level = []
     x = 0.0
-    for t in range(spec.length):
-        x = phi * x + innovation * noise[t]
-        level[t] = spec.mean + x
+    for e in rng.standard_normal(spec.length).tolist():
+        x = phi * x + innovation * e
+        level.append(spec.mean + x)
 
     if spec.outage_rate > 0.0:
-        enter = rng.random(spec.length)
-        durations = rng.geometric(1.0 / spec.outage_duration_mean, size=spec.length)
+        enter = rng.random(spec.length).tolist()
+        durations = rng.geometric(1.0 / spec.outage_duration_mean, size=spec.length).tolist()
         in_outage = 0
         for t in range(spec.length):
             if in_outage > 0:
                 level[t] *= spec.outage_depth
                 in_outage -= 1
             elif enter[t] < spec.outage_rate:
-                in_outage = int(durations[t])
+                in_outage = durations[t]
                 level[t] *= spec.outage_depth
 
     samples = np.clip(level, 0.0, spec.max_value)

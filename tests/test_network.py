@@ -246,6 +246,46 @@ class TestGradients:
         assert np.all(np.abs(analytic[~mask]) < 1e-6)
 
 
+class TestScratchLifetime:
+    DIMS = (5, 16, 12, 8, 6)
+    RATES = (0.4, 0.3, 0.0)
+
+    def train_forward(self, net, x, seed):
+        return net.forward_cached(x, train=True, rng=np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_cache_survives_another_networks_forward(self, dtype):
+        """Scratch belongs to one network: a twin of the same dims, dtype and
+        batch runs a forward and backward without touching it."""
+        rng = np.random.default_rng(4)
+        net = make_net(self.DIMS, self.RATES, 1, dtype)
+        twin = make_net(self.DIMS, self.RATES, 2, dtype)
+        x = rng.random((9, 5))
+        grad_q = rng.standard_normal((9, self.DIMS[-1])).astype(dtype)
+        q, cache = self.train_forward(net, x, seed=7)
+        held_q = q.copy()
+        _, cache_twin = self.train_forward(twin, rng.random((9, 5)), seed=8)
+        twin.backward(cache_twin, grad_q)
+        assert np.array_equal(q, held_q)
+        held_grad = net.backward(cache, grad_q).copy()
+        _, fresh = self.train_forward(net, x, seed=7)
+        assert np.array_equal(held_grad, net.backward(fresh, grad_q))
+
+    def test_release_keeps_results_and_hands_storage_to_them(self):
+        rng = np.random.default_rng(5)
+        net = make_net(self.DIMS, self.RATES, 3, np.float32)
+        x = rng.random((9, 5))
+        grad_q = rng.standard_normal((9, self.DIMS[-1])).astype(np.float32)
+        q, cache = self.train_forward(net, x, seed=7)
+        held_q = q.copy()
+        held_grad = net.backward(cache, grad_q).copy()
+        net.release_scratch()
+        q_again, cache_again = self.train_forward(net, x, seed=7)
+        assert not np.shares_memory(q_again, q) and np.array_equal(q, held_q)
+        assert np.array_equal(q_again, held_q)
+        assert np.array_equal(net.backward(cache_again, grad_q), held_grad)
+
+
 class TestWeightVector:
     def test_round_trip_identity(self):
         net = paper_net(9, 7)

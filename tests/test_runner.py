@@ -1,9 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fedpart import cli, runner
+from fedpart import cli, runner, traces
 from fedpart.baseline import run_baseline
 from fedpart.config import apply_overrides, parse_config
 from fedpart.env import CostWeights, resolve_cost_weights
@@ -126,6 +127,44 @@ def test_agents_and_initial_weights_share_the_checkpoint_dims():
     assert weights.size == expected_weight_count(builder.dims())
     assert builder.build(0, np.random.SeedSequence(4)).net.dims == builder.dims()
     assert config.agent.dims(builder.scenario.profile.n_configs + 1) == builder.dims()
+
+
+PHASE_INI = """\
+[profile]
+cut_points = 2
+
+[agent]
+hidden = 64, 64, 32
+dropout_rates = 0.2, 0.1, 0.0
+batch_size = 32
+"""
+
+
+def test_only_the_training_agent_holds_a_batchs_scratch_buffers():
+    builder = runner.AgentBuilder(runner.build_scenario(parse_config(PHASE_INI)))
+    agents = [builder.build(m, seq) for m, seq in enumerate(np.random.SeedSequence(3).spawn(3))]
+    dims, settings = builder.dims(), agents[0].settings
+    itemsize = np.dtype(settings.dtype).itemsize
+    # One batch's set: z and g per layer, a ReLU mask and a dropout buffer per hidden layer.
+    scratch_set = settings.batch_size * (
+        2 * itemsize * sum(dims[1:]) + (1 + itemsize) * sum(dims[1:-1])
+    )
+    # The trace replays allocate a pass at their first sample and at pass
+    # boundaries: per-agent memory, but not the networks'; leave it out.
+    not_replays = [tracemalloc.Filter(False, traces.__file__)]
+    held = []
+    tracemalloc.start()
+    try:
+        for agent in agents:
+            agent.run_training_phase(settings.batch_size + 8)
+            snapshot = tracemalloc.take_snapshot().filter_traces(not_replays)
+            held.append(sum(stat.size for stat in snapshot.statistics("filename")))
+            del snapshot
+    finally:
+        tracemalloc.stop()
+    assert all(agent.grad_updates == 9 for agent in agents)
+    growth = np.diff(held)
+    assert (growth < scratch_set).all(), (growth.tolist(), scratch_set)
 
 
 def test_a_network_of_a_written_checkpoints_dims_takes_its_weights(tmp_path):

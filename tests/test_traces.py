@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fedpart.config import ExperimentConfig
 from fedpart.traces import (
     PerturbedReplay,
     Trace,
@@ -16,7 +17,51 @@ from fedpart.traces import (
 )
 
 
+def numpy_loop_synthesis(spec: TraceSynthesisSpec, seed: int) -> np.ndarray:
+    """Reference for ``synthesize_trace``: the same loops, indexing NumPy arrays per sample."""
+    rng = np.random.default_rng(seed)
+    phi = spec.correlation
+    innovation = spec.variability * math.sqrt(1.0 - phi * phi)
+    noise = rng.standard_normal(spec.length)
+    level = np.empty(spec.length)
+    x = 0.0
+    for t in range(spec.length):
+        x = phi * x + innovation * noise[t]
+        level[t] = spec.mean + x
+    if spec.outage_rate > 0.0:
+        enter = rng.random(spec.length)
+        durations = rng.geometric(1.0 / spec.outage_duration_mean, size=spec.length)
+        in_outage = 0
+        for t in range(spec.length):
+            if in_outage > 0:
+                level[t] *= spec.outage_depth
+                in_outage -= 1
+            elif enter[t] < spec.outage_rate:
+                in_outage = int(durations[t])
+                level[t] *= spec.outage_depth
+    return np.clip(level, 0.0, spec.max_value)
+
+
+LONG_OUTAGE_SPEC = TraceSynthesisSpec(
+    length=20000, mean=120.0, variability=60.0, max_value=200.0,
+    outage_rate=0.01, outage_depth=0.1, outage_duration_mean=30.0,
+)
+
+
 class TestSynthesis:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    @pytest.mark.parametrize("name", ["wifi", "fiveg", "long_outages"])
+    def test_bits_equal_the_numpy_loop(self, name, seed):
+        config = ExperimentConfig()
+        spec = {"wifi": config.wifi, "fiveg": config.fiveg, "long_outages": LONG_OUTAGE_SPEC}[name]
+        samples = synthesize_trace(spec, seed).samples
+        expected = numpy_loop_synthesis(spec, seed)
+        assert samples.dtype == expected.dtype == np.float64
+        assert samples.tobytes() == expected.tobytes()
+        if name == "long_outages":  # the spec exercises both the outages and the clip
+            assert np.count_nonzero(samples < spec.outage_depth * spec.mean) > 100
+            assert np.count_nonzero(samples == spec.max_value) > 100
+
     def test_constant_mean_zero_variability(self):
         trace = synthesize_trace(
             TraceSynthesisSpec(length=200, mean=42.0, variability=0.0), seed=1
