@@ -8,9 +8,9 @@ the config's ``[profile]``, ``[wifi]`` and ``[fiveg]`` sections synthesize.
 ``train`` and ``transfer`` write ``manifest.ini`` (the resolved config),
 per-agent step and validation CSVs and the final weights as text and as a
 checkpoint that ``transfer --checkpoint`` reads; ``transfer`` is ``train``
-warm-started from that checkpoint. A bad config, profile, trace or
-checkpoint, a missing file, or a checkpoint whose network dims differ from
-the config's prints ``error: ...`` and returns 2.
+warm-started from that checkpoint. A bad config, profile, trace,
+checkpoint or ``run_validation.csv``, a missing file, or a checkpoint whose
+network dims differ from the config's prints ``error: ...`` and returns 2.
 FEDPART_OUTPUT_ROOT, when set, prefixes relative output directories.
 """
 
@@ -152,23 +152,48 @@ def cmd_traces(args) -> int:
     return 0
 
 
+class ReportError(ValueError):
+    """A ``run_validation.csv`` that cannot be read; the message names the file and line."""
+
+
+def _read_validation(path) -> tuple[list[int], list[float]]:
+    """A ``run_validation.csv``'s ``steps_trained`` and ``c_lat`` columns."""
+    steps, rates = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh.read().splitlines()[1:], start=2):
+            try:
+                step, rate = line.split(",")
+                steps.append(int(step))
+                rates.append(float(rate))
+            except ValueError as exc:
+                raise ReportError(f"{path}:{lineno}: {exc}") from None
+    if not steps:
+        raise ReportError(f"{path}:1: no rows after the header")
+    return steps, rates
+
+
 def cmd_report(args) -> int:
-    curves = []
-    steps = None
+    """The band over the runs' curves, cut to the shortest; their steps must agree."""
+    runs = []
     for entry in sorted(os.listdir(args.run_dir)):
         path = os.path.join(args.run_dir, entry, "run_validation.csv")
         if not os.path.isfile(path):
             continue
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        curves.append(data[:, 1])
-        steps = data[:, 0].astype(np.int64) if steps is None else steps
-    if not curves:
+        steps, rates = _read_validation(path)
+        first_path, first_steps, _ = runs[0] if runs else (path, steps, rates)
+        for lineno, step, want in zip(range(2, len(steps) + 2), steps, first_steps):
+            if step != want:
+                raise ReportError(
+                    f"{path}:{lineno}: steps_trained {step} differs from {want} in {first_path}"
+                )
+        runs.append((path, steps, rates))
+    if not runs:
         print(f"no run_validation.csv files under {args.run_dir}", file=sys.stderr)
         return 2
-    mean, mn, mx = band(curves)
+    mean, mn, mx = band([rates for _, _, rates in runs])
     out = args.out or os.path.join(args.run_dir, "validation_band.csv")
-    write_csv(out, "x,mean,min,max", zip(steps, mean, mn, mx))
-    print(f"band over {len(curves)} runs -> {out}")
+    write_csv(out, "x,mean,min,max", zip(runs[0][1], mean, mn, mx))
+    print(f"band over {len(runs)} runs -> {out}")
     return 0
 
 
@@ -230,7 +255,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CheckpointError, ProfileError, TraceError, FileNotFoundError) as exc:
+    except (
+        ConfigError, CheckpointError, ProfileError, ReportError, TraceError, FileNotFoundError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

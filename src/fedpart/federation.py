@@ -76,14 +76,18 @@ class FederationConfig:
 
 
 def aggregate_mean(vectors: list[np.ndarray]) -> np.ndarray:
-    """Coordinate-wise arithmetic mean of equally sized weight vectors."""
+    """Coordinate-wise mean of equally sized weight vectors: their float64 sum
+    in order from +0.0, divided by their count. These are the operations, and
+    the bits, of ``np.mean`` over their stack, without the stacked copy."""
     if not vectors:
         raise ValueError("need at least one weight vector")
-    first = np.asarray(vectors[0], dtype=np.float64)
-    for v in vectors[1:]:
-        if np.asarray(v).shape != first.shape:
+    total = np.zeros(np.shape(vectors[0]))
+    for v in vectors:
+        if np.shape(v) != total.shape:
             raise ValueError("weight vectors must have equal lengths")
-    return np.mean(np.stack([np.asarray(v, dtype=np.float64) for v in vectors]), axis=0)
+        total += v
+    total /= len(vectors)
+    return total
 
 
 def aggregate_incremental(current: np.ndarray, count: int, theta: np.ndarray) -> np.ndarray:
@@ -389,6 +393,7 @@ def run_federation(
                     )
             theta, next_init, rows = aggregate_round(iteration, thetas, steps, slow_mask)
             schedule_rows += rows
+            del returned, thetas, weights  # not through the next round's phases
 
         logs = host.finalize()
     finally:

@@ -7,11 +7,11 @@ and checkable against finite differences.
 All parameters live in one flat buffer with per-layer views (canonical
 layer-major W-then-b order), so weight exchange is a single copy and the
 optimizer updates one contiguous array. Forward/backward reuse per-batch
-scratch buffers, one set per batch size and network, allocated on first use
-and kept until ``release_scratch`` frees them: ``forward_cached`` and
-``backward`` return arrays that are overwritten by the next call on the same
-network (a call on another network never touches them); copy them to keep
-them.
+scratch buffers, one set per batch size and network, and one flat gradient
+buffer, each allocated on first use and kept until ``release_scratch`` frees
+them: ``forward_cached`` and ``backward`` return arrays that are overwritten
+by the next call on the same network (a call on another network never
+touches them); copy them to keep them.
 The caller chooses the dtype: runs take it from ``[agent] dtype`` (float32
 unless set), and gradient checks use float64.
 """
@@ -100,24 +100,21 @@ class QNetwork:
             b[...] = 0.0
 
     def _allocate(self) -> None:
-        total = expected_weight_count(self.dims)
-        self.flat = np.zeros(total, dtype=self.dtype)
-        self.flat_grad = np.zeros(total, dtype=self.dtype)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        self._weight_grads: list[np.ndarray] = []
-        self._bias_grads: list[np.ndarray] = []
+        self.flat = np.zeros(expected_weight_count(self.dims), dtype=self.dtype)
+        self.weights, self.biases = self._layer_views(self.flat)
+        self.flat_grad = self._grads = None  # allocated by backward
+        self._scratch: dict[int, dict[str, np.ndarray]] = {}
+
+    def _layer_views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer (W, b) views of a flat vector in the canonical layout."""
+        weights, biases = [], []
         offset = 0
         for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
-            self.weights.append(self.flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
-            self._weight_grads.append(
-                self.flat_grad[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-            )
+            weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out))
             offset += fan_in * fan_out
-            self.biases.append(self.flat[offset : offset + fan_out])
-            self._bias_grads.append(self.flat_grad[offset : offset + fan_out])
+            biases.append(flat[offset : offset + fan_out])
             offset += fan_out
-        self._scratch: dict[int, dict[str, np.ndarray]] = {}
+        return weights, biases
 
     @property
     def n_actions(self) -> int:
@@ -200,15 +197,21 @@ class QNetwork:
     def backward(self, cache, grad_q: np.ndarray) -> np.ndarray:
         """Gradient of the cached forward w.r.t. the flat parameter vector.
 
-        Writes into (and returns) ``self.flat_grad``; the per-layer views
-        stay aligned with the flat layout.
+        Writes into (and returns) ``self.flat_grad``, scratch like the batch
+        buffers: allocated by the first backward after ``release_scratch``
+        (a network that never runs backward holds none), with per-layer
+        views aligned with the flat layout.
         """
         inputs, relu_masks, dropout_masks = cache
         scratch = self._scratch_for(grad_q.shape[0])
+        if self.flat_grad is None:
+            self.flat_grad = np.empty_like(self.flat)
+            self._grads = self._layer_views(self.flat_grad)
+        weight_grads, bias_grads = self._grads
         last = len(self.weights) - 1
         g = grad_q
-        np.dot(inputs[-1].T, g, out=self._weight_grads[last])
-        g.sum(axis=0, out=self._bias_grads[last])
+        np.dot(inputs[-1].T, g, out=weight_grads[last])
+        g.sum(axis=0, out=bias_grads[last])
         for layer in range(self.n_hidden_layers - 1, -1, -1):
             g_prev = scratch[f"g{layer}"]
             np.dot(g, self.weights[layer + 1].T, out=g_prev)
@@ -216,13 +219,15 @@ class QNetwork:
             g *= relu_masks[layer]
             if dropout_masks[layer] is not None:
                 g *= self._dropout[layer][1]
-            np.dot(inputs[layer].T, g, out=self._weight_grads[layer])
-            g.sum(axis=0, out=self._bias_grads[layer])
+            np.dot(inputs[layer].T, g, out=weight_grads[layer])
+            g.sum(axis=0, out=bias_grads[layer])
         return self.flat_grad
 
     def release_scratch(self) -> None:
-        """Drop this network's scratch buffers; the next call allocates afresh."""
+        """Drop this network's scratch buffers and gradient; the next call allocates afresh."""
         self._scratch = {}
+        self.flat_grad = None
+        self._grads = None
 
     def output_grad_buffer(self, batch: int) -> np.ndarray:
         """Zeroed scratch array shaped like a batch of q-values."""
@@ -273,7 +278,9 @@ class AdamOptimizer:
     divides by at least ``1 - beta2``): at the defaults about 3e-18 in
     float32 and 5e-153 in float64, far below half an ulp of ``eps``, so the
     sum, and the parameters, are unchanged. Arithmetic on normal numbers is the same, operation for
-    operation, as in plain Adam.
+    operation, as in plain Adam. The optimizer holds only ``m`` and ``v``
+    between steps: the bias-corrected moments and the flush masks are
+    temporaries of ``step``.
     """
 
     def __init__(self, params: np.ndarray, lr: float, beta1: float = 0.9,
@@ -282,14 +289,9 @@ class AdamOptimizer:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._shape = params.shape
-        self._dtype = params.dtype
-        self._tiny = np.finfo(self._dtype).tiny
-        self.m = np.zeros(self._shape, dtype=self._dtype)
-        self.v = np.zeros(self._shape, dtype=self._dtype)
-        self._mhat = np.empty(self._shape, dtype=self._dtype)
-        self._vhat = np.empty(self._shape, dtype=self._dtype)
-        self._keep = np.empty(self._shape, dtype=bool)
+        self._tiny = np.finfo(params.dtype).tiny
+        self.m = np.zeros(params.shape, dtype=params.dtype)
+        self.v = np.zeros(params.shape, dtype=params.dtype)
         self.t = 0
 
     def reset(self) -> None:
@@ -300,24 +302,22 @@ class AdamOptimizer:
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        # _mhat and _vhat serve as scratch until the bias corrections below.
-        self.m *= b1
-        self.m += np.multiply(grad, 1.0 - b1, out=self._mhat)
+        m, v = self.m, self.v
+        m *= b1
+        m += grad * (1.0 - b1)
         # Multiplying by the mask is branch-free; a masked write (copyto with
         # where=) is several times slower when the mask has no regular pattern.
-        np.greater_equal(np.abs(self.m, out=self._mhat), self._tiny, out=self._keep)
-        self.m *= self._keep
-        self.v *= b2
-        self.v += np.multiply(np.square(grad, out=self._vhat), 1.0 - b2, out=self._vhat)
-        np.greater_equal(self.v, self._tiny, out=self._keep)  # v is never negative
-        self.v *= self._keep
-        np.divide(self.m, 1.0 - b1**self.t, out=self._mhat)
-        np.divide(self.v, 1.0 - b2**self.t, out=self._vhat)
-        np.sqrt(self._vhat, out=self._vhat)
-        self._vhat += self.eps
-        self._mhat /= self._vhat
-        self._mhat *= self.lr
-        params -= self._mhat
+        m *= np.abs(m) >= self._tiny
+        v *= b2
+        v += np.square(grad) * (1.0 - b2)
+        v *= v >= self._tiny  # v is never negative
+        m_hat = m / (1.0 - b1**self.t)
+        v_hat = v / (1.0 - b2**self.t)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self.eps
+        m_hat /= v_hat
+        m_hat *= self.lr
+        params -= m_hat
 
 
 CHECKPOINT_CHUNK = 4096  # values converted to Python floats at a time

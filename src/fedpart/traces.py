@@ -182,7 +182,10 @@ class PerturbedReplay:
     multiplicative factor ``1 + eps`` with ``eps ~ Normal(0, noise_rel)``,
     and a coin flip for a mid-point inversion (second half of the trace
     played before the first). Disabled transformations still consume their
-    draw. Emitted samples are clamped at zero.
+    draw. A pass is thus the base trace rotated left by the shift plus, if
+    inverted, half its length, and scaled by the factor (exactly 1 when
+    ``noise_rel`` is 0); it is read from the base samples as it is emitted,
+    never copied whole. Emitted samples are clamped at zero.
     """
 
     def __init__(
@@ -200,50 +203,53 @@ class PerturbedReplay:
         self.shift_enabled = shift_enabled
         self.inversion_enabled = inversion_enabled
         self._rng = np.random.default_rng(seed)
-        self._pass: np.ndarray | None = None
-        self._pos = 0
+        self._rotation = 0
+        self._factor = 1.0
+        self._pos = base.samples.size  # at a pass's end: the first sample begins one
 
     @property
     def granularity_ms(self) -> float:
         return self.base.granularity_ms
 
     def _begin_pass(self) -> None:
-        samples = self.base.samples
-        n = samples.size
+        n = self.base.samples.size
         shift = int(self._rng.integers(0, n))
         factor = 1.0 + float(self._rng.normal(0.0, self.noise_rel))
         invert = bool(self._rng.random() < 0.5)
+        rotation = shift if self.shift_enabled else 0
         if self.inversion_enabled and invert:
-            mid = n // 2
-            samples = np.concatenate((samples[mid:], samples[:mid]))
-        if self.shift_enabled and shift:
-            samples = np.roll(samples, -shift)
-        if self.noise_rel > 0.0:
-            samples = samples * factor
-        self._pass = np.maximum(samples, 0.0)
+            rotation += n // 2
+        self._rotation = rotation % n
+        self._factor = factor  # exactly 1.0 when noise_rel is 0: the multiply is then exact
         self._pos = 0
 
+    def _fill(self, out: np.ndarray) -> np.ndarray:
+        """Write the next ``out.size`` samples, scaled and clamped, into the float64 ``out``."""
+        samples = self.base.samples
+        n = samples.size
+        filled = 0
+        while filled < out.size:
+            if self._pos >= n:
+                self._begin_pass()
+            take = min(out.size - filled, n - self._pos)
+            start = (self._rotation + self._pos) % n
+            head = min(take, n - start)  # the rest wraps to the trace's start
+            cut = filled + head
+            np.multiply(samples[start : start + head], self._factor, out=out[filled:cut])
+            if head < take:
+                np.multiply(samples[: take - head], self._factor, out=out[cut : filled + take])
+            self._pos += take
+            filled += take
+        return np.maximum(out, 0.0, out=out)
+
     def next_sample(self) -> float:
-        if self._pass is None or self._pos >= self._pass.size:
-            self._begin_pass()
-        value = float(self._pass[self._pos])
-        self._pos += 1
-        return value
+        return float(self._fill(np.empty(1))[0])
 
     def next_window(self, n: int) -> np.ndarray:
         """Emit ``n`` consecutive samples (may span pass boundaries)."""
         if n < 1:
             raise TraceError("window size must be >= 1")
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            if self._pass is None or self._pos >= self._pass.size:
-                self._begin_pass()
-            take = min(n - filled, self._pass.size - self._pos)
-            out[filled : filled + take] = self._pass[self._pos : self._pos + take]
-            self._pos += take
-            filled += take
-        return out
+        return self._fill(np.empty(n))
 
 
 def exponential_from_uniform(mean: float, u: float) -> float:

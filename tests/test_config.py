@@ -314,6 +314,39 @@ class TestCliErrors:
         assert capsys.readouterr().err == "error: [run] base_seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @staticmethod
+    def write_runs(run_dir, second_rows):
+        """Two runs' ``run_validation.csv``: three rows in run_1, ``second_rows`` in run_2."""
+        for run, rows in (("run_1", "0,0.25\n250,0.5\n500,0.75\n"), ("run_2", second_rows)):
+            (run_dir / run).mkdir()
+            (run_dir / run / "run_validation.csv").write_text(
+                "steps_trained,c_lat\n" + rows, encoding="utf-8"
+            )
+
+    @pytest.mark.parametrize("second, line, message", [
+        ("0,0.5\n250,abc\n", 3, "could not convert string to float: 'abc'"),
+        ("", 1, "no rows after the header"),
+        ("0,0.5\n300,0.4\n", 3, "steps_trained 300 differs from 250 in "),
+        ("0,0.5\n250\n", 3, "not enough values to unpack"),
+    ])
+    def test_report_on_a_bad_validation_file_names_its_line(
+        self, tmp_path, capsys, second, line, message
+    ):
+        """Before: a ValueError or an IndexError and exit 1, or, for steps that
+        differ, a band averaging run 2's step 300 with run 1's 250, labelled 250."""
+        self.write_runs(tmp_path, second)
+        assert cli.main(["report", str(tmp_path)]) == 2
+        path = tmp_path / "run_2" / "run_validation.csv"
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: {message}")
+        assert not (tmp_path / "validation_band.csv").exists()
+
+    def test_report_cuts_runs_whose_steps_agree_to_the_shortest(self, tmp_path):
+        self.write_runs(tmp_path, "0,0.75\n250,0\n")
+        assert cli.main(["report", str(tmp_path)]) == 0
+        assert (tmp_path / "validation_band.csv").read_text(encoding="utf-8") == (
+            "x,mean,min,max\n0,0.5,0.25,0.75\n250,0.25,0.0,0.5\n"
+        )
+
 
 def test_a_non_finite_float_in_a_tuple_is_rejected(monkeypatch):
     """The dropout rates' own check rejects NaN first; without it, the shared

@@ -48,6 +48,27 @@ class TestAggregation:
         assert np.abs(current - aggregate_mean(vectors)).max() <= tol
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 64), st.data())
+def test_aggregate_mean_has_the_bits_of_np_mean_over_the_stack(count, length, data):
+    """The in-order sum without the stacked copy is the sum ``np.mean`` runs."""
+    values = st.floats(allow_nan=False, allow_infinity=False, width=64) | st.floats(-1e3, 1e3)
+    vectors = data.draw(st.lists(arrays(np.float64, length, elements=values),
+                                 min_size=count, max_size=count))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge values may overflow both alike
+        expected = np.mean(np.stack(vectors), axis=0)
+        got = aggregate_mean(vectors)
+    assert got.tobytes() == expected.tobytes()
+    assert all(got is not v for v in vectors)
+
+
+def test_aggregate_mean_of_negative_zeros_is_positive_zero_as_in_np_mean():
+    vectors = [np.array([-0.0, 1.0]), np.array([-0.0, -1.0])]
+    for count in (1, 2):
+        expected = np.mean(np.stack(vectors[:count]), axis=0)
+        assert aggregate_mean(vectors[:count]).tobytes() == expected.tobytes()
+
+
 @st.composite
 def rounds(draw):
     """Per-agent weight vectors, step counts (ties likely) and a slow mask."""

@@ -286,6 +286,19 @@ class TestScratchLifetime:
         assert np.array_equal(net.backward(cache_again, grad_q), held_grad)
 
 
+    def test_only_backward_allocates_a_gradient_and_release_drops_it(self):
+        net = make_net(self.DIMS, self.RATES, 3, np.float32)
+        target = net.clone()
+        x = np.random.default_rng(6).random((9, 5))
+        target.forward_cached(x, train=False)
+        assert net.flat_grad is None and target.flat_grad is None
+        _, cache = self.train_forward(net, x, seed=7)
+        grad = net.backward(cache, np.ones((9, self.DIMS[-1]), np.float32))
+        assert grad is net.flat_grad and grad.size == net.flat.size
+        net.release_scratch()
+        assert net.flat_grad is None
+
+
 class TestWeightVector:
     def test_round_trip_identity(self):
         net = paper_net(9, 7)
@@ -378,6 +391,59 @@ class TestOptimizers:
             assert subnormal_count(opt.v) == 0, stuck
             assert not np.array_equal(ref, start), stuck
             assert np.array_equal(params.view(np.uint32), ref.view(np.uint32)), stuck
+
+
+class BufferedAdam(AdamOptimizer):
+    """Reference for ``AdamOptimizer.step``: the same operations into preallocated work arrays."""
+
+    def __init__(self, params, lr):
+        super().__init__(params, lr=lr)
+        self._mhat = np.empty_like(params)
+        self._vhat = np.empty_like(params)
+        self._keep = np.empty(params.shape, dtype=bool)
+        self.flushed = 0  # nonzero moment entries the flushes have zeroed
+
+    def step(self, params, grad):
+        self.t += 1
+        b1, b2, tiny = self.beta1, self.beta2, np.finfo(params.dtype).tiny
+        self.m *= b1
+        self.m += np.multiply(grad, 1.0 - b1, out=self._mhat)
+        np.greater_equal(np.abs(self.m, out=self._mhat), tiny, out=self._keep)
+        self.flushed += int(np.count_nonzero(self.m[~self._keep]))
+        self.m *= self._keep
+        self.v *= b2
+        self.v += np.multiply(np.square(grad, out=self._vhat), 1.0 - b2, out=self._vhat)
+        np.greater_equal(self.v, tiny, out=self._keep)
+        self.flushed += int(np.count_nonzero(self.v[~self._keep]))
+        self.v *= self._keep
+        np.divide(self.m, 1.0 - b1**self.t, out=self._mhat)
+        np.divide(self.v, 1.0 - b2**self.t, out=self._vhat)
+        np.sqrt(self._vhat, out=self._vhat)
+        self._vhat += self.eps
+        self._mhat /= self._vhat
+        self._mhat *= self.lr
+        params -= self._mhat
+
+
+@pytest.mark.parametrize("dtype, small", [(np.float32, 1e-20), (np.float64, 1e-155)])
+def test_adam_step_has_the_bits_of_the_buffered_step(dtype, small):
+    """600 steps: ordinary gradients, then ones whose squares are subnormal,
+    then zeros while both moments decay through the flush; a reset midway."""
+    rng = np.random.default_rng(3)
+    params = rng.uniform(-1.0, 1.0, size=257).astype(dtype)
+    ref_params = params.copy()
+    opt, ref = AdamOptimizer(params, lr=0.04), BufferedAdam(ref_params, lr=0.04)
+    for t in range(600):
+        scale = 10.0 ** rng.uniform(-3, 1) if t < 100 else small if t < 200 else 0.0
+        grad = (rng.standard_normal(257) * scale * (rng.random(257) < 0.6)).astype(dtype)
+        if t == 150:
+            opt.reset()
+            ref.reset()
+        opt.step(params, grad)
+        ref.step(ref_params, grad)
+        for got, want in ((params, ref_params), (opt.m, ref.m), (opt.v, ref.v)):
+            assert got.tobytes() == want.tobytes(), t
+    assert ref.flushed > 0
 
 
 class TestCheckpoints:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedpart import cli, runner, traces
+from fedpart import cli, runner
 from fedpart.baseline import run_baseline
 from fedpart.config import apply_overrides, parse_config
 from fedpart.env import CostWeights, resolve_cost_weights
@@ -149,15 +149,12 @@ def test_only_the_training_agent_holds_a_batchs_scratch_buffers():
     scratch_set = settings.batch_size * (
         2 * itemsize * sum(dims[1:]) + (1 + itemsize) * sum(dims[1:-1])
     )
-    # The trace replays allocate a pass at their first sample and at pass
-    # boundaries: per-agent memory, but not the networks'; leave it out.
-    not_replays = [tracemalloc.Filter(False, traces.__file__)]
     held = []
     tracemalloc.start()
     try:
         for agent in agents:
             agent.run_training_phase(settings.batch_size + 8)
-            snapshot = tracemalloc.take_snapshot().filter_traces(not_replays)
+            snapshot = tracemalloc.take_snapshot()
             held.append(sum(stat.size for stat in snapshot.statistics("filename")))
             del snapshot
     finally:
@@ -165,6 +162,42 @@ def test_only_the_training_agent_holds_a_batchs_scratch_buffers():
     assert all(agent.grad_updates == 9 for agent in agents)
     growth = np.diff(held)
     assert (growth < scratch_set).all(), (growth.tolist(), scratch_set)
+
+
+INVENTORY_INI = """\
+[profile]
+cut_points = 2
+
+[agent]
+dropout_rates = 0.2, 0.1, 0.0
+batch_size = 32
+buffer_capacity = 1000
+"""
+
+
+def test_an_idle_agent_holds_its_buffer_log_weights_and_moments_only():
+    """After a phase an agent holds no gradient, Adam work array or trace copy.
+
+    What else it holds (envs, generators, the probe's lists) fits in the
+    slack, which is under half of one weight vector at these widths.
+    """
+    builder = runner.AgentBuilder(runner.build_scenario(parse_config(INVENTORY_INI)))
+    tracemalloc.start()
+    try:
+        agent = builder.build(0, np.random.SeedSequence(3))
+        agent.run_training_phase(agent.settings.batch_size + 8)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = sum(stat.size for stat in snapshot.statistics("filename"))
+    assert agent.grad_updates == 9
+    buffer = agent.buffer
+    own = [buffer.states, buffer.actions, buffer.rewards, buffer.next_states, buffer.next_q,
+           buffer.stale, agent.log, agent.net.flat, agent.target_net.flat,
+           agent.optimizer.m, agent.optimizer.v]
+    slack = 32 * 1024
+    assert slack < agent.net.flat.nbytes / 2
+    assert held <= sum(a.nbytes for a in own) + slack, (held, [a.nbytes for a in own])
 
 
 def test_a_network_of_a_written_checkpoints_dims_takes_its_weights(tmp_path):

@@ -168,7 +168,67 @@ class TestTraceFiles:
             load_trace(path)
 
 
+class PassArrayReplay:
+    """Reference for ``PerturbedReplay``: it builds each pass as a whole array."""
+
+    def __init__(self, base, seed, noise_rel, shift_enabled, inversion_enabled):
+        self.base, self.noise_rel = base, noise_rel
+        self.shift_enabled, self.inversion_enabled = shift_enabled, inversion_enabled
+        self._rng = np.random.default_rng(seed)
+        self._pass = None
+        self._pos = 0
+
+    def _begin_pass(self):
+        samples = self.base.samples
+        n = samples.size
+        shift = int(self._rng.integers(0, n))
+        factor = 1.0 + float(self._rng.normal(0.0, self.noise_rel))
+        invert = bool(self._rng.random() < 0.5)
+        if self.inversion_enabled and invert:
+            samples = np.concatenate((samples[n // 2 :], samples[: n // 2]))
+        if self.shift_enabled and shift:
+            samples = np.roll(samples, -shift)
+        if self.noise_rel > 0.0:
+            samples = samples * factor
+        self._pass = np.maximum(samples, 0.0)
+        self._pos = 0
+
+    def next_sample(self):
+        return float(self.next_window(1)[0])
+
+    def next_window(self, n):
+        out = np.empty(n)
+        filled = 0
+        while filled < n:
+            if self._pass is None or self._pos >= self._pass.size:
+                self._begin_pass()
+            take = min(n - filled, self._pass.size - self._pos)
+            out[filled : filled + take] = self._pass[self._pos : self._pos + take]
+            self._pos += take
+            filled += take
+        return out
+
+
 class TestPerturbedReplay:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    @pytest.mark.parametrize("shift", [True, False])
+    @pytest.mark.parametrize("inversion", [True, False])
+    @pytest.mark.parametrize("noise_rel", [0.0, 0.1, 2.0])  # 2.0 draws negative factors
+    def test_bits_equal_the_pass_array_replay(self, seed, shift, inversion, noise_rel):
+        """Windows shorter and longer than a pass, across its boundaries, with
+        single samples between them; an odd length makes the halves unequal."""
+        spec = TraceSynthesisSpec(length=37, mean=20.0, variability=15.0, outage_rate=0.05)
+        base = synthesize_trace(spec, seed)
+        replay = PerturbedReplay(base, seed, noise_rel, shift, inversion)
+        reference = PassArrayReplay(base, seed, noise_rel, shift, inversion)
+        sizes = np.random.default_rng(seed).integers(-20, 100, size=80)
+        for n in sizes.tolist():
+            if n <= 0:
+                got, want = np.float64(replay.next_sample()), np.float64(reference.next_sample())
+            else:
+                got, want = replay.next_window(n), reference.next_window(n)
+            assert got.tobytes() == want.tobytes()
+
     def test_identity_transformation(self):
         base = Trace(samples=np.arange(1.0, 11.0), granularity_ms=250.0)
         replay = PerturbedReplay(
