@@ -251,9 +251,6 @@ class DQNAgent:
         self.grad_updates = 0
         self.log = np.zeros(0, dtype=STEP_LOG)
 
-    def get_weights(self) -> np.ndarray:
-        return self.net.get_weights()
-
     def set_weights(self, flat: np.ndarray) -> None:
         """Install weights into both networks and restart optimizer moments."""
         self.net.set_weights(flat)

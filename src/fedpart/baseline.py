@@ -58,7 +58,9 @@ def neurosurgeon_select(
         if objective == "latency":
             value = total_latency_ms(cfg, r_wifi, r_5g, obs.last_cloud_latency)
         else:
-            e_sew, e_phone = energy_per_window(cfg, r_wifi, r_5g, devices, weights)
+            e_sew, e_phone = energy_per_window(
+                cfg, r_wifi, r_5g, devices, weights, weights.tau_normal
+            )
             value = e_sew + e_phone
         if value < best_value:
             best_value = value

@@ -11,7 +11,6 @@ checkpoint that ``transfer --checkpoint`` reads; ``transfer`` is ``train``
 warm-started from that checkpoint. A bad config, profile, trace,
 checkpoint or ``run_validation.csv``, a missing file, or a checkpoint whose
 network dims differ from the config's prints ``error: ...`` and returns 2.
-FEDPART_OUTPUT_ROOT, when set, prefixes relative output directories.
 """
 
 from __future__ import annotations
@@ -27,18 +26,10 @@ from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
 from .metrics import band
 from .network import CheckpointError
 from .profiles import (
-    CATEGORY_FULL_CLOUD, CATEGORY_FULL_PHONE, CATEGORY_FULL_SEW, CATEGORY_SEW_PHONE_CLOUD,
     ProfileError, enumerate_configs, load_profile, save_profile, synthesize_profile,
 )
 from .runner import run_baseline_suite, run_experiment, write_csv, write_experiment
 from .traces import TraceError, load_trace, save_trace, synthesize_trace
-
-
-def _resolve_output(path: str) -> str:
-    root = os.environ.get("FEDPART_OUTPUT_ROOT", "")
-    if root and not os.path.isabs(path):
-        return os.path.join(root, path)
-    return path
 
 
 def _load_with_overrides(args) -> ExperimentConfig:
@@ -75,7 +66,7 @@ def _add_common_train_flags(parser) -> None:
 def cmd_train(args) -> int:
     config = _load_with_overrides(args)
     experiment = run_experiment(config, args.checkpoint)
-    out_dir = _resolve_output(config.run.output_dir)
+    out_dir = config.run.output_dir
     mean, mn, mx = write_experiment(config, experiment, out_dir)
     line = f"final validation C_lat: mean={mean:.4f} band=[{mn:.4f}, {mx:.4f}]"
     if args.checkpoint is None:
@@ -89,7 +80,7 @@ def cmd_baseline(args) -> int:
     config = _load_with_overrides(args)
     logs = run_baseline_suite(config, args.objective)
     rates = [float(np.mean(log["violated"])) for _, _, log in logs]
-    out_dir = _resolve_output(config.run.output_dir)
+    out_dir = config.run.output_dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"baseline_{args.objective}.csv")
     write_csv(
@@ -106,13 +97,13 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    skeletons = enumerate_configs(args.cuts)
-    full = (CATEGORY_FULL_SEW, CATEGORY_FULL_PHONE, CATEGORY_FULL_CLOUD)
-    n_full = sum(s.category in full for s in skeletons)
-    n_double = sum(s.category == CATEGORY_SEW_PHONE_CLOUD for s in skeletons)
-    print(len(skeletons))
+    cuts = enumerate_configs(args.cuts)
+    end = args.cuts + 1
+    n_full = sum(a in (0, end) and b in (0, end) for a, b in cuts)
+    n_double = sum(0 < a < b < end for a, b in cuts)
+    print(len(cuts))
     print(
-        f"full-device={n_full} single-split={len(skeletons) - n_full - n_double} "
+        f"full-device={n_full} single-split={len(cuts) - n_full - n_double} "
         f"double-split={n_double} (cuts={args.cuts})"
     )
     return 0

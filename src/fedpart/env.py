@@ -145,9 +145,9 @@ def energy_per_window(
     r_5g: float,
     devices: DeviceProfile,
     weights: CostWeights,
-    tau: float | None = None,
+    tau: float,
 ) -> tuple[float, float]:
-    """Joules consumed by the SEW and by the phone over one decision window.
+    """Joules consumed by the SEW and by the phone over a decision window of ``tau`` s.
 
     Each device pays compute energy proportional to its partition's FLOPs
     plus interface power times transmit time for the data it sends (the
@@ -155,7 +155,7 @@ def energy_per_window(
     """
     if r_wifi <= 0 or r_5g <= 0:
         raise ValueError("throughputs must be positive (apply the floor first)")
-    window = (weights.tau_normal if tau is None else tau) * weights.lambda_fps
+    window = tau * weights.lambda_fps
     e_sew = window * (
         devices.z_sew * config.mu1 + devices.theta_sew * config.delta12 / r_wifi
     )
@@ -165,11 +165,9 @@ def energy_per_window(
     return e_sew, e_phone
 
 
-def comm_cost_5g(
-    config: PartitionConfig, weights: CostWeights, tau: float | None = None
-) -> float:
-    """Monetary cost of the phone-to-cloud transfers in one window."""
-    window = (weights.tau_normal if tau is None else tau) * weights.lambda_fps
+def comm_cost_5g(config: PartitionConfig, weights: CostWeights, tau: float) -> float:
+    """Monetary cost of the phone-to-cloud transfers in a window of ``tau`` s."""
+    window = tau * weights.lambda_fps
     return window * weights.g * config.delta23
 
 
@@ -215,10 +213,12 @@ def resolve_cost_weights(
     e_phone_max = 0.0
     c5_max = 0.0
     for cfg in profile.configs:
-        e_sew, e_phone = energy_per_window(cfg, wifi_floor, fiveg_floor, devices, weights)
+        e_sew, e_phone = energy_per_window(
+            cfg, wifi_floor, fiveg_floor, devices, weights, weights.tau_normal
+        )
         e_sew_max = max(e_sew_max, weights.alpha * e_sew)
         e_phone_max = max(e_phone_max, weights.alpha * e_phone)
-        c5_max = max(c5_max, comm_cost_5g(cfg, weights))
+        c5_max = max(c5_max, comm_cost_5g(cfg, weights, weights.tau_normal))
     return replace(
         weights,
         c_sew_max=weights.c_sew_max or e_sew_max or 1.0,

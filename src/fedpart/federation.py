@@ -9,8 +9,10 @@ Already-distributed aggregates are never modified retroactively, so fast
 agents continue from the fast-group average.
 
 Agents run in one ``AgentHost``: in the master with one worker, or one per
-forked worker process, each serving its partition of the agents over a
-pipe. Weights and logs are bit-identical for any worker count.
+forked worker process, each holding its partition of the agents. Every
+call goes to every worker with the whole round; each host runs the jobs of
+the agents it holds and returns those agents' own weight arrays by id.
+Weights and logs are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -200,23 +202,26 @@ def derive_seed_sequences(config: FederationConfig, master_seed: int):
 
 
 class AgentHost:
-    """Owns some of the agents and runs their phases, in the master or a worker.
+    """Holds some of the agents and runs their phases, in the master or a worker.
 
-    ``run_phases`` takes ``(agent_id, weights, steps)`` jobs and returns
-    ``(agent_id, weights)`` pairs; ``finalize`` returns each agent's
-    ``AgentLog`` by id.
+    ``run_phases`` takes the round's ``(agent_id, weights, steps)`` jobs, runs
+    those of the agents it holds in order, skips the rest, and returns
+    ``{agent_id: agent.net.flat}``: each agent's own array, which nothing
+    writes until that agent's next ``set_weights``. ``finalize`` returns each
+    agent's ``AgentLog`` by id.
     """
 
     def __init__(self, builder, assignments):
         self.agents = {i: builder.build(i, seq) for i, seq in assignments}
 
     def run_phases(self, jobs):
-        out = []
+        out = {}
         for agent_id, weights, steps in jobs:
-            agent = self.agents[agent_id]
-            agent.set_weights(weights)
-            agent.run_training_phase(steps)
-            out.append((agent_id, agent.get_weights()))
+            agent = self.agents.get(agent_id)
+            if agent is not None:
+                agent.set_weights(weights)
+                agent.run_training_phase(steps)
+                out[agent_id] = agent.net.flat
         return out
 
     def finalize(self):
@@ -259,7 +264,9 @@ def _worker_main(conn, builder, assignments):
 class _Pool:
     """Persistent worker processes, each hosting a partition of the agents.
 
-    A worker that exits mid-run, or whose agents raise, is reported as a
+    Every call goes to every worker, whose ``AgentHost`` answers for the
+    agents it holds; the replies' dicts merge into one by agent id. A worker
+    that exits mid-run, or whose agents raise, is reported as a
     ``RuntimeError`` naming its agents and the exit code or the exception.
     """
 
@@ -270,11 +277,8 @@ class _Pool:
         ctx = multiprocessing.get_context("fork")
         self.conns = []
         self.procs = []
-        self.owner = {}
-        self.partitions = [[] for _ in range(workers)]
-        for i, seq in enumerate(agent_seqs):
-            self.partitions[i % workers].append((i, seq))
-            self.owner[i] = i % workers
+        assignments = list(enumerate(agent_seqs))
+        self.partitions = [assignments[w::workers] for w in range(workers)]
         for part in self.partitions:
             parent, child = ctx.Pipe()
             proc = ctx.Process(target=_worker_main, args=(child, builder, part), daemon=True)
@@ -286,41 +290,36 @@ class _Pool:
     def _agents(self, w: int) -> list[int]:
         return [i for i, _ in self.partitions[w]]
 
-    def _exchange(self, messages: dict) -> list:
-        """Send each worker ``w`` its ``messages[w]``, then collect the replies.
+    def _call(self, *message) -> dict:
+        """Send every worker ``message``, read every reply, and merge the results.
 
         Every reply is read before a worker's error is raised, so no worker
         is left blocked on sending its reply.
         """
         try:
-            for w, message in messages.items():
-                self.conns[w].send(message)
+            for w, conn in enumerate(self.conns):
+                conn.send(message)
             replies = []
-            for w in messages:
-                replies.append(self.conns[w].recv())
+            for w, conn in enumerate(self.conns):
+                replies.append(conn.recv())
         except (EOFError, BrokenPipeError, ConnectionResetError) as exc:
             proc = self.procs[w]
             proc.join(timeout=10)
             raise RuntimeError(
                 f"pool worker {w} for agents {self._agents(w)} exited with code {proc.exitcode}"
             ) from exc
-        for w, (error, _) in zip(messages, replies):
+        merged = {}
+        for w, (error, result) in enumerate(replies):
             if error is not None:
                 raise RuntimeError(f"pool worker {w} for agents {self._agents(w)} raised {error}")
-        return [result for _, result in replies]
+            merged.update(result)
+        return merged
 
     def run_phases(self, jobs):
-        batches = {}
-        for job in jobs:
-            batches.setdefault(self.owner[job[0]], []).append(job)
-        replies = self._exchange({w: ("run_phases", batch) for w, batch in batches.items()})
-        return [pair for reply in replies for pair in reply]
+        return self._call("run_phases", jobs)
 
     def finalize(self):
-        logs = {}
-        for reply in self._exchange({w: ("finalize",) for w in range(len(self.conns))}):
-            logs.update(reply)
-        return logs
+        return self._call("finalize")
 
     def close(self):
         for conn in self.conns:
@@ -384,7 +383,7 @@ def run_federation(
                 for slow in slow_mask
             ]
             jobs = [(m, next_init[m], steps[m]) for m in range(config.m_agents)]
-            returned = dict(host.run_phases(jobs))
+            returned = host.run_phases(jobs)
             thetas = [returned[m] for m in range(config.m_agents)]
             for m, weights in enumerate(thetas):
                 if not np.isfinite(weights).all():

@@ -17,17 +17,9 @@ def moving_avg_violations(history, window: int = 1000) -> np.ndarray:
     if window < 1:
         raise ValueError("window must be >= 1")
     flags = np.asarray(history)
-    if flags.size == 0:
-        return np.empty(0)
     prefix = np.concatenate(([0], np.cumsum(flags.astype(np.int64))))
     t = np.arange(1, flags.size + 1)
-    out = np.empty(flags.size)
-    head = t < window
-    out[head] = prefix[t[head]] / t[head]
-    tail = ~head
-    if tail.any():
-        out[tail] = (prefix[t[tail]] - prefix[t[tail] - window]) / window
-    return out
+    return (prefix[t] - prefix[np.maximum(t - window, 0)]) / np.minimum(t, window)
 
 
 def band(runs: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

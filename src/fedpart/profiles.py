@@ -16,15 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CATEGORY_FULL_SEW = "full-sew"
-CATEGORY_FULL_PHONE = "full-phone"
-CATEGORY_FULL_CLOUD = "full-cloud"
-CATEGORY_SEW_PHONE = "sew-phone"
-CATEGORY_SEW_CLOUD = "sew-cloud"
-CATEGORY_PHONE_CLOUD = "phone-cloud"
-CATEGORY_SEW_PHONE_CLOUD = "sew-phone-cloud"
-
-
 class ProfileError(ValueError):
     """Invalid profile data (construction, synthesis, or file parsing)."""
 
@@ -37,17 +28,8 @@ def config_count(cut_points: int) -> int:
     return 3 + 3 * p + p * (p - 1) // 2
 
 
-@dataclass(frozen=True)
-class ConfigSkeleton:
-    """Split assignment only: which cuts are used and what they place where."""
-
-    cut_a: int
-    cut_b: int
-    category: str
-
-
-def enumerate_configs(cut_points: int) -> list[ConfigSkeleton]:
-    """Enumerate all split assignments for a model with ``cut_points`` cuts.
+def enumerate_configs(cut_points: int) -> list[tuple[int, int]]:
+    """Every configuration's ``(cut_a, cut_b)`` for a model with ``cut_points`` cuts.
 
     Deterministic order: the three full-device placements (SEW, phone,
     cloud), then single splits grouped by pair type (SEW-phone, SEW-cloud,
@@ -58,21 +40,13 @@ def enumerate_configs(cut_points: int) -> list[ConfigSkeleton]:
         raise ProfileError(f"cut_points must be >= 0, got {cut_points}")
     p = cut_points
     end = p + 1
-    skeletons = [
-        ConfigSkeleton(end, end, CATEGORY_FULL_SEW),
-        ConfigSkeleton(0, end, CATEGORY_FULL_PHONE),
-        ConfigSkeleton(0, 0, CATEGORY_FULL_CLOUD),
-    ]
-    skeletons += [ConfigSkeleton(j, end, CATEGORY_SEW_PHONE) for j in range(1, p + 1)]
-    skeletons += [ConfigSkeleton(j, j, CATEGORY_SEW_CLOUD) for j in range(1, p + 1)]
-    skeletons += [ConfigSkeleton(0, j, CATEGORY_PHONE_CLOUD) for j in range(1, p + 1)]
-    skeletons += [
-        ConfigSkeleton(a, b, CATEGORY_SEW_PHONE_CLOUD)
-        for a in range(1, p + 1)
-        for b in range(a + 1, p + 1)
-    ]
-    assert len(skeletons) == config_count(p)
-    return skeletons
+    cuts = [(end, end), (0, end), (0, 0)]
+    cuts += [(j, end) for j in range(1, p + 1)]
+    cuts += [(j, j) for j in range(1, p + 1)]
+    cuts += [(0, j) for j in range(1, p + 1)]
+    cuts += [(a, b) for a in range(1, p + 1) for b in range(a + 1, p + 1)]
+    assert len(cuts) == config_count(p)
+    return cuts
 
 
 @dataclass(frozen=True)
@@ -171,12 +145,11 @@ class ApplicationProfile:
                 raise ProfileError(
                     f"config {i}: mu1+mu2+mu3 = {mu_sum} != total {self.total_flops}"
                 )
-        skeletons = enumerate_configs(p)
-        for skel, cfg in zip(skeletons, self.configs):
-            if (cfg.cut_a, cfg.cut_b) != (skel.cut_a, skel.cut_b):
+        for (a, b), cfg in zip(enumerate_configs(p), self.configs):
+            if (cfg.cut_a, cfg.cut_b) != (a, b):
                 raise ProfileError(
                     f"config {cfg.id}: cuts ({cfg.cut_a}, {cfg.cut_b}) do not match "
-                    f"the enumeration order ({skel.cut_a}, {skel.cut_b})"
+                    f"the enumeration order ({a}, {b})"
                 )
         full_sew = self.configs[0]
         if full_sew.delta12 != 0 or full_sew.delta23 != 0 or full_sew.t2 != 0 or full_sew.t3 != 0:
@@ -252,8 +225,7 @@ def synthesize_profile(spec: ProfileSpec) -> ApplicationProfile:
     sizes = np.concatenate(([1.0], shape, [0.0])) * spec.delta0
 
     configs = []
-    for i, skel in enumerate(enumerate_configs(p)):
-        a, b = skel.cut_a, skel.cut_b
+    for i, (a, b) in enumerate(enumerate_configs(p)):
         mu1 = float(flops_at[a])
         mu2 = float(flops_at[b] - flops_at[a])
         mu3 = float(spec.total_flops - flops_at[b])

@@ -142,7 +142,7 @@ CACHE_SETTINGS = AgentSettings(buffer_capacity=600, target_update_freq=50)
 def averaged_weights(agent: DQNAgent, seed: int) -> np.ndarray:
     """Weights as a federated round installs them: a mean with another agent's."""
     other = make_tiny_agent(agent.env.profile, agent.settings, env_seed=seed, seed=seed)
-    return (agent.get_weights() + other.get_weights()) / 2.0
+    return (agent.net.get_weights() + other.net.get_weights()) / 2.0
 
 
 def fresh_512_row_max_q(target: QNetwork, next_states: np.ndarray) -> np.ndarray:
@@ -223,9 +223,9 @@ class TestTargetCache:
 class TestAgentLoop:
     def test_zero_steps_leave_weights_unchanged(self, tiny_profile, tiny_settings):
         agent = make_tiny_agent(tiny_profile, tiny_settings, seed=0)
-        before = agent.get_weights()
+        before = agent.net.get_weights()
         agent.run_training_phase(0)
-        assert np.array_equal(agent.get_weights(), before)
+        assert np.array_equal(agent.net.get_weights(), before)
 
     def test_buffer_grows_with_steps(self, tiny_profile, tiny_settings):
         agent = make_tiny_agent(tiny_profile, tiny_settings, seed=0)
@@ -240,7 +240,7 @@ class TestAgentLoop:
         b.run_training_phase(120)
         assert np.array_equal(a.log["cost"], b.log["cost"])
         assert np.array_equal(a.log["action"], b.log["action"])
-        assert np.array_equal(a.get_weights(), b.get_weights())
+        assert np.array_equal(a.net.get_weights(), b.net.get_weights())
 
     def test_target_sync_schedule(self, tiny_profile, tiny_settings):
         # The first update comes on the step that brings the buffer to
@@ -312,5 +312,5 @@ class TestValidationProbe:
         a.run_training_phase(100)
         b.run_training_phase(100)
         assert [len(probe.rates) for probe in probes] == [5, 15]
-        assert np.array_equal(a.get_weights(), b.get_weights())
+        assert np.array_equal(a.net.get_weights(), b.net.get_weights())
         assert np.array_equal(a.log["cost"], b.log["cost"])

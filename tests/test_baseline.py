@@ -6,7 +6,7 @@ import pytest
 from fedpart.baseline import BaselineObservation, neurosurgeon_select, run_baseline
 from fedpart.config import ExperimentConfig
 from fedpart.env import CostWeights, ObservationBounds, energy_per_window, total_latency_ms
-from fedpart.profiles import CATEGORY_FULL_CLOUD, DeviceProfile, enumerate_configs
+from fedpart.profiles import DeviceProfile, enumerate_configs
 from fedpart.runner import Scenario
 from fedpart.traces import TraceSynthesisSpec, synthesize_trace
 
@@ -24,7 +24,7 @@ def brute_force(profile, obs, objective, devices, weights, wifi_floor, fiveg_flo
     def value(cfg):
         if objective == "latency":
             return total_latency_ms(cfg, r_wifi, r_5g, obs.last_cloud_latency)
-        return sum(energy_per_window(cfg, r_wifi, r_5g, devices, weights))
+        return sum(energy_per_window(cfg, r_wifi, r_5g, devices, weights, weights.tau_normal))
 
     return min(profile.configs, key=lambda cfg: (value(cfg), cfg.id)).id
 
@@ -86,7 +86,7 @@ def test_run_baseline_matches_a_loop_over_a_twin_env(tiny_profile, objective):
     floors = default_floors(twin.bounds)
     r_wifi, r_5g = twin.wifi_replay.base.mean, twin.fiveg_replay.base.mean
     cloud = tiny_profile.configs[2].t3
-    assert enumerate_configs(tiny_profile.cut_points)[2].category == CATEGORY_FULL_CLOUD
+    assert enumerate_configs(tiny_profile.cut_points)[2] == (0, 0)  # full cloud
     kinds = set()
     for row in log:
         obs = BaselineObservation(r_wifi, r_5g, cloud)

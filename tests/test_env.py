@@ -69,8 +69,9 @@ class TestTotalLatency:
 class TestEnergy:
     def test_fully_cloud_limit(self):
         cfg = make_config(cut_a=0, cut_b=0, delta12=6.25, delta23=6.25, mu3=5427.0, t3=25.0)
+        weights = CostWeights()
         e_sew, e_phone = energy_per_window(
-            cfg, 1e12, 1e12, DeviceProfile(), CostWeights()
+            cfg, 1e12, 1e12, DeviceProfile(), weights, weights.tau_normal
         )
         assert e_sew == pytest.approx(0.0, abs=1e-9)
         assert e_phone == pytest.approx(0.0, abs=1e-9)
@@ -79,7 +80,7 @@ class TestEnergy:
         cfg = make_config(mu1=5427.0, t1=374.0)
         weights = CostWeights(tau_normal=10.0, lambda_fps=1.0)
         devices = DeviceProfile(z_sew=1.5e-3)
-        e_sew, e_phone = energy_per_window(cfg, 10.0, 10.0, devices, weights)
+        e_sew, e_phone = energy_per_window(cfg, 10.0, 10.0, devices, weights, weights.tau_normal)
         assert e_phone == 0.0
         assert e_sew == pytest.approx(10.0 * 1.0 * 1.5e-3 * 5427.0)
 
@@ -88,23 +89,23 @@ class TestEnergy:
         cfg = make_config(mu1=1000.0, delta12=1.0)
         weights = CostWeights(tau_normal=10.0, lambda_fps=1.0)
         devices = DeviceProfile(z_sew=1e-3, theta_sew=7.9)
-        e_sew, _ = energy_per_window(cfg, 10.0, 1.0, devices, weights)
+        e_sew, _ = energy_per_window(cfg, 10.0, 1.0, devices, weights, weights.tau_normal)
         assert e_sew == pytest.approx(17.9)
 
 
 class TestCommCost:
     def test_no_cloud_stage_is_free(self):
-        assert comm_cost_5g(make_config(), CostWeights()) == 0.0
+        assert comm_cost_5g(make_config(), CostWeights(), 10.0) == 0.0
 
     def test_zero_rate_is_free(self):
         cfg = make_config(delta23=5.0)
         weights = CostWeights(g=0.0)
-        assert comm_cost_5g(cfg, weights) == 0.0
+        assert comm_cost_5g(cfg, weights, weights.tau_normal) == 0.0
 
     def test_worked_example(self):
         cfg = make_config(delta23=1.0)
         weights = CostWeights(g=0.1, lambda_fps=1.0, tau_normal=10.0)
-        assert comm_cost_5g(cfg, weights) == pytest.approx(1.0)
+        assert comm_cost_5g(cfg, weights, weights.tau_normal) == pytest.approx(1.0)
 
 
 class TestStepCost:

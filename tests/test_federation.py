@@ -9,8 +9,10 @@ from hypothesis.extra.numpy import arrays
 
 from fedpart.agent import DQNAgent
 from fedpart.federation import (
+    AgentHost,
     FederationConfig,
     ScheduleRow,
+    _Pool,
     aggregate_incremental,
     aggregate_mean,
     aggregate_round,
@@ -198,11 +200,51 @@ class TestRunFederation:
             run_federation(config, builder, 2, None, 2)
 
     def test_finite_run_completes(self, tiny_profile, tiny_settings):
+        """Three workers put one agent in each: every worker count ends alike."""
         config = FederationConfig(agents=3, steps_per_agent=60, freq_updates=20)
         builder = _Builder(tiny_profile, tiny_settings, poisoned=None)
-        result = run_federation(config, builder, 2, None, 1)
-        assert np.isfinite(result.final_weights).all()
-        assert len(result.schedule_rows) == 9
+        results = [run_federation(config, builder, 2, None, workers) for workers in (1, 2, 3)]
+        for result in results:
+            assert np.isfinite(result.final_weights).all()
+            assert len(result.schedule_rows) == 9
+            assert result.final_weights.tobytes() == results[0].final_weights.tobytes()
+
+
+def _round_jobs(config, builder):
+    """Every agent's first-round job, from the master seed's initial weights."""
+    agent_seqs, net_seq, _ = derive_seed_sequences(config, 2)
+    theta = builder.initial_weights(net_seq)
+    return agent_seqs, [(m, theta, config.freq_updates) for m in range(config.m_agents)]
+
+
+class TestHosts:
+    def test_a_host_runs_only_its_agents_and_returns_their_own_arrays(
+        self, tiny_profile, tiny_settings
+    ):
+        config = FederationConfig(agents=3, steps_per_agent=20, freq_updates=20)
+        builder = _Builder(tiny_profile, tiny_settings, poisoned=None)
+        agent_seqs, jobs = _round_jobs(config, builder)
+        host = AgentHost(builder, [(0, agent_seqs[0]), (2, agent_seqs[2])])
+        returned = host.run_phases(jobs)
+        assert sorted(returned) == [0, 2]
+        for m, weights in returned.items():
+            assert weights is host.agents[m].net.flat
+            assert host.agents[m].total_steps == config.freq_updates
+
+    def test_the_pool_returns_every_agent_in_the_networks_dtype(
+        self, tiny_profile, tiny_settings
+    ):
+        config = FederationConfig(agents=3, steps_per_agent=20, freq_updates=20)
+        builder = _Builder(tiny_profile, tiny_settings, poisoned=None)
+        agent_seqs, jobs = _round_jobs(config, builder)
+        pool = _Pool(builder, agent_seqs, 2)
+        try:
+            returned = pool.run_phases(jobs)
+        finally:
+            pool.close()
+        assert not any(proc.is_alive() for proc in pool.procs)
+        assert sorted(returned) == [0, 1, 2]
+        assert {weights.dtype for weights in returned.values()} == {np.dtype(tiny_settings.dtype)}
 
 
 class _UnbuildableBuilder(_Builder):

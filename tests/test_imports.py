@@ -2,8 +2,9 @@
 no parameter its function never reads, and no parameter default beyond an
 allow-list (config values arrive as arguments); ``tests/`` has no unused
 imports either. The worker pool's modules stay off the import path of
-``fedpart.cli``, the network imports nothing from ``fedpart`` and the
-federation does not import the network.
+``fedpart.cli``, the network imports nothing from ``fedpart``, the
+federation does not import the network, and no module reads the process
+environment (settings come from the config and the command line).
 
 No linter is installed, so these are stdlib ``ast`` checks.
 """
@@ -206,6 +207,40 @@ def test_the_fedpart_import_check_sees_every_form(tmp_path):
     ]
 
 
+ENVIRONMENT_READERS = ("environ", "environb", "getenv", "getenvb")
+
+
+def environment_reads(path: Path) -> list[str]:
+    """Each ``os.environ``, ``os.getenv`` (or bytes twin) a file reads, by
+    attribute or imported by name, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"os.{alias.name}") for alias in node.names
+                      if alias.name in ENVIRONMENT_READERS]
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(found)]
+
+
+def test_no_module_reads_the_environment():
+    assert [entry for path in sorted(SRC.glob("*.py")) for entry in environment_reads(path)] == []
+
+
+def test_the_environment_check_sees_every_form(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import os\nroot = os.environ.get('ROOT', '')\nfrom os import getenv, path\n"
+        "out = os.path.join(root, 'x')\n\ndef f():\n    return os.getenv('A') or os.environb\n",
+        encoding="utf-8",
+    )
+    assert environment_reads(module) == [
+        "mod.py:2: os.environ", "mod.py:3: os.getenv",
+        "mod.py:7: os.environb", "mod.py:7: os.getenv",
+    ]
+
+
 def functions(node: ast.AST, prefix: str = ""):
     """Each function, method and lambda under ``node``, as ``(dotted name, node)``."""
     for child in ast.iter_child_nodes(node):
@@ -277,8 +312,6 @@ def parameter_defaults(path: Path) -> list[str]:
 # config value; everything the config sets is a required argument.
 KEPT_DEFAULTS = [
     "cli.py: main(argv=None)",
-    "env.py: energy_per_window(tau=None)",
-    "env.py: comm_cost_5g(tau=None)",
     "metrics.py: moving_avg_violations(window=1000)",
     "network.py: QNetwork.forward_cached(rng=None)",
     "network.py: AdamOptimizer.__init__(beta1=0.9)",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedpart.metrics import band, moving_avg_violations
@@ -17,6 +17,32 @@ def test_matches_a_naive_sliding_mean(flags):
     for window in range(1, len(flags) + 2):
         got = moving_avg_violations(np.array(flags, dtype=bool), window)
         assert got.tolist() == naive_moving_average(flags, window)
+
+
+def two_branch_moving_average(history, window):
+    """The head/tail form the one-expression version replaced, kept as its reference."""
+    flags = np.asarray(history)
+    if flags.size == 0:
+        return np.empty(0)
+    prefix = np.concatenate(([0], np.cumsum(flags.astype(np.int64))))
+    t = np.arange(1, flags.size + 1)
+    out = np.empty(flags.size)
+    head = t < window
+    out[head] = prefix[t[head]] / t[head]
+    tail = ~head
+    if tail.any():
+        out[tail] = (prefix[t[tail]] - prefix[t[tail] - window]) / window
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3000), st.integers(1, 1500), st.integers(0, 2**32 - 1))
+@example(0, 1, 0)  # empty history
+def test_has_the_bits_of_the_two_branch_form(length, window, seed):
+    flags = np.random.default_rng(seed).random(length) < 0.3
+    got = moving_avg_violations(flags, window)
+    expected = two_branch_moving_average(flags, window)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def test_window_must_be_positive():

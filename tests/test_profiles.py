@@ -7,10 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedpart.profiles import (
-    CATEGORY_FULL_CLOUD,
-    CATEGORY_FULL_PHONE,
-    CATEGORY_FULL_SEW,
-    CATEGORY_SEW_PHONE_CLOUD,
     DeviceProfile,
     ProfileError,
     ProfileSpec,
@@ -45,6 +41,15 @@ def brute_force_counts(p):
     return full, single, double
 
 
+def counts_by_cuts(cuts, p):
+    """(full-device, single-split, double-split) counts read from the cut pairs:
+    a full-device placement has both cuts in {0, p+1}, a double split has
+    0 < a < b < p+1."""
+    full = sum(a in (0, p + 1) and b in (0, p + 1) for a, b in cuts)
+    double = sum(0 < a < b < p + 1 for a, b in cuts)
+    return full, len(cuts) - full - double, double
+
+
 class TestEnumeration:
     @pytest.mark.parametrize(
         "p,total", [(12, 105), (0, 3), (18, 210), (1, 6), (2, 10)]
@@ -54,31 +59,28 @@ class TestEnumeration:
         assert config_count(p) == total
 
     def test_category_counts_at_12(self):
-        skeletons = enumerate_configs(12)
-        full = sum(s.category.startswith("full") for s in skeletons)
-        double = sum(s.category == CATEGORY_SEW_PHONE_CLOUD for s in skeletons)
-        single = len(skeletons) - full - double
-        assert (full, single, double) == (3, 36, 66)
+        assert counts_by_cuts(enumerate_configs(12), 12) == (3, 36, 66)
 
     @pytest.mark.parametrize("p", range(0, 31))
     def test_matches_brute_force(self, p):
-        skeletons = enumerate_configs(p)
-        full = sum(s.category.startswith("full") for s in skeletons)
-        double = sum(s.category == CATEGORY_SEW_PHONE_CLOUD for s in skeletons)
-        single = len(skeletons) - full - double
+        cuts = enumerate_configs(p)
+        assert len(set(cuts)) == len(cuts)
+        full, single, double = counts_by_cuts(cuts, p)
         assert (full, single, double) == brute_force_counts(p)
         assert full == 3 and single == 3 * p and double == p * (p - 1) // 2
 
     def test_order_is_stable_and_documented(self):
-        skeletons = enumerate_configs(3)
-        assert skeletons == enumerate_configs(3)
-        assert [s.category for s in skeletons[:3]] == [
-            CATEGORY_FULL_SEW,
-            CATEGORY_FULL_PHONE,
-            CATEGORY_FULL_CLOUD,
+        cuts = enumerate_configs(3)
+        assert cuts == enumerate_configs(3)
+        # full SEW, full phone, full cloud; then SEW-phone, SEW-cloud and
+        # phone-cloud splits ascending by cut; then double splits
+        assert cuts == [
+            (4, 4), (0, 4), (0, 0),
+            (1, 4), (2, 4), (3, 4),
+            (1, 1), (2, 2), (3, 3),
+            (0, 1), (0, 2), (0, 3),
+            (1, 2), (1, 3), (2, 3),
         ]
-        doubles = [s for s in skeletons if s.category == CATEGORY_SEW_PHONE_CLOUD]
-        assert [(s.cut_a, s.cut_b) for s in doubles] == [(1, 2), (1, 3), (2, 3)]
 
     def test_negative_cut_points_rejected(self):
         with pytest.raises(ProfileError):
