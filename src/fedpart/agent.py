@@ -42,15 +42,16 @@ class ReplayBuffer:
     slot, it first recomputes every stale slot in eval-mode forwards of
     ``TARGET_BLOCK`` rows, zero-padded. Blocks of at least 128 rows give the
     same bits as a 512-row forward on the OpenBLAS this was measured with
-    (module docstring); unpadded small batches do not.
+    (module docstring); unpadded small batches do not. Actions are stored in
+    the smallest unsigned type that holds ``n_actions - 1``.
     """
 
-    def __init__(self, capacity: int, state_dim: int, dtype):
+    def __init__(self, capacity: int, state_dim: int, n_actions: int, dtype):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.states = np.zeros((capacity, state_dim), dtype=dtype)
-        self.actions = np.zeros(capacity, dtype=np.int64)
+        self.actions = np.zeros(capacity, dtype=np.min_scalar_type(n_actions - 1))
         self.rewards = np.zeros(capacity, dtype=dtype)
         self.next_states = np.zeros((capacity, state_dim), dtype=dtype)
         self.next_q = np.zeros(capacity, dtype=dtype)
@@ -241,7 +242,7 @@ class DQNAgent:
         self.net = settings.network(env.n_actions, np.random.default_rng(net_seq))
         self.target_net = self.net.clone()
         self.optimizer = AdamOptimizer(self.net.flat, lr=settings.lr)
-        self.buffer = ReplayBuffer(settings.buffer_capacity, OBS_DIM, self.net.dtype)
+        self.buffer = ReplayBuffer(settings.buffer_capacity, OBS_DIM, env.n_actions, self.net.dtype)
         self.validation = validation
         self._action_rng = np.random.default_rng(action_seq)
         self._dropout_rng = np.random.default_rng(dropout_seq)

@@ -234,7 +234,7 @@ FAST_MODE_AFTER = 5
 class OffloadEnv:
     """Single-agent decision environment over perturbed trace replays.
 
-    :meth:`fedpart.runner.Scenario.env` builds every env from the config.
+    :meth:`fedpart.runner.AgentBuilder.env` builds every env from the config.
     The profile must already be valid: :func:`~fedpart.profiles.load_profile`
     and :func:`~fedpart.profiles.synthesize_profile` check it, and the env
     does not check it again. The special action ``n_configs`` keeps the

@@ -240,8 +240,8 @@ def _worker_main(conn, builder, assignments):
 
     Each reply is ``(error, result)``: an exception raised while building or
     running the agents is printed with its traceback and comes back as
-    ``"Type: message"`` for the master to raise; the worker then waits for
-    the master's stop.
+    ``"raised Type: message"`` for the master to raise; the worker then waits
+    for the master's stop.
     """
     import traceback  # here, with multiprocessing in _Pool, to keep both off the import path
 
@@ -257,7 +257,7 @@ def _worker_main(conn, builder, assignments):
             reply = (None, getattr(host, method)(*args))
         except Exception as exc:
             traceback.print_exc()
-            reply = (f"{type(exc).__name__}: {exc}", None)
+            reply = (f"raised {type(exc).__name__}: {exc}", None)
         conn.send(reply)
 
 
@@ -293,25 +293,26 @@ class _Pool:
     def _call(self, *message) -> dict:
         """Send every worker ``message``, read every reply, and merge the results.
 
-        Every reply is read before a worker's error is raised, so no worker
-        is left blocked on sending its reply.
+        Every reply is read before any error is raised, so no surviving
+        worker is left blocked on sending its reply. A worker that exited
+        replies with its exit code; the lowest failing worker is reported.
         """
-        try:
-            for w, conn in enumerate(self.conns):
+        for conn in self.conns:
+            try:
                 conn.send(message)
-            replies = []
-            for w, conn in enumerate(self.conns):
+            except OSError:  # a dead worker: its recv below reports it
+                pass
+        replies = []
+        for conn, proc in zip(self.conns, self.procs):
+            try:
                 replies.append(conn.recv())
-        except (EOFError, BrokenPipeError, ConnectionResetError) as exc:
-            proc = self.procs[w]
-            proc.join(timeout=10)
-            raise RuntimeError(
-                f"pool worker {w} for agents {self._agents(w)} exited with code {proc.exitcode}"
-            ) from exc
+            except (EOFError, OSError):
+                proc.join(timeout=10)
+                replies.append((f"exited with code {proc.exitcode}", None))
         merged = {}
         for w, (error, result) in enumerate(replies):
             if error is not None:
-                raise RuntimeError(f"pool worker {w} for agents {self._agents(w)} raised {error}")
+                raise RuntimeError(f"pool worker {w} for agents {self._agents(w)} {error}")
             merged.update(result)
         return merged
 
@@ -325,7 +326,7 @@ class _Pool:
         for conn in self.conns:
             try:
                 conn.send(("stop",))
-            except (BrokenPipeError, OSError):
+            except OSError:
                 pass
         for proc in self.procs:
             proc.join(timeout=10)

@@ -1,7 +1,9 @@
 """Experiment driver: wires profiles, traces, envs, agents and federation.
 
 One "experiment" is n_runs seeded repetitions of a federated (or single
-agent) training run on one scenario. Every run is fully determined by the
+agent) training run on one scenario. ``AgentBuilder`` holds a run's inputs
+(the config, profile and base traces that ``build_scenario`` resolves) and
+builds every env and agent from them. Every run is fully determined by the
 experiment config and its master seed, so identical invocations produce
 identical artifacts. ``run_experiment`` returns each seed's
 ``FederationResult`` as it came from ``run_federation``; ``write_experiment``
@@ -29,10 +31,14 @@ from .traces import PerturbedReplay, Trace, load_trace, synthesize_trace
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """The experiment config with the profile and base traces it resolves to.
+class AgentBuilder:
+    """A run's inputs: the experiment config with the profile and base traces
+    it resolves to, and everything built from them.
 
-    :meth:`env` is the one place the config becomes an :class:`OffloadEnv`.
+    :meth:`env` is the one place the config becomes an :class:`OffloadEnv`,
+    and :meth:`build` the one place a seed becomes an agent. Per-agent seed
+    sequences split into training-env, validation-env and learner streams,
+    so validation never consumes training randomness.
     """
 
     config: ExperimentConfig
@@ -58,8 +64,25 @@ class Scenario:
             inputs.floor_frac,
         )
 
+    def build(self, index: int, seq: np.random.SeedSequence) -> DQNAgent:
+        """One agent: training env, validation probe and learner."""
+        env_seq, val_seq, learner_seq = seq.spawn(3)
+        run = self.config.run
+        probe = ValidationProbe(self.env(val_seq), run.validation_steps, run.validation_interval)
+        return DQNAgent(self.env(env_seq), self.config.agent, learner_seq, probe)
 
-def build_scenario(config: ExperimentConfig) -> Scenario:
+    def initial_weights(self, seq: np.random.SeedSequence) -> np.ndarray:
+        """A run's starting global weights: a fresh network drawn from ``seq``."""
+        net = self.config.agent.network(self.dims()[-1], np.random.default_rng(seq))
+        return net.get_weights()
+
+    def dims(self) -> tuple[int, ...]:
+        """Network layer widths, input to output, as a checkpoint records them."""
+        return self.config.agent.dims(self.profile.n_configs + 1)
+
+
+def build_scenario(config: ExperimentConfig) -> AgentBuilder:
+    """Load or synthesize the profile and both base traces that ``config`` names."""
     inputs = config.inputs
     if inputs.profile_path:
         profile = load_profile(inputs.profile_path)
@@ -73,36 +96,7 @@ def build_scenario(config: ExperimentConfig) -> Scenario:
         fiveg = load_trace(inputs.fiveg_path)
     else:
         fiveg = synthesize_trace(config.fiveg, seed=inputs.trace_seed + 1)
-    return Scenario(config, profile, wifi, fiveg)
-
-
-@dataclass(frozen=True)
-class AgentBuilder:
-    """Builds one agent (training env, validation probe, learner) per index.
-
-    Per-agent seed sequences split into training-env, validation-env and
-    learner streams, so validation never consumes training randomness.
-    """
-
-    scenario: Scenario
-
-    def build(self, index: int, seq: np.random.SeedSequence) -> DQNAgent:
-        env_seq, val_seq, learner_seq = seq.spawn(3)
-        config = self.scenario.config
-        env = self.scenario.env(env_seq)
-        probe = ValidationProbe(
-            self.scenario.env(val_seq), config.run.validation_steps, config.run.validation_interval
-        )
-        return DQNAgent(env, config.agent, learner_seq, probe)
-
-    def initial_weights(self, seq: np.random.SeedSequence) -> np.ndarray:
-        """A run's starting global weights: a fresh network drawn from ``seq``."""
-        net = self.scenario.config.agent.network(self.dims()[-1], np.random.default_rng(seq))
-        return net.get_weights()
-
-    def dims(self) -> tuple[int, ...]:
-        """Network layer widths, input to output, as a checkpoint records them."""
-        return self.scenario.config.agent.dims(self.scenario.profile.n_configs + 1)
+    return AgentBuilder(config, profile, wifi, fiveg)
 
 
 class Experiment(NamedTuple):
@@ -119,7 +113,7 @@ def master_seeds(config: ExperimentConfig) -> list[int]:
 def run_experiment(config: ExperimentConfig, checkpoint) -> Experiment:
     """Run every master seed on one scenario, warm-started from ``checkpoint``
     unless it is None; a checkpoint of other network dims is a ``ConfigError``."""
-    builder = AgentBuilder(build_scenario(config))
+    builder = build_scenario(config)
     dims, weights = builder.dims(), None
     if checkpoint is not None:
         found, weights = load_checkpoint(checkpoint)
@@ -137,23 +131,21 @@ def run_baseline_suite(
 ) -> list[tuple[int, int, np.ndarray]]:
     """Run the baseline over the same per-agent env streams the trainer uses.
 
-    For each run seed and each agent index, a fresh environment is derived
-    exactly as the agent's training env would be, giving a paired comparison
-    on the same perturbed trace replays. Returns ``(master_seed, agent,
+    For each run seed and each agent index, the agent is built as the
+    trainer builds it and the baseline runs on its training env, giving a
+    paired comparison on the same perturbed trace replays. Returns ``(master_seed, agent,
     step_log)`` triples. Zero steps is a ``ConfigError``: a baseline episode
     needs at least one decision to have a violation rate.
     """
     steps = config.federation.steps_per_agent
     if steps < 1:
         raise ConfigError(f"[federation] steps_per_agent must be >= 1 for a baseline, got {steps}")
-    scenario = build_scenario(config)
+    builder = build_scenario(config)
     logs = []
     for seed in master_seeds(config):
         agent_seqs, _, _ = derive_seed_sequences(config.federation, seed)
         for m, seq in enumerate(agent_seqs):
-            env_seq, _, _ = seq.spawn(3)
-            env = scenario.env(env_seq)
-            logs.append((seed, m, run_baseline(env, objective, steps)))
+            logs.append((seed, m, run_baseline(builder.build(m, seq).env, objective, steps)))
     return logs
 
 

@@ -252,22 +252,10 @@ class PerturbedReplay:
         return self._fill(np.empty(n))
 
 
-def exponential_from_uniform(mean: float, u: float) -> float:
-    """Inverse-CDF map: ``-mean * ln(u)`` for ``u`` in (0, 1]."""
-    if mean < 0:
-        raise TraceError(f"exponential mean must be >= 0, got {mean}")
-    if mean == 0.0:
-        return 0.0
-    if not (0.0 < u <= 1.0):
-        raise TraceError(f"u must be in (0, 1], got {u}")
-    return -mean * math.log(u)
-
-
 def sample_cloud_latency(t3: float, rng: np.random.Generator) -> float:
     """Exponential service time with mean ``t3`` ms (M/M/1 cloud model)."""
     if t3 < 0:
         raise TraceError(f"t3 must be >= 0, got {t3}")
     if t3 == 0.0:
         return 0.0
-    u = 1.0 - float(rng.random())  # in (0, 1]
-    return exponential_from_uniform(t3, u)
+    return -t3 * math.log(1.0 - float(rng.random()))  # inverse CDF at a u in (0, 1]

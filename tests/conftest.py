@@ -6,7 +6,7 @@ from fedpart.config import ExperimentConfig, InputsSection
 from fedpart.env import CostWeights
 from fedpart.network import QNetwork
 from fedpart.profiles import ProfileSpec, synthesize_profile
-from fedpart.runner import Scenario
+from fedpart.runner import AgentBuilder
 from fedpart.traces import Trace, TraceSynthesisSpec, synthesize_trace
 
 
@@ -73,7 +73,7 @@ def make_tiny_env(profile, seed=0, l_max=400.0, weights=None):
         TraceSynthesisSpec(length=80, mean=20.0, variability=5.0, max_value=350.0), seed=12
     )
     config = ExperimentConfig(cost=weights or CostWeights(l_max=l_max))
-    return Scenario(config, profile, wifi, fiveg).env(np.random.SeedSequence(seed))
+    return AgentBuilder(config, profile, wifi, fiveg).env(np.random.SeedSequence(seed))
 
 
 def quiet_probe(profile, seed=0):

@@ -17,20 +17,27 @@ from conftest import make_net, make_tiny_agent, make_tiny_env, subnormal_count
 
 class TestReplayBuffer:
     def test_fifo_eviction(self):
-        buf = ReplayBuffer(3, 2, np.float32)
+        buf = ReplayBuffer(3, 2, 5, np.float32)
         for i in range(5):
             buf.push([i, i], i, float(i), [i, i])
         assert len(buf) == 3
         assert sorted(buf.actions.tolist()) == [2, 3, 4]  # 0 and 1 evicted first
 
+    def test_actions_take_the_smallest_unsigned_type(self, default_profile):
+        agent = make_tiny_agent(default_profile, AgentSettings())
+        assert agent.env.n_actions == 106
+        assert agent.buffer.actions.dtype == np.uint8
+        assert ReplayBuffer(1, 2, 256, np.float32).actions.dtype == np.uint8
+        assert ReplayBuffer(1, 2, 257, np.float32).actions.dtype == np.uint16
+
     def test_size_never_exceeds_capacity(self):
-        buf = ReplayBuffer(10, 2, np.float32)
+        buf = ReplayBuffer(10, 2, 3, np.float32)
         for i in range(50):
             buf.push([0, 0], 0, 0.0, [0, 0])
             assert len(buf) <= 10
 
     def test_sample_too_large_rejected(self):
-        buf = ReplayBuffer(8, 2, np.float32)
+        buf = ReplayBuffer(8, 2, 3, np.float32)
         buf.push([0, 0], 0, 0.0, [0, 0])
         target = make_net((2, 4, 3), (0.0,), 0, np.float32)
         with pytest.raises(ValueError):
@@ -38,7 +45,7 @@ class TestReplayBuffer:
 
     def test_sample_shapes(self):
         target = make_net((5, 4, 3), (0.0,), 0, np.float32)
-        buf = ReplayBuffer(8, 5, np.float32)
+        buf = ReplayBuffer(8, 5, 6, np.float32)
         for i in range(6):
             buf.push(np.full(5, i), i, float(i), np.full(5, i + 1))
         s, a, r, next_q = buf.sample(4, np.random.default_rng(1), target)
@@ -124,7 +131,7 @@ class TestTrainStep:
         target = net.clone()
         before = target.get_weights()
         rng = np.random.default_rng(10)
-        buf = ReplayBuffer(4, 5, np.float32)
+        buf = ReplayBuffer(4, 5, 3, np.float32)
         for _ in range(4):
             buf.push(rng.random(5), rng.integers(0, 3), rng.random(), rng.random(5))
         for _ in range(3):

@@ -7,7 +7,7 @@ from fedpart.baseline import BaselineObservation, neurosurgeon_select, run_basel
 from fedpart.config import ExperimentConfig
 from fedpart.env import CostWeights, ObservationBounds, energy_per_window, total_latency_ms
 from fedpart.profiles import DeviceProfile, enumerate_configs
-from fedpart.runner import Scenario
+from fedpart.runner import AgentBuilder
 from fedpart.traces import TraceSynthesisSpec, synthesize_trace
 
 from conftest import default_floors
@@ -71,7 +71,7 @@ def varying_env(profile, seed):
         TraceSynthesisSpec(length=80, mean=100.0, variability=50.0, correlation=0.5,
                            max_value=350.0), seed=12
     )
-    return Scenario(ExperimentConfig(), profile, wifi, fiveg).env(np.random.SeedSequence(seed))
+    return AgentBuilder(ExperimentConfig(), profile, wifi, fiveg).env(np.random.SeedSequence(seed))
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)

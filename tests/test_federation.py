@@ -1,5 +1,7 @@
 import math
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fedpart.agent import DQNAgent
+from fedpart.agent import AgentSettings, DQNAgent
 from fedpart.federation import (
     AgentHost,
     FederationConfig,
@@ -198,6 +200,19 @@ class TestRunFederation:
         # Two workers: agents 0 and 2 share worker 0, agent 1 has worker 1.
         with pytest.raises(RuntimeError, match=r"worker 0 for agents \[0, 2\] exited with code 3$"):
             run_federation(config, builder, 2, None, 2)
+
+    def test_a_dead_worker_is_reported_at_once_and_leaves_no_pool_process(self, default_profile):
+        """The survivor's reply, five default networks, does not fit the pipe:
+        it is read before the error is raised, so the survivor stops too."""
+        config = FederationConfig(agents=10, steps_per_agent=40, freq_updates=20)
+        builder = _Builder(default_profile, AgentSettings(), poisoned=None, exits=2)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match=(
+            r"^pool worker 0 for agents \[0, 2, 4, 6, 8\] exited with code 3$"
+        )):
+            run_federation(config, builder, 2, None, 2)
+        assert time.perf_counter() - start < 5.0
+        assert multiprocessing.active_children() == []
 
     def test_finite_run_completes(self, tiny_profile, tiny_settings):
         """Three workers put one agent in each: every worker count ends alike."""

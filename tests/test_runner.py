@@ -112,21 +112,21 @@ def test_baseline_replays_each_agents_training_env(objective):
     assert [(seed, m) for seed, m, _ in logs] == [
         (seed, m) for seed in runner.master_seeds(config) for m in range(3)
     ]
-    builder = runner.AgentBuilder(runner.build_scenario(config))
+    builder = runner.build_scenario(config)
     for seed, m, log in logs:
         agent_seqs, _, _ = derive_seed_sequences(config.federation, seed)
-        env = builder.build(m, agent_seqs[m]).env
+        env = builder.env(agent_seqs[m].spawn(3)[0])  # the agent's training-env stream
         assert np.array_equal(log, run_baseline(env, objective, 40))
 
 
 def test_agents_and_initial_weights_share_the_checkpoint_dims():
     config = parse_config(TINY_INI)
-    builder = runner.AgentBuilder(runner.build_scenario(config))
+    builder = runner.build_scenario(config)
     weights = builder.initial_weights(np.random.SeedSequence(4))
     assert weights.dtype == np.float64
     assert weights.size == expected_weight_count(builder.dims())
     assert builder.build(0, np.random.SeedSequence(4)).net.dims == builder.dims()
-    assert config.agent.dims(builder.scenario.profile.n_configs + 1) == builder.dims()
+    assert config.agent.dims(builder.profile.n_configs + 1) == builder.dims()
 
 
 PHASE_INI = """\
@@ -141,7 +141,7 @@ batch_size = 32
 
 
 def test_only_the_training_agent_holds_a_batchs_scratch_buffers():
-    builder = runner.AgentBuilder(runner.build_scenario(parse_config(PHASE_INI)))
+    builder = runner.build_scenario(parse_config(PHASE_INI))
     agents = [builder.build(m, seq) for m, seq in enumerate(np.random.SeedSequence(3).spawn(3))]
     dims, settings = builder.dims(), agents[0].settings
     itemsize = np.dtype(settings.dtype).itemsize
@@ -181,7 +181,7 @@ def test_an_idle_agent_holds_its_buffer_log_weights_and_moments_only():
     What else it holds (envs, generators, the probe's lists) fits in the
     slack, which is under half of one weight vector at these widths.
     """
-    builder = runner.AgentBuilder(runner.build_scenario(parse_config(INVENTORY_INI)))
+    builder = runner.build_scenario(parse_config(INVENTORY_INI))
     tracemalloc.start()
     try:
         agent = builder.build(0, np.random.SeedSequence(3))

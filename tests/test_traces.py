@@ -9,7 +9,6 @@ from fedpart.traces import (
     Trace,
     TraceError,
     TraceSynthesisSpec,
-    exponential_from_uniform,
     load_trace,
     sample_cloud_latency,
     save_trace,
@@ -290,8 +289,10 @@ class TestCloudLatency:
         with pytest.raises(TraceError):
             sample_cloud_latency(-1.0, np.random.default_rng(0))
 
-    def test_inversion_at_e_minus_one(self):
-        assert exponential_from_uniform(25.0, math.exp(-1.0)) == pytest.approx(25.0)
+    def test_draws_are_the_inverse_cdf_of_one_minus_a_uniform(self):
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(1000):
+            assert sample_cloud_latency(25.0, rng) == -25.0 * math.log(1.0 - ref.random())
 
     def test_sample_moments(self):
         rng = np.random.default_rng(42)
