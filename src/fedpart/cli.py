@@ -3,8 +3,9 @@
 Subcommands: train, transfer, baseline, enumerate, profile, traces, report.
 Settings come from an INI config file (see :mod:`fedpart.config`); the
 train, transfer and baseline flags override keys of its ``[run]`` and
-``[federation]`` sections. ``profile synth`` and ``traces synth`` write what
-the config's ``[profile]``, ``[wifi]`` and ``[fiveg]`` sections synthesize.
+``[federation]`` sections (baseline has no pool or straggler flags).
+``profile synth`` and ``traces synth`` write what the config's
+``[profile]``, ``[wifi]``, ``[fiveg]`` and ``[bounds]`` sections synthesize.
 ``train`` and ``transfer`` write ``manifest.ini`` (the resolved config),
 per-agent step and validation CSVs and the final weights as text and as a
 checkpoint that ``transfer --checkpoint`` reads; ``transfer`` is ``train``
@@ -38,29 +39,30 @@ def _load_with_overrides(args) -> ExperimentConfig:
         "run__base_seed": args.seed,
         "run__n_runs": args.runs,
         "run__output_dir": args.output,
-        "run__workers": args.workers,
+        "run__workers": getattr(args, "workers", None),
         "federation__mode": args.mode,
         "federation__agents": args.agents,
         "federation__steps_per_agent": args.steps_per_agent,
         "federation__freq_updates": args.freq_updates,
-        "federation__proportion_slow": args.proportion_slow,
-        "federation__max_delay_slow": args.max_delay_slow,
+        "federation__proportion_slow": getattr(args, "proportion_slow", None),
+        "federation__max_delay_slow": getattr(args, "max_delay_slow", None),
     }
     return apply_overrides(config, **overrides)
 
 
-def _add_common_train_flags(parser) -> None:
+def _add_common_train_flags(parser, training: bool) -> None:
     parser.add_argument("--config", help="experiment config file (INI)")
     parser.add_argument("--seed", type=int, help="base master seed")
     parser.add_argument("--runs", type=int, help="number of seeded repetitions")
     parser.add_argument("--output", help="output directory")
-    parser.add_argument("--workers", type=int, help="parallel agent workers")
     parser.add_argument("--mode", choices=("single", "sync", "async"))
     parser.add_argument("--agents", type=int)
     parser.add_argument("--steps-per-agent", dest="steps_per_agent", type=int)
     parser.add_argument("--freq-updates", dest="freq_updates", type=int)
-    parser.add_argument("--proportion-slow", dest="proportion_slow", type=float)
-    parser.add_argument("--max-delay-slow", dest="max_delay_slow", type=float)
+    if training:
+        parser.add_argument("--workers", type=int, help="parallel agent workers")
+        parser.add_argument("--proportion-slow", dest="proportion_slow", type=float)
+        parser.add_argument("--max-delay-slow", dest="max_delay_slow", type=float)
 
 
 def cmd_train(args) -> int:
@@ -112,7 +114,7 @@ def cmd_enumerate(args) -> int:
 def cmd_profile(args) -> int:
     if args.profile_command == "synth":
         config = load_config(args.config) if args.config else ExperimentConfig()
-        profile = synthesize_profile(config.profile)
+        profile = synthesize_profile(config.profile, config.bounds.latencies)
         save_profile(profile, args.out)
         print(f"wrote {profile.n_configs} configs to {args.out}")
         return 0
@@ -127,8 +129,8 @@ def cmd_profile(args) -> int:
 def cmd_traces(args) -> int:
     if args.traces_command == "synth":
         config = load_config(args.config) if args.config else ExperimentConfig()
-        wifi = synthesize_trace(config.wifi, seed=config.inputs.trace_seed)
-        fiveg = synthesize_trace(config.fiveg, seed=config.inputs.trace_seed + 1)
+        wifi = synthesize_trace(config.wifi, config.inputs.trace_seed, config.bounds.wifi)
+        fiveg = synthesize_trace(config.fiveg, config.inputs.trace_seed + 1, config.bounds.fiveg)
         save_trace(wifi, args.wifi_out)
         save_trace(fiveg, args.fiveg_out)
         print(f"wrote {wifi.samples.size} wifi samples and {fiveg.samples.size} 5g samples")
@@ -197,16 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="run seeded training repetitions")
-    _add_common_train_flags(p_train)
+    _add_common_train_flags(p_train, training=True)
     p_train.set_defaults(func=cmd_train, checkpoint=None)
 
     p_transfer = sub.add_parser("transfer", help="warm-start training from a checkpoint")
-    _add_common_train_flags(p_transfer)
+    _add_common_train_flags(p_transfer, training=True)
     p_transfer.add_argument("--checkpoint", required=True)
     p_transfer.set_defaults(func=cmd_train)
 
     p_base = sub.add_parser("baseline", help="run the Neurosurgeon baseline")
-    _add_common_train_flags(p_base)
+    _add_common_train_flags(p_base, training=False)
     p_base.add_argument("--objective", choices=("latency", "energy"), required=True)
     p_base.set_defaults(func=cmd_baseline)
 

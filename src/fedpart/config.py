@@ -20,7 +20,8 @@ Values are coerced from the field's type annotation, and an empty value
 means None. Unknown sections or keys are rejected, and a value the domain
 object refuses is reported as ``[section] <reason>``; so is a NaN or an
 infinity, from a file or a flag, that the object let through. A dumped
-config re-parses to an identical object.
+config re-parses to an identical object. What a run can work out is not a
+key: the cost scales come from the profile, and synthesis limits from ``[bounds]``.
 """
 
 from __future__ import annotations
@@ -89,11 +90,11 @@ class RunSection:
 class ExperimentConfig:
     profile: ProfileSpec = field(default_factory=ProfileSpec)
     wifi: TraceSynthesisSpec = field(default_factory=lambda: TraceSynthesisSpec(
-        length=3000, mean=180.0, variability=35.0, max_value=580.0,
+        length=3000, mean=180.0, variability=35.0,
         outage_rate=0.0015, outage_depth=0.2, outage_duration_mean=160.0,
     ))
     fiveg: TraceSynthesisSpec = field(default_factory=lambda: TraceSynthesisSpec(
-        length=11024, mean=24.0, variability=7.0, max_value=350.0,
+        length=11024, mean=24.0, variability=7.0,
         outage_rate=0.002, outage_depth=0.2, outage_duration_mean=160.0,
     ))
     cost: CostWeights = field(default_factory=CostWeights)

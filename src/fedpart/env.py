@@ -17,7 +17,7 @@ Unit conventions: latencies in ms, transfer sizes in MB, throughput in MB/s
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -30,7 +30,8 @@ OBS_DIM = 5  # observation entries: Wi-Fi and 5G throughput, SEW, phone and clou
 
 @dataclass(frozen=True)
 class ObservationBounds:
-    """Per-dimension maxima for state normalization; every minimum is 0."""
+    """The observation space, as per-dimension maxima (every minimum is 0);
+    synthesis stays inside it, and loaded traces and profiles go unchecked."""
 
     wifi: float = 580.0
     fiveg: float = 350.0
@@ -43,6 +44,11 @@ class ObservationBounds:
             if getattr(self, name) <= 0:
                 raise ValueError(f"bound {name} must be positive")
 
+    @property
+    def latencies(self) -> tuple[float, float, float]:
+        """The SEW, phone and cloud latency maxima, in that order."""
+        return self.l_sew, self.l_phone, self.l_cloud
+
     def normalize(self, raw: np.ndarray) -> np.ndarray:
         """Scale a raw observation into [0, 1], clipping values out of bounds."""
         highs = np.array([self.wifi, self.fiveg, self.l_sew, self.l_phone, self.l_cloud])
@@ -53,11 +59,10 @@ class ObservationBounds:
 class CostWeights:
     """Weights and constants of the scalarized per-window cost.
 
-    The five weights must be nonnegative and sum to one. Normalization
-    constants may be left as None and resolved against a profile with
-    :func:`resolve_cost_weights`. ``alpha`` is cost per joule, ``g`` cost
-    per MB over 5G, ``lambda_fps`` the frame rate, ``tau_*`` the decision
-    window durations in seconds, ``l_max`` the latency threshold in ms.
+    The five weights must be nonnegative and sum to one; the energy and 5G
+    terms' scales are the profile's :func:`cost_scales`. ``alpha`` is cost per
+    joule, ``g`` cost per MB over 5G, ``lambda_fps`` the frame rate, ``tau_*``
+    the decision window durations in seconds, ``l_max`` the latency threshold in ms.
     """
 
     w_sew: float = 0.03
@@ -65,9 +70,6 @@ class CostWeights:
     w_5g: float = 0.0
     w_lat: float = 0.93
     w_rcfg: float = 0.02
-    c_sew_max: float | None = None
-    c_phone_max: float | None = None
-    c_5g_max: float | None = None
     alpha: float = 1.0
     g: float = 0.1
     lambda_fps: float = 1.0
@@ -81,18 +83,10 @@ class CostWeights:
             raise ValueError("cost weights must be nonnegative")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ValueError(f"cost weights must sum to 1, got {sum(weights)}")
-        for name in ("c_sew_max", "c_phone_max", "c_5g_max"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive when set")
         if self.tau_normal <= 0 or self.tau_fast <= 0 or self.lambda_fps <= 0:
             raise ValueError("tau_normal, tau_fast and lambda_fps must be positive")
         if self.l_max <= 0:
             raise ValueError("l_max must be positive")
-
-    @property
-    def resolved(self) -> bool:
-        return None not in (self.c_sew_max, self.c_phone_max, self.c_5g_max)
 
 
 class Step(NamedTuple):
@@ -178,13 +172,12 @@ def step_cost(
     violated: bool,
     reconfigured: bool,
     weights: CostWeights,
+    scales: tuple[float, float, float],
 ) -> float:
-    """Weighted additive cost; energy/5G ratios are clamped to [0, 1]."""
-    if not weights.resolved:
-        raise ValueError("normalization constants not resolved; use resolve_cost_weights")
-    ratio_sew = min(max(c_sew / weights.c_sew_max, 0.0), 1.0)
-    ratio_phone = min(max(c_phone / weights.c_phone_max, 0.0), 1.0)
-    ratio_5g = min(max(c_5g / weights.c_5g_max, 0.0), 1.0)
+    """Weighted additive cost; energy/5G ratios to their ``scales`` are clamped to [0, 1]."""
+    ratio_sew = min(max(c_sew / scales[0], 0.0), 1.0)
+    ratio_phone = min(max(c_phone / scales[1], 0.0), 1.0)
+    ratio_5g = min(max(c_5g / scales[2], 0.0), 1.0)
     return (
         weights.w_sew * ratio_sew
         + weights.w_phone * ratio_phone
@@ -194,24 +187,21 @@ def step_cost(
     )
 
 
-def resolve_cost_weights(
+def cost_scales(
     weights: CostWeights,
     profile: ApplicationProfile,
     devices: DeviceProfile,
     wifi_floor: float,
     fiveg_floor: float,
-) -> CostWeights:
-    """Fill unset normalization constants from the profile's worst case.
+) -> tuple[float, float, float]:
+    """The SEW energy, phone energy and 5G cost scales of :func:`step_cost`.
 
-    Each constant is the maximum per-window component over the whole config
-    space at ``wifi_floor`` and ``fiveg_floor`` (the worst transmit
-    conditions), so clamped ratios reach 1 only in genuinely extreme windows.
+    Each is the maximum per-window cost over the whole config space at
+    ``wifi_floor`` and ``fiveg_floor`` (the worst transmit conditions), so
+    clamped ratios reach 1 only in genuinely extreme windows; a maximum of
+    0 becomes 1.
     """
-    if weights.resolved:
-        return weights
-    e_sew_max = 0.0
-    e_phone_max = 0.0
-    c5_max = 0.0
+    e_sew_max = e_phone_max = c5_max = 0.0
     for cfg in profile.configs:
         e_sew, e_phone = energy_per_window(
             cfg, wifi_floor, fiveg_floor, devices, weights, weights.tau_normal
@@ -219,12 +209,7 @@ def resolve_cost_weights(
         e_sew_max = max(e_sew_max, weights.alpha * e_sew)
         e_phone_max = max(e_phone_max, weights.alpha * e_phone)
         c5_max = max(c5_max, comm_cost_5g(cfg, weights, weights.tau_normal))
-    return replace(
-        weights,
-        c_sew_max=weights.c_sew_max or e_sew_max or 1.0,
-        c_phone_max=weights.c_phone_max or e_phone_max or 1.0,
-        c_5g_max=weights.c_5g_max or c5_max or 1.0,
-    )
+    return e_sew_max or 1.0, e_phone_max or 1.0, c5_max or 1.0
 
 
 # Consecutive latency violations after which the window shrinks to tau_fast.
@@ -250,7 +235,8 @@ class OffloadEnv:
     deployed config's SEW and phone latencies, and the sampled cloud latency
     (0 without a cloud stage). ``observe`` returns it normalized.
     ``wifi_floor`` and ``fiveg_floor`` are the throughput floors applied
-    before any division: ``floor_frac`` of the Wi-Fi and 5G bounds.
+    before any division: ``floor_frac`` of the Wi-Fi and 5G bounds, at
+    which ``scales`` are the :func:`cost_scales` of ``weights``.
     """
 
     def __init__(
@@ -268,8 +254,8 @@ class OffloadEnv:
         self.devices = devices
         self.wifi_floor = floor_frac * bounds.wifi
         self.fiveg_floor = floor_frac * bounds.fiveg
-        floors = (self.wifi_floor, self.fiveg_floor)
-        self.weights = resolve_cost_weights(weights, profile, devices, *floors)
+        self.weights = weights
+        self.scales = cost_scales(weights, profile, devices, self.wifi_floor, self.fiveg_floor)
         self.bounds = bounds
         self.wifi_replay = wifi_replay
         self.fiveg_replay = fiveg_replay
@@ -326,7 +312,7 @@ class OffloadEnv:
         violated = l_total > self.weights.l_max
         cost = step_cost(
             self.weights.alpha * e_sew, self.weights.alpha * e_phone, c_5g,
-            violated, reconfigured, self.weights,
+            violated, reconfigured, self.weights, self.scales,
         )
 
         self._consecutive_violations = self._consecutive_violations + 1 if violated else 0

@@ -201,14 +201,18 @@ def derive_seed_sequences(config: FederationConfig, master_seed: int):
     return children[: config.m_agents], children[config.m_agents], children[config.m_agents + 1]
 
 
+class AgentError(RuntimeError):
+    """An agent's exception in its phase: ``agent N raised Type: message``, then the iteration."""
+
+
 class AgentHost:
     """Holds some of the agents and runs their phases, in the master or a worker.
 
     ``run_phases`` takes the round's ``(agent_id, weights, steps)`` jobs, runs
     those of the agents it holds in order, skips the rest, and returns
     ``{agent_id: agent.net.flat}``: each agent's own array, which nothing
-    writes until that agent's next ``set_weights``. ``finalize`` returns each
-    agent's ``AgentLog`` by id.
+    writes until that agent's next ``set_weights``, or an :class:`AgentError`.
+    ``finalize`` returns each agent's ``AgentLog`` by id.
     """
 
     def __init__(self, builder, assignments):
@@ -219,8 +223,13 @@ class AgentHost:
         for agent_id, weights, steps in jobs:
             agent = self.agents.get(agent_id)
             if agent is not None:
-                agent.set_weights(weights)
-                agent.run_training_phase(steps)
+                try:
+                    agent.set_weights(weights)
+                    agent.run_training_phase(steps)
+                except Exception as exc:
+                    raise AgentError(
+                        f"agent {agent_id} raised {type(exc).__name__}: {exc}"
+                    ) from exc
                 out[agent_id] = agent.net.flat
         return out
 
@@ -239,9 +248,9 @@ def _worker_main(conn, builder, assignments):
     """Pool worker: an ``AgentHost`` serving ``(method, *args)`` messages.
 
     Each reply is ``(error, result)``: an exception raised while building or
-    running the agents is printed with its traceback and comes back as
-    ``"raised Type: message"`` for the master to raise; the worker then waits
-    for the master's stop.
+    running the agents is printed with its traceback and comes back for the
+    master to raise, an :class:`AgentError` as itself and any other as
+    ``"raised Type: message"``; the worker then waits for the master's stop.
     """
     import traceback  # here, with multiprocessing in _Pool, to keep both off the import path
 
@@ -257,7 +266,8 @@ def _worker_main(conn, builder, assignments):
             reply = (None, getattr(host, method)(*args))
         except Exception as exc:
             traceback.print_exc()
-            reply = (f"raised {type(exc).__name__}: {exc}", None)
+            error = exc if isinstance(exc, AgentError) else f"raised {type(exc).__name__}: {exc}"
+            reply = (error, None)
         conn.send(reply)
 
 
@@ -266,8 +276,8 @@ class _Pool:
 
     Every call goes to every worker, whose ``AgentHost`` answers for the
     agents it holds; the replies' dicts merge into one by agent id. A worker
-    that exits mid-run, or whose agents raise, is reported as a
-    ``RuntimeError`` naming its agents and the exit code or the exception.
+    that exits mid-run or cannot build its agents is a ``RuntimeError`` naming
+    them and the exit code or the exception; an ``AgentError`` comes as sent.
     """
 
     def __init__(self, builder, agent_seqs, workers: int):
@@ -311,6 +321,8 @@ class _Pool:
                 replies.append((f"exited with code {proc.exitcode}", None))
         merged = {}
         for w, (error, result) in enumerate(replies):
+            if isinstance(error, AgentError):
+                raise error
             if error is not None:
                 raise RuntimeError(f"pool worker {w} for agents {self._agents(w)} {error}")
             merged.update(result)
@@ -346,6 +358,7 @@ def run_federation(
     ``initial_weights(seed_sequence)`` returns a flat weight vector, called
     with the master seed's network stream when ``initial_weights`` is None.
     Above 1, ``workers`` forks that many processes, at most one per agent.
+    An agent that raises, inline or pooled, is an ``AgentError`` naming the iteration.
     Weight math runs in float64. Per-agent seeds derive from
     ``master_seed``, so repeated runs are bit-identical regardless of
     ``workers``. With zero steps no agent is built: the initial weights
@@ -384,7 +397,10 @@ def run_federation(
                 for slow in slow_mask
             ]
             jobs = [(m, next_init[m], steps[m]) for m in range(config.m_agents)]
-            returned = host.run_phases(jobs)
+            try:
+                returned = host.run_phases(jobs)
+            except AgentError as exc:
+                raise AgentError(f"{exc} in iteration {iteration}") from exc.__cause__
             thetas = [returned[m] for m in range(config.m_agents)]
             for m, weights in enumerate(thetas):
                 if not np.isfinite(weights).all():

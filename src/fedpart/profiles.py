@@ -169,9 +169,8 @@ class ProfileSpec:
     ``*_mflops_per_ms`` are device speeds; ``tensor_decay`` shrinks cut
     tensor sizes from the first cut to the last (deep feature maps are
     smaller than early ones), with ``tensor_noise`` relative jitter so sizes
-    are not monotone. ``t*_max`` bound the synthesized per-partition
-    latencies and are checked after generation. A spec needs at least one
-    cut point and positive sizes and speeds.
+    are not monotone. A spec needs at least one cut point and positive
+    sizes and speeds; the latencies' bounds come from ``[bounds]``.
     """
 
     name: str = "yolov5-like"
@@ -183,9 +182,6 @@ class ProfileSpec:
     cloud_mflops_per_ms: float = 217.0
     tensor_decay: float = 0.85
     tensor_noise: float = 0.10
-    t1_max: float = 450.0
-    t2_max: float = 65.0
-    t3_max: float = 30.0
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -201,14 +197,14 @@ class ProfileSpec:
             raise ProfileError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
-def synthesize_profile(spec: ProfileSpec) -> ApplicationProfile:
+def synthesize_profile(spec: ProfileSpec, latency_bounds: tuple[float, ...]) -> ApplicationProfile:
     """Build a profile from a monotone chain model.
 
     Cumulative FLOPs F(0)=0 < F(1) < ... < F(P+1)=total are drawn from
     normalized positive gaps; each cut j gets a tensor size in (0, delta0]
     (the sentinels map to delta0 at cut 0 and 0 after the last layer).
-    Partition latencies are FLOPs divided by device speed. Deterministic for
-    a fixed ``rng_seed``.
+    Partition latencies are FLOPs divided by device speed, each at most its
+    ``latency_bounds`` (SEW, phone, cloud). Deterministic for a fixed ``rng_seed``.
     """
     p = spec.cut_points
     rng = np.random.default_rng(spec.rng_seed)
@@ -245,16 +241,14 @@ def synthesize_profile(spec: ProfileSpec) -> ApplicationProfile:
             )
         )
 
+    l_sew, l_phone, l_cloud = latency_bounds
     offending = [
-        cfg.id
-        for cfg in configs
-        if cfg.t1 > spec.t1_max or cfg.t2 > spec.t2_max or cfg.t3 > spec.t3_max
+        cfg.id for cfg in configs if cfg.t1 > l_sew or cfg.t2 > l_phone or cfg.t3 > l_cloud
     ]
     if offending:
         raise ProfileError(
             "speed factors produce out-of-range latencies for configs "
-            f"{offending} (bounds t1<={spec.t1_max}, t2<={spec.t2_max}, "
-            f"t3<={spec.t3_max})"
+            f"{offending} ([bounds] l_sew={l_sew}, l_phone={l_phone}, l_cloud={l_cloud})"
         )
 
     profile = ApplicationProfile(

@@ -83,19 +83,19 @@ class AgentBuilder:
 
 def build_scenario(config: ExperimentConfig) -> AgentBuilder:
     """Load or synthesize the profile and both base traces that ``config`` names."""
-    inputs = config.inputs
+    inputs, bounds = config.inputs, config.bounds
     if inputs.profile_path:
         profile = load_profile(inputs.profile_path)
     else:
-        profile = synthesize_profile(config.profile)
+        profile = synthesize_profile(config.profile, bounds.latencies)
     if inputs.wifi_path:
         wifi = load_trace(inputs.wifi_path)
     else:
-        wifi = synthesize_trace(config.wifi, seed=inputs.trace_seed)
+        wifi = synthesize_trace(config.wifi, inputs.trace_seed, bounds.wifi)
     if inputs.fiveg_path:
         fiveg = load_trace(inputs.fiveg_path)
     else:
-        fiveg = synthesize_trace(config.fiveg, seed=inputs.trace_seed + 1)
+        fiveg = synthesize_trace(config.fiveg, inputs.trace_seed + 1, bounds.fiveg)
     return AgentBuilder(config, profile, wifi, fiveg)
 
 

@@ -48,7 +48,7 @@ class TraceSynthesisSpec:
     """Parameters for a synthetic throughput trace.
 
     The signal is a stationary AR(1) process around ``mean`` with standard
-    deviation ``variability``, clipped to ``[0, max_value]``.
+    deviation ``variability``, clipped to ``[0, max_value]`` by :func:`synthesize_trace`.
     Optional outages model bursts of degraded connectivity: entered with
     probability ``outage_rate`` per sample, lasting a geometric number of
     samples with the given mean (at least 1), scaling throughput by
@@ -60,7 +60,6 @@ class TraceSynthesisSpec:
     mean: float = 100.0
     variability: float = 20.0
     correlation: float = 0.98
-    max_value: float = 580.0
     outage_rate: float = 0.0
     outage_depth: float = 0.05
     outage_duration_mean: float = 120.0
@@ -74,8 +73,6 @@ class TraceSynthesisSpec:
             raise TraceError("mean and variability must be >= 0")
         if not self.granularity_ms > 0:
             raise TraceError(f"granularity_ms must be > 0, got {self.granularity_ms}")
-        if self.max_value < 0:
-            raise TraceError(f"max_value must be >= 0, got {self.max_value}")
         for name in ("outage_rate", "outage_depth"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
@@ -84,8 +81,8 @@ class TraceSynthesisSpec:
             raise TraceError(f"outage_duration_mean must be >= 1, got {self.outage_duration_mean}")
 
 
-def synthesize_trace(spec: TraceSynthesisSpec, seed: int) -> Trace:
-    """Generate a trace deterministically from ``(spec, seed)``."""
+def synthesize_trace(spec: TraceSynthesisSpec, seed: int, max_value: float) -> Trace:
+    """Generate a trace deterministically from ``(spec, seed)``, clipped to ``[0, max_value]``."""
     rng = np.random.default_rng(seed)
     phi = spec.correlation
     innovation = spec.variability * math.sqrt(1.0 - phi * phi)
@@ -109,7 +106,7 @@ def synthesize_trace(spec: TraceSynthesisSpec, seed: int) -> Trace:
                 in_outage = durations[t]
                 level[t] *= spec.outage_depth
 
-    samples = np.clip(level, 0.0, spec.max_value)
+    samples = np.clip(level, 0.0, max_value)
     return Trace(samples=samples, granularity_ms=spec.granularity_ms)
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from fedpart.agent import AgentSettings, DQNAgent, ValidationProbe
 from fedpart.config import ExperimentConfig, InputsSection
-from fedpart.env import CostWeights
+from fedpart.env import CostWeights, ObservationBounds
 from fedpart.network import QNetwork
 from fedpart.profiles import ProfileSpec, synthesize_profile
 from fedpart.runner import AgentBuilder
@@ -12,7 +12,7 @@ from fedpart.traces import Trace, TraceSynthesisSpec, synthesize_trace
 
 @pytest.fixture(scope="session")
 def default_profile():
-    return synthesize_profile(ProfileSpec())
+    return synthesize_profile(ProfileSpec(), ObservationBounds().latencies)
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +28,8 @@ def tiny_profile():
             phone_mflops_per_ms=20.0,
             cloud_mflops_per_ms=40.0,
             rng_seed=5,
-        )
+        ),
+        ObservationBounds().latencies,
     )
 
 
@@ -66,13 +67,13 @@ def default_floors(bounds):
 
 
 def make_tiny_env(profile, seed=0, l_max=400.0, weights=None):
+    config = ExperimentConfig(cost=weights or CostWeights(l_max=l_max))
     wifi = synthesize_trace(
-        TraceSynthesisSpec(length=60, mean=50.0, variability=10.0, max_value=580.0), seed=11
+        TraceSynthesisSpec(length=60, mean=50.0, variability=10.0), 11, config.bounds.wifi
     )
     fiveg = synthesize_trace(
-        TraceSynthesisSpec(length=80, mean=20.0, variability=5.0, max_value=350.0), seed=12
+        TraceSynthesisSpec(length=80, mean=20.0, variability=5.0), 12, config.bounds.fiveg
     )
-    config = ExperimentConfig(cost=weights or CostWeights(l_max=l_max))
     return AgentBuilder(config, profile, wifi, fiveg).env(np.random.SeedSequence(seed))
 
 

@@ -64,14 +64,15 @@ class TestSelect:
 
 def varying_env(profile, seed):
     """A 5G link that swings widely, so choices move between cloud and local."""
+    config = ExperimentConfig()
     wifi = synthesize_trace(
-        TraceSynthesisSpec(length=60, mean=50.0, variability=10.0, max_value=580.0), seed=11
+        TraceSynthesisSpec(length=60, mean=50.0, variability=10.0), 11, config.bounds.wifi
     )
     fiveg = synthesize_trace(
-        TraceSynthesisSpec(length=80, mean=100.0, variability=50.0, correlation=0.5,
-                           max_value=350.0), seed=12
+        TraceSynthesisSpec(length=80, mean=100.0, variability=50.0, correlation=0.5),
+        12, config.bounds.fiveg,
     )
-    return AgentBuilder(ExperimentConfig(), profile, wifi, fiveg).env(np.random.SeedSequence(seed))
+    return AgentBuilder(config, profile, wifi, fiveg).env(np.random.SeedSequence(seed))
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)

@@ -22,14 +22,29 @@ class TestTracesCommand:
     def test_synth_files_load_back_exactly(self, tmp_path):
         wifi, fiveg = _synth(tmp_path)
         config = ExperimentConfig()
-        for path, spec, seed in (
-            (wifi, config.wifi, config.inputs.trace_seed),
-            (fiveg, config.fiveg, config.inputs.trace_seed + 1),
+        for path, spec, seed, bound in (
+            (wifi, config.wifi, config.inputs.trace_seed, config.bounds.wifi),
+            (fiveg, config.fiveg, config.inputs.trace_seed + 1, config.bounds.fiveg),
         ):
-            expected = synthesize_trace(spec, seed=seed)
+            expected = synthesize_trace(spec, seed, bound)
             loaded = load_trace(path)
             assert np.array_equal(loaded.samples, expected.samples)
             assert loaded.granularity_ms == expected.granularity_ms
+
+    def test_synth_clips_at_the_bounds_of_the_config(self, tmp_path):
+        """A ``[bounds] wifi`` below the synthetic range is the trace's ceiling."""
+        ini = tmp_path / "b.ini"
+        ini.write_text("[bounds]\nwifi = 150.0\n", encoding="utf-8")
+        clipped = tmp_path / "clipped"
+        clipped.mkdir()
+        wifi, fiveg = clipped / "wifi.trace", clipped / "fiveg.trace"
+        argv = ["traces", "synth", "--config", str(ini),
+                "--wifi-out", str(wifi), "--fiveg-out", str(fiveg)]
+        assert cli.main(argv) == 0
+        samples = load_trace(wifi).samples
+        default = load_trace(_synth(tmp_path)[0]).samples
+        assert default.max() > 150.0 and samples.max() == 150.0
+        assert np.array_equal(samples, np.minimum(default, 150.0))
 
     def test_stats_prints_plain_numbers(self, tmp_path, capsys):
         wifi, _ = _synth(tmp_path)
@@ -79,7 +94,7 @@ class TestProfileCommand:
             encoding="utf-8",
         )
 
-        def no_trace(spec, seed):
+        def no_trace(spec, seed, max_value):
             raise AssertionError("a trace was synthesized")
 
         monkeypatch.setattr(runner, "synthesize_trace", no_trace)

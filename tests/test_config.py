@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import warnings
 
@@ -33,9 +34,7 @@ def cost_weights(draw):
     raw = draw(st.lists(st.integers(0, 100), min_size=5, max_size=5).filter(any))
     weights = [r / sum(raw) for r in raw]
     weights[3] = 1.0 - sum(weights[:3]) - weights[4]  # sum to 1 within rounding
-    maxima = st.none() | positive
     return CostWeights(*(max(w, 0.0) for w in weights),
-                       c_sew_max=draw(maxima), c_phone_max=draw(maxima), c_5g_max=draw(maxima),
                        alpha=draw(positive), g=draw(positive), lambda_fps=draw(positive),
                        tau_normal=draw(positive), tau_fast=draw(positive), l_max=draw(positive))
 
@@ -45,7 +44,6 @@ def traces(draw):
     return TraceSynthesisSpec(
         length=draw(st.integers(1, 20000)), granularity_ms=draw(positive), mean=draw(positive),
         variability=draw(positive), correlation=draw(st.floats(0.0, 1.0, exclude_max=True)),
-        max_value=draw(positive),
         outage_rate=draw(unit), outage_depth=draw(unit),
         outage_duration_mean=draw(st.floats(1.0, 1e4)),
     )
@@ -57,7 +55,7 @@ def configs(draw):
     batch = draw(st.integers(1, 1024))
     freq = draw(st.integers(1, 1000))
     return ExperimentConfig(
-        profile=ProfileSpec(draw(names), *draw(st.tuples(st.integers(1, 30), *[positive] * 10)),
+        profile=ProfileSpec(draw(names), *draw(st.tuples(st.integers(1, 30), *[positive] * 7)),
                             rng_seed=draw(st.integers(0, 2**32))),
         wifi=draw(traces()),
         fiveg=draw(traces()),
@@ -112,13 +110,13 @@ class TestRoundTrip:
         monkeypatch.setattr(cli, "write_experiment", record)
         ini = tmp_path / "tiny.ini"
         ini.write_text("[profile]\ncut_points = 2\n[agent]\nhidden = 4\ndropout_rates = 0.1\n"
-                       "batch_size = 8\n[cost]\nc_5g_max = 2.5\n", encoding="utf-8")
+                       "batch_size = 8\n[cost]\nl_max = 250.5\n", encoding="utf-8")
         out = tmp_path / "out"
         argv = ["train", "--config", str(ini), "--mode", "single", "--runs", "1",
                 "--steps-per-agent", "20", "--freq-updates", "20", "--output", str(out)]
         assert cli.main(argv) == 0
         assert load_config(out / "manifest.ini") == used[0]
-        assert used[0].cost.c_5g_max == 2.5 and used[0].agent.hidden == (4,)
+        assert used[0].cost.l_max == 250.5 and used[0].agent.hidden == (4,)
 
 
 # The [federation] block as dump_config wrote it before the section became
@@ -154,9 +152,8 @@ class TestParse:
         assert config.fiveg == defaults.fiveg
 
     def test_empty_value_means_none(self):
-        config = parse_config("[cost]\nc_sew_max = 3.0\n[inputs]\nwifi_path = w.trace\n")
-        assert config.cost.c_sew_max == 3.0
-        assert parse_config("[cost]\nc_sew_max =\n").cost.c_sew_max is None
+        config = parse_config("[inputs]\nwifi_path = w.trace\n")
+        assert config.inputs.wifi_path == "w.trace"
         assert parse_config("[inputs]\nwifi_path =\n").inputs.wifi_path is None
 
     @pytest.mark.parametrize("text, name", [
@@ -216,7 +213,6 @@ class TestParse:
          "[profile] cloud_mflops_per_ms must be > 0, got -1.0"),
         ("[wifi]\ngranularity_ms = 0\n", "[wifi] granularity_ms must be > 0, got 0.0"),
         ("[fiveg]\ngranularity_ms = -250\n", "[fiveg] granularity_ms must be > 0, got -250.0"),
-        ("[wifi]\nmax_value = -5\n", "[wifi] max_value must be >= 0, got -5.0"),
         ("[profile]\ndelta0 = -1\n", "[profile] delta0 must be > 0, got -1.0"),
         ("[profile]\ntotal_flops = 0\n", "[profile] total_flops must be > 0, got 0.0"),
         ("[profile]\ncut_points = 0\n", "[profile] cut_points must be >= 1 for synthesis, got 0"),
@@ -274,6 +270,32 @@ class TestCliErrors:
         ini.write_text(text, encoding="utf-8")
         assert cli.main(["train", "--config", str(ini), "--output", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(prefix)
+
+    @pytest.mark.parametrize("section, key", [
+        ("cost", "c_sew_max"), ("cost", "c_phone_max"), ("cost", "c_5g_max"),
+        ("wifi", "max_value"), ("fiveg", "max_value"),
+        ("profile", "t1_max"), ("profile", "t2_max"), ("profile", "t3_max"),
+    ])
+    def test_a_derived_limit_is_not_a_key(self, tmp_path, capsys, section, key):
+        """The cost scales come from the profile, and the synthesis limits from [bounds]."""
+        ini = tmp_path / "old.ini"
+        ini.write_text(f"[{section}]\n{key} = 10.0\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", str(ini), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: unknown key {key!r} in section [{section}]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "2"), ("--proportion-slow", "0.5"), ("--max-delay-slow", "0.5"),
+    ])
+    def test_baseline_refuses_the_flags_it_never_reads(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "o"
+        argv = ["baseline", "--objective", "latency", flag, value, "--output", str(out)]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_step_baseline_is_an_error_before_any_work(
         self, tmp_path, capsys, monkeypatch
@@ -346,6 +368,51 @@ class TestCliErrors:
         assert (tmp_path / "validation_band.csv").read_text(encoding="utf-8") == (
             "x,mean,min,max\n0,0.5,0.25,0.75\n250,0.25,0.0,0.5\n"
         )
+
+
+# What a user can set: the config's keys and each subcommand's flags and
+# positional arguments. A change that adds or removes one edits these pins,
+# and CHANGES.md says which and why.
+CONFIG_KEYS = 77
+RUN_FLAGS = {"--config", "--seed", "--runs", "--output", "--mode", "--agents",
+             "--steps-per-agent", "--freq-updates"}
+TRAINING_FLAGS = RUN_FLAGS | {"--workers", "--proportion-slow", "--max-delay-slow"}
+SUBCOMMAND_INPUTS = {
+    "train": TRAINING_FLAGS,
+    "transfer": TRAINING_FLAGS | {"--checkpoint"},
+    "baseline": RUN_FLAGS | {"--objective"},
+    "enumerate": {"--cuts"},
+    "profile synth": {"--config", "--out"},
+    "profile validate": {"path"},
+    "traces synth": {"--config", "--wifi-out", "--fiveg-out"},
+    "traces stats": {"path"},
+    "report": {"run_dir", "--out"},
+}
+
+
+def _subcommands(parser, prefix=()):
+    """Each leaf subcommand's name, as typed, and its parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommands(sub, (*prefix, name))
+            return
+    yield " ".join(prefix), parser
+
+
+class TestKnobCount:
+    def test_the_config_has_the_pinned_number_of_keys(self):
+        lines = dump_config(ExperimentConfig()).splitlines()
+        keys = [line for line in lines if line and not line.startswith("[")]
+        assert len(keys) == CONFIG_KEYS
+
+    def test_each_subcommand_takes_the_pinned_inputs(self):
+        found = {
+            name: {opt for action in sub._actions
+                   for opt in action.option_strings or [action.dest]} - {"-h", "--help"}
+            for name, sub in _subcommands(cli.build_parser())
+        }
+        assert found == SUBCOMMAND_INPUTS
 
 
 def test_a_non_finite_float_in_a_tuple_is_rejected(monkeypatch):

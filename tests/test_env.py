@@ -7,8 +7,8 @@ from fedpart.env import (
     ObservationBounds,
     Step,
     comm_cost_5g,
+    cost_scales,
     energy_per_window,
-    resolve_cost_weights,
     step_cost,
     total_latency_ms,
 )
@@ -36,7 +36,7 @@ def recomputed_cost(env, step, reconfigured=None):
         reconfigured = step.action != env.keep_action
     w = env.weights
     return step_cost(w.alpha * step.e_sew, w.alpha * step.e_phone, step.c_5g, step.violated,
-                     reconfigured, w)
+                     reconfigured, w, env.scales)
 
 
 class TestTotalLatency:
@@ -109,13 +109,15 @@ class TestCommCost:
 
 
 class TestStepCost:
-    WEIGHTS = CostWeights(c_sew_max=10.0, c_phone_max=10.0, c_5g_max=10.0)
+    WEIGHTS = CostWeights()
+    SCALES = (10.0, 10.0, 10.0)
 
     def test_all_zero(self):
-        assert step_cost(0.0, 0.0, 0.0, False, False, self.WEIGHTS) == 0.0
+        assert step_cost(0.0, 0.0, 0.0, False, False, self.WEIGHTS, self.SCALES) == 0.0
 
     def test_violation_plus_reconfiguration(self):
-        assert step_cost(0.0, 0.0, 0.0, True, True, self.WEIGHTS) == pytest.approx(0.95)
+        got = step_cost(0.0, 0.0, 0.0, True, True, self.WEIGHTS, self.SCALES)
+        assert got == pytest.approx(0.95)
 
     def test_matches_direct_substitution(self):
         rng = np.random.default_rng(3)
@@ -131,7 +133,7 @@ class TestStepCost:
                 + w.w_lat * violated
                 + w.w_rcfg * reconf
             )
-            got = step_cost(c_sew, c_phone, c_5g, violated, reconf, w)
+            got = step_cost(c_sew, c_phone, c_5g, violated, reconf, w, self.SCALES)
             assert got == pytest.approx(expected, rel=1e-12)
             assert 0.0 <= got <= 1.0
 
@@ -264,11 +266,36 @@ class TestStepLog:
             assert np.mean(log[name]) == np.mean(log[name].copy())
 
 
-def test_resolved_constants_are_positive(default_profile):
-    floors = default_floors(ObservationBounds())
-    weights = resolve_cost_weights(CostWeights(), default_profile, DeviceProfile(), *floors)
-    assert weights.c_sew_max > 0
-    assert weights.c_phone_max > 0
-    assert weights.c_5g_max > 0
-    # already-resolved weights pass through untouched
-    assert resolve_cost_weights(weights, default_profile, DeviceProfile(), *floors) is weights
+class TestCostScales:
+    def test_scales_are_positive(self, default_profile):
+        floors = default_floors(ObservationBounds())
+        scales = cost_scales(CostWeights(), default_profile, DeviceProfile(), *floors)
+        assert len(scales) == 3 and min(scales) > 0
+
+    @pytest.mark.parametrize("weights", [
+        CostWeights(),
+        CostWeights(alpha=2.0, g=0.3, lambda_fps=2.0, tau_normal=7.0),
+    ], ids=["default", "scaled"])
+    def test_env_scales_are_the_maxima_over_the_configs(self, tiny_profile, weights):
+        """Each scale is the largest window cost over every config at the
+        floors, computed here by a direct loop; the weights are kept as given."""
+        env = make_tiny_env(tiny_profile, weights=weights)
+        assert env.weights is weights
+        window = weights.tau_normal * weights.lambda_fps
+        devices = env.devices
+        sew, phone, fiveg = [], [], []
+        for cfg in tiny_profile.configs:
+            sew.append(weights.alpha * (window * (
+                devices.z_sew * cfg.mu1 + devices.theta_sew * cfg.delta12 / env.wifi_floor
+            )))
+            phone.append(weights.alpha * (window * (
+                devices.z_phone * cfg.mu2 + devices.theta_phone * cfg.delta23 / env.fiveg_floor
+            )))
+            fiveg.append(window * weights.g * cfg.delta23)
+        assert env.scales == (max(sew), max(phone), max(fiveg))
+
+    def test_a_zero_maximum_scales_by_one(self, tiny_profile):
+        """With no 5G charge every 5G cost is 0, and its scale falls back to 1."""
+        floors = default_floors(ObservationBounds())
+        scales = cost_scales(CostWeights(g=0.0), tiny_profile, DeviceProfile(), *floors)
+        assert scales[2] == 1.0 and min(scales[:2]) > 0

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from fedpart.agent import AgentSettings, DQNAgent
 from fedpart.federation import (
+    AgentError,
     AgentHost,
     FederationConfig,
     ScheduleRow,
@@ -309,17 +310,36 @@ class _RaisingBuilder(_Builder):
         return agent
 
 
+AGENT_ERROR = r"^agent 1 raised ValueError: agent-side failure in iteration 0$"
+
+
 class TestAgentErrors:
     def test_inline_agent_error_propagates(self, tiny_profile, tiny_settings):
         config = FederationConfig(agents=3, steps_per_agent=40, freq_updates=20)
         builder = _RaisingBuilder(tiny_profile, tiny_settings, poisoned=None)
-        with pytest.raises(ValueError, match=r"^agent-side failure$"):
+        with pytest.raises(AgentError, match=AGENT_ERROR) as info:
             run_federation(config, builder, 2, None, 1)
+        cause = info.value.__cause__
+        assert type(cause) is ValueError and str(cause) == "agent-side failure"
 
-    def test_pool_worker_reports_its_agents_exception(self, tiny_profile, tiny_settings):
+    def test_pool_worker_reports_its_agents_exception(
+        self, tiny_profile, tiny_settings, capfd
+    ):
         config = FederationConfig(agents=3, steps_per_agent=40, freq_updates=20)
         builder = _RaisingBuilder(tiny_profile, tiny_settings, poisoned=None)
         # Two workers: agent 1 has worker 1 to itself.
-        with pytest.raises(RuntimeError,
-                           match=r"^pool worker 1 for agents \[1\] raised ValueError: agent-side failure$"):
+        with pytest.raises(AgentError, match=AGENT_ERROR):
             run_federation(config, builder, 2, None, 2)
+        err = capfd.readouterr().err  # the worker's own traceback
+        assert "Traceback" in err and "ValueError: agent-side failure" in err
+
+    def test_a_workers_build_failure_names_the_worker_not_an_agent(
+        self, tiny_profile, tiny_settings
+    ):
+        config = FederationConfig(agents=3, steps_per_agent=40, freq_updates=20)
+        builder = _UnbuildableBuilder(tiny_profile, tiny_settings, poisoned=None)
+        with pytest.raises(RuntimeError, match=(
+            r"^pool worker 0 for agents \[0, 2\] raised AssertionError: agent 0 was built$"
+        )) as info:
+            run_federation(config, builder, 2, None, 2)
+        assert not isinstance(info.value, AgentError)

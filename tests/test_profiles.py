@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fedpart.env import ObservationBounds
 from fedpart.profiles import (
     DeviceProfile,
     ProfileError,
@@ -17,6 +18,8 @@ from fedpart.profiles import (
     save_profile,
     synthesize_profile,
 )
+
+LATENCY_BOUNDS = ObservationBounds().latencies  # 450, 65 and 30 ms
 
 
 def brute_force_counts(p):
@@ -116,13 +119,25 @@ class TestSynthesis:
 
     def test_same_seed_identical(self):
         spec = ProfileSpec(rng_seed=3)
-        assert synthesize_profile(spec) == synthesize_profile(spec)
+        assert synthesize_profile(spec, LATENCY_BOUNDS) == synthesize_profile(
+            spec, LATENCY_BOUNDS
+        )
 
-    def test_out_of_range_speeds_rejected(self):
-        # a SEW this slow pushes t1 past the 450 ms bound
-        spec = ProfileSpec(sew_mflops_per_ms=2.0)
-        with pytest.raises(ProfileError, match="out-of-range"):
-            synthesize_profile(spec)
+    @pytest.mark.parametrize("spec, latency_bounds", [
+        # a SEW this slow pushes t1 past the default 450 ms bound
+        (ProfileSpec(sew_mflops_per_ms=2.0), LATENCY_BOUNDS),
+        # the default profile's latencies peak at about 431, 60 and 25 ms
+        (ProfileSpec(), (400.0, 65.0, 30.0)),
+        (ProfileSpec(), (450.0, 55.0, 30.0)),
+        (ProfileSpec(), (450.0, 65.0, 20.0)),
+    ])
+    def test_out_of_range_speeds_rejected(self, spec, latency_bounds):
+        l_sew, l_phone, l_cloud = latency_bounds
+        with pytest.raises(ProfileError, match=(
+            r"out-of-range latencies for configs \[.*\] "
+            rf"\(\[bounds\] l_sew={l_sew}, l_phone={l_phone}, l_cloud={l_cloud}\)$"
+        )):
+            synthesize_profile(spec, latency_bounds)
 
     def test_device_profile_positivity(self):
         with pytest.raises(ProfileError):

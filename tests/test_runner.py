@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from fedpart import cli, runner
 from fedpart.baseline import run_baseline
 from fedpart.config import apply_overrides, parse_config
-from fedpart.env import CostWeights, resolve_cost_weights
+from fedpart.env import cost_scales
 from fedpart.federation import derive_seed_sequences
 from fedpart.network import QNetwork, expected_weight_count, load_checkpoint
 from fedpart.profiles import ApplicationProfile
@@ -78,11 +77,8 @@ def test_scenario_env_takes_every_setting_from_the_config(inputs):
     assert env.profile is scenario.profile
     assert env.devices == config.devices
     assert env.bounds == config.bounds
-    resolved = ("c_sew_max", "c_phone_max", "c_5g_max")
-    for field in dataclasses.fields(CostWeights):
-        if field.name not in resolved:
-            assert getattr(env.weights, field.name) == getattr(config.cost, field.name)
-    assert env.weights == resolve_cost_weights(
+    assert env.weights is config.cost
+    assert env.scales == cost_scales(
         config.cost, scenario.profile, config.devices,
         settings.floor_frac * config.bounds.wifi, settings.floor_frac * config.bounds.fiveg,
     )

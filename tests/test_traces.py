@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedpart.config import ExperimentConfig
+from fedpart.env import ObservationBounds
 from fedpart.traces import (
     PerturbedReplay,
     Trace,
@@ -16,7 +17,7 @@ from fedpart.traces import (
 )
 
 
-def numpy_loop_synthesis(spec: TraceSynthesisSpec, seed: int) -> np.ndarray:
+def numpy_loop_synthesis(spec: TraceSynthesisSpec, seed: int, max_value: float) -> np.ndarray:
     """Reference for ``synthesize_trace``: the same loops, indexing NumPy arrays per sample."""
     rng = np.random.default_rng(seed)
     phi = spec.correlation
@@ -38,13 +39,14 @@ def numpy_loop_synthesis(spec: TraceSynthesisSpec, seed: int) -> np.ndarray:
             elif enter[t] < spec.outage_rate:
                 in_outage = int(durations[t])
                 level[t] *= spec.outage_depth
-    return np.clip(level, 0.0, spec.max_value)
+    return np.clip(level, 0.0, max_value)
 
 
 LONG_OUTAGE_SPEC = TraceSynthesisSpec(
-    length=20000, mean=120.0, variability=60.0, max_value=200.0,
+    length=20000, mean=120.0, variability=60.0,
     outage_rate=0.01, outage_depth=0.1, outage_duration_mean=30.0,
 )
+WIFI_BOUND = ObservationBounds().wifi  # 580, the ceiling of the other specs here
 
 
 class TestSynthesis:
@@ -52,34 +54,39 @@ class TestSynthesis:
     @pytest.mark.parametrize("name", ["wifi", "fiveg", "long_outages"])
     def test_bits_equal_the_numpy_loop(self, name, seed):
         config = ExperimentConfig()
-        spec = {"wifi": config.wifi, "fiveg": config.fiveg, "long_outages": LONG_OUTAGE_SPEC}[name]
-        samples = synthesize_trace(spec, seed).samples
-        expected = numpy_loop_synthesis(spec, seed)
+        spec, bound = {
+            "wifi": (config.wifi, config.bounds.wifi),
+            "fiveg": (config.fiveg, config.bounds.fiveg),
+            "long_outages": (LONG_OUTAGE_SPEC, 200.0),
+        }[name]
+        samples = synthesize_trace(spec, seed, bound).samples
+        expected = numpy_loop_synthesis(spec, seed, bound)
         assert samples.dtype == expected.dtype == np.float64
         assert samples.tobytes() == expected.tobytes()
         if name == "long_outages":  # the spec exercises both the outages and the clip
             assert np.count_nonzero(samples < spec.outage_depth * spec.mean) > 100
-            assert np.count_nonzero(samples == spec.max_value) > 100
+            assert np.count_nonzero(samples == bound) > 100
 
     def test_constant_mean_zero_variability(self):
         trace = synthesize_trace(
-            TraceSynthesisSpec(length=200, mean=42.0, variability=0.0), seed=1
+            TraceSynthesisSpec(length=200, mean=42.0, variability=0.0), 1, WIFI_BOUND
         )
         assert np.all(trace.samples == 42.0)
 
     def test_deterministic_for_seed(self):
         spec = TraceSynthesisSpec(length=500, mean=80.0, variability=20.0, outage_rate=0.01)
-        a = synthesize_trace(spec, seed=9)
-        b = synthesize_trace(spec, seed=9)
+        a = synthesize_trace(spec, 9, WIFI_BOUND)
+        b = synthesize_trace(spec, 9, WIFI_BOUND)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_fiveg_range(self):
-        spec = TraceSynthesisSpec(
-            length=5000, mean=300.0, variability=120.0, max_value=350.0, outage_rate=0.01
-        )
-        trace = synthesize_trace(spec, seed=2)
+    @pytest.mark.parametrize("bound", [350.0, 200.0])
+    def test_clipped_at_the_bound_it_is_given(self, bound):
+        spec = TraceSynthesisSpec(length=5000, mean=300.0, variability=120.0, outage_rate=0.01)
+        trace = synthesize_trace(spec, 2, bound)
         assert trace.samples.min() >= 0.0
-        assert trace.samples.max() <= 350.0
+        assert trace.samples.max() == bound
+        unclipped = synthesize_trace(spec, 2, math.inf).samples
+        assert np.array_equal(trace.samples, np.minimum(unclipped, bound))
 
     def test_negative_samples_rejected(self):
         with pytest.raises(TraceError):
@@ -99,7 +106,7 @@ class TestSynthesis:
 
 class TestTraceFiles:
     def test_round_trip(self, tmp_path):
-        trace = synthesize_trace(TraceSynthesisSpec(length=64, variability=10.0), seed=3)
+        trace = synthesize_trace(TraceSynthesisSpec(length=64, variability=10.0), 3, WIFI_BOUND)
         path = tmp_path / "t.trace"
         save_trace(trace, path)
         loaded = load_trace(path)
@@ -217,7 +224,7 @@ class TestPerturbedReplay:
         """Windows shorter and longer than a pass, across its boundaries, with
         single samples between them; an odd length makes the halves unequal."""
         spec = TraceSynthesisSpec(length=37, mean=20.0, variability=15.0, outage_rate=0.05)
-        base = synthesize_trace(spec, seed)
+        base = synthesize_trace(spec, seed, WIFI_BOUND)
         replay = PerturbedReplay(base, seed, noise_rel, shift, inversion)
         reference = PassArrayReplay(base, seed, noise_rel, shift, inversion)
         sizes = np.random.default_rng(seed).integers(-20, 100, size=80)
@@ -258,13 +265,15 @@ class TestPerturbedReplay:
         assert inverted in seen
 
     def test_deterministic_given_seed(self):
-        base = synthesize_trace(TraceSynthesisSpec(length=100, variability=15.0), seed=8)
+        base = synthesize_trace(TraceSynthesisSpec(length=100, variability=15.0), 8, WIFI_BOUND)
         a, b = (PerturbedReplay(base, 123, noise_rel=0.10, shift_enabled=True,
                                 inversion_enabled=True) for _ in range(2))
         assert np.array_equal(a.next_window(1000), b.next_window(1000))
 
     def test_samples_never_negative(self):
-        base = synthesize_trace(TraceSynthesisSpec(length=50, mean=5.0, variability=4.0), seed=1)
+        base = synthesize_trace(
+            TraceSynthesisSpec(length=50, mean=5.0, variability=4.0), 1, WIFI_BOUND
+        )
         replay = PerturbedReplay(  # huge noise to force clamps
             base, seed=2, noise_rel=2.0, shift_enabled=True, inversion_enabled=True
         )
@@ -272,7 +281,9 @@ class TestPerturbedReplay:
 
     def test_mean_preserved_with_default_noise(self):
         """Zero-mean multiplicative noise keeps the long-run mean of the base."""
-        base = synthesize_trace(TraceSynthesisSpec(length=400, mean=60.0, variability=12.0), seed=5)
+        base = synthesize_trace(
+            TraceSynthesisSpec(length=400, mean=60.0, variability=12.0), 5, WIFI_BOUND
+        )
         replay = PerturbedReplay(
             base, seed=6, noise_rel=0.10, shift_enabled=True, inversion_enabled=True
         )
