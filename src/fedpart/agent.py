@@ -206,10 +206,9 @@ class ValidationProbe:
         self.interval = interval
         self.steps_trained: list[int] = []
         self.rates: list[float] = []
-        self._last_run_at = -1
 
     def due(self, total_steps: int) -> bool:
-        return total_steps % self.interval == 0 and total_steps != self._last_run_at
+        return total_steps % self.interval == 0
 
     def run(self, net: QNetwork, total_steps: int) -> float:
         violations = 0
@@ -219,7 +218,6 @@ class ValidationProbe:
         rate = violations / self.steps
         self.steps_trained.append(total_steps)
         self.rates.append(rate)
-        self._last_run_at = total_steps
         return rate
 
 

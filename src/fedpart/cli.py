@@ -146,7 +146,7 @@ def cmd_traces(args) -> int:
 
 
 class ReportError(ValueError):
-    """A ``run_validation.csv`` that cannot be read; the message names the file and line."""
+    """No ``run_validation.csv``, or one that cannot be read; the message says where."""
 
 
 def _read_validation(path) -> tuple[list[int], list[float]]:
@@ -181,8 +181,7 @@ def cmd_report(args) -> int:
                 )
         runs.append((path, steps, rates))
     if not runs:
-        print(f"no run_validation.csv files under {args.run_dir}", file=sys.stderr)
-        return 2
+        raise ReportError(f"no run_validation.csv files under {args.run_dir}")
     mean, mn, mx = band([rates for _, _, rates in runs])
     out = args.out or os.path.join(args.run_dir, "validation_band.csv")
     write_csv(out, "x,mean,min,max", zip(runs[0][1], mean, mn, mx))

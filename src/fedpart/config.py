@@ -19,9 +19,10 @@ A section lists only the keys it changes; the rest keep the values of
 Values are coerced from the field's type annotation, and an empty value
 means None. Unknown sections or keys are rejected, and a value the domain
 object refuses is reported as ``[section] <reason>``; so is a NaN or an
-infinity, from a file or a flag, that the object let through. A dumped
-config re-parses to an identical object. What a run can work out is not a
-key: the cost scales come from the profile, and synthesis limits from ``[bounds]``.
+infinity, from a file or a flag, that the object let through. A syntax
+error gives its line, and every error from a file begins with its path. A
+dumped config re-parses to an identical object. What a run can work out is not
+a key: the cost scales come from the profile, and synthesis limits from ``[bounds]``.
 """
 
 from __future__ import annotations
@@ -163,13 +164,24 @@ def _replace(config: ExperimentConfig, updates: dict[str, dict]) -> ExperimentCo
     return dataclasses.replace(config, **sections)
 
 
+def _syntax_error(exc: configparser.Error) -> str:
+    """Where ``exc`` is and what it found, without configparser's '<string>' source."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: {exc.line!r} comes before any [section] header"
+    if isinstance(exc, configparser.ParsingError):
+        lineno, line = exc.errors[0]
+        return f"line {lineno}: neither a [section] header nor 'key = value': {line}"
+    key = f" key {exc.option!r} in" if isinstance(exc, configparser.DuplicateOptionError) else ""
+    return f"line {exc.lineno}:{key} section [{exc.section}] appears twice"
+
+
 def parse_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep keys case-sensitive
     try:
         parser.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(_syntax_error(exc)) from exc
     base = ExperimentConfig()
     updates = {}
     for name in parser.sections():
@@ -186,8 +198,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    """Parse the INI file at ``path``; every error it raises begins with the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        text = fh.read()
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def dump_config(config: ExperimentConfig) -> str:

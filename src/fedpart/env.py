@@ -274,8 +274,8 @@ class OffloadEnv:
         """Deploy the fully-local config and observe the first trace samples."""
         self._config = self.profile.configs[0]
         self._consecutive_violations = 0
-        r_wifi = self.wifi_replay.next_sample()
-        r_5g = self.fiveg_replay.next_sample()
+        r_wifi = self.wifi_replay.next_window(1)
+        r_5g = self.fiveg_replay.next_window(1)
         self.raw = np.array([r_wifi, r_5g, self._config.t1, self._config.t2, 0.0])
 
     def observe(self) -> np.ndarray:
@@ -288,7 +288,7 @@ class OffloadEnv:
 
     def _advance(self, replay: PerturbedReplay, tau: float) -> float:
         n = max(1, round(tau * 1000.0 / replay.granularity_ms))
-        return float(replay.next_window(n)[-1])
+        return replay.next_window(n)
 
     def step(self, action: int) -> Step:
         n_configs = self.profile.n_configs

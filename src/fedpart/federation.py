@@ -79,8 +79,8 @@ class FederationConfig:
 
 def aggregate_mean(vectors: list[np.ndarray]) -> np.ndarray:
     """Coordinate-wise mean of equally sized weight vectors: their float64 sum
-    in order from +0.0, divided by their count. These are the operations, and
-    the bits, of ``np.mean`` over their stack, without the stacked copy."""
+    in order from +0.0, divided by their count: ``np.mean`` over their stack without
+    the copy, bar 8 or more 1-entry vectors, a column that NumPy sums pairwise."""
     if not vectors:
         raise ValueError("need at least one weight vector")
     total = np.zeros(np.shape(vectors[0]))

@@ -4,7 +4,7 @@ Throughput values are unit-agnostic scalars (MB/s by default, matching the
 MB-scale transfer sizes in profiles). Traces are replayed cyclically; each
 full pass is re-randomized with a circular shift, a multiplicative noise
 factor, and an optional mid-point inversion so training never sees the same
-periodic signal twice.
+periodic signal twice; a replay returns one sample per decision window.
 """
 
 from __future__ import annotations
@@ -181,8 +181,7 @@ class PerturbedReplay:
     played before the first). Disabled transformations still consume their
     draw. A pass is thus the base trace rotated left by the shift plus, if
     inverted, half its length, and scaled by the factor (exactly 1 when
-    ``noise_rel`` is 0); it is read from the base samples as it is emitted,
-    never copied whole. Emitted samples are clamped at zero.
+    ``noise_rel`` is 0). Only a window's last sample is read, and clamped at zero.
     """
 
     def __init__(
@@ -218,35 +217,21 @@ class PerturbedReplay:
             rotation += n // 2
         self._rotation = rotation % n
         self._factor = factor  # exactly 1.0 when noise_rel is 0: the multiply is then exact
-        self._pos = 0
 
-    def _fill(self, out: np.ndarray) -> np.ndarray:
-        """Write the next ``out.size`` samples, scaled and clamped, into the float64 ``out``."""
-        samples = self.base.samples
-        n = samples.size
-        filled = 0
-        while filled < out.size:
-            if self._pos >= n:
-                self._begin_pass()
-            take = min(out.size - filled, n - self._pos)
-            start = (self._rotation + self._pos) % n
-            head = min(take, n - start)  # the rest wraps to the trace's start
-            cut = filled + head
-            np.multiply(samples[start : start + head], self._factor, out=out[filled:cut])
-            if head < take:
-                np.multiply(samples[: take - head], self._factor, out=out[cut : filled + take])
-            self._pos += take
-            filled += take
-        return np.maximum(out, 0.0, out=out)
+    def next_window(self, n: int) -> float:
+        """Move ``n`` samples on and return the last one, scaled and clamped at zero.
 
-    def next_sample(self) -> float:
-        return float(self._fill(np.empty(1))[0])
-
-    def next_window(self, n: int) -> np.ndarray:
-        """Emit ``n`` consecutive samples (may span pass boundaries)."""
+        Each pass boundary crossed makes its three draws, as emitting every sample would."""
         if n < 1:
             raise TraceError("window size must be >= 1")
-        return self._fill(np.empty(n))
+        size = self.base.samples.size
+        pos = self._pos + n
+        while pos > size:
+            self._begin_pass()
+            pos -= size
+        self._pos = pos
+        v = float(self.base.samples[(self._rotation + pos - 1) % size]) * self._factor
+        return max(0.0, v)  # keeps np.maximum's +0.0 for a -0.0 product
 
 
 def sample_cloud_latency(t3: float, rng: np.random.Generator) -> float:

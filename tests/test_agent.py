@@ -308,6 +308,16 @@ class TestValidationProbe:
         assert probe.steps_trained == [0, 25, 50]
         assert all(0.0 <= r <= 1.0 for r in probe.rates)
 
+    def test_phases_of_unequal_lengths_run_each_due_count_once(self, tiny_profile, tiny_settings):
+        """As a straggler's phases run: each count is checked before its step,
+        and the final one, which no phase reaches, by finalize_validation."""
+        probe = ValidationProbe(make_tiny_env(tiny_profile, seed=4), steps=2, interval=5)
+        agent = make_tiny_agent(tiny_profile, tiny_settings, seed=5, probe=probe)
+        for steps in (7, 13, 5):
+            agent.run_training_phase(steps)
+        agent.finalize_validation()
+        assert probe.steps_trained == [0, 5, 10, 15, 20, 25]
+
     def test_validation_does_not_disturb_training(self, tiny_profile, tiny_settings):
         """Bit-identical training under two different validation schedules."""
         probes = [

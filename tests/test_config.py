@@ -269,7 +269,25 @@ class TestCliErrors:
         ini = tmp_path / "bad.ini"
         ini.write_text(text, encoding="utf-8")
         assert cli.main(["train", "--config", str(ini), "--output", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith(prefix)
+        assert capsys.readouterr().err.startswith(prefix.replace("error: ", f"error: {ini}: ", 1))
+
+    @pytest.mark.parametrize("text, where", [
+        ("[run]\nn_runs = 2\noops\n", "line 3: neither a [section] header nor 'key = value'"),
+        ("[run]\nn_runs = 2\nn_runs = 3\n", "line 3: key 'n_runs' in section [run] appears twice"),
+        ("n_runs = 2\n", "line 1: 'n_runs = 2\\n' comes before any [section] header"),
+        ("[run]\nn_runs = 2\n[run]\n", "line 3: section [run] appears twice"),
+        ("[run]\nn_runs = two\n", "[run] n_runs: invalid literal for int()"),
+    ])
+    def test_a_config_error_names_the_file(self, tmp_path, capsys, text, where):
+        """Before, a syntax error named the source '<string>', and a bad value no file."""
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["train", "--config", str(ini), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ini}: {where}")
+        assert "<string>" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, key", [
         ("cost", "c_sew_max"), ("cost", "c_phone_max"), ("cost", "c_5g_max"),
@@ -282,7 +300,9 @@ class TestCliErrors:
         ini.write_text(f"[{section}]\n{key} = 10.0\n", encoding="utf-8")
         out = tmp_path / "o"
         assert cli.main(["train", "--config", str(ini), "--output", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: unknown key {key!r} in section [{section}]\n"
+        assert capsys.readouterr().err == (
+            f"error: {ini}: unknown key {key!r} in section [{section}]\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [
@@ -360,6 +380,12 @@ class TestCliErrors:
         assert cli.main(["report", str(tmp_path)]) == 2
         path = tmp_path / "run_2" / "run_validation.csv"
         assert capsys.readouterr().err.startswith(f"error: {path}:{line}: {message}")
+        assert not (tmp_path / "validation_band.csv").exists()
+
+    def test_report_without_runs_is_an_error(self, tmp_path, capsys):
+        (tmp_path / "run_1").mkdir()
+        assert cli.main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: no run_validation.csv files under {tmp_path}\n"
         assert not (tmp_path / "validation_band.csv").exists()
 
     def test_report_cuts_runs_whose_steps_agree_to_the_shortest(self, tmp_path):

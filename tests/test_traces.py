@@ -175,7 +175,8 @@ class TestTraceFiles:
 
 
 class PassArrayReplay:
-    """Reference for ``PerturbedReplay``: it builds each pass as a whole array."""
+    """Reference for ``PerturbedReplay``: it builds each pass as a whole array
+    and emits every sample of a window."""
 
     def __init__(self, base, seed, noise_rel, shift_enabled, inversion_enabled):
         self.base, self.noise_rel = base, noise_rel
@@ -199,9 +200,6 @@ class PassArrayReplay:
         self._pass = np.maximum(samples, 0.0)
         self._pos = 0
 
-    def next_sample(self):
-        return float(self.next_window(1)[0])
-
     def next_window(self, n):
         out = np.empty(n)
         filled = 0
@@ -213,6 +211,11 @@ class PassArrayReplay:
             self._pos += take
             filled += take
         return out
+
+
+def stream(replay: PerturbedReplay, count: int) -> list[float]:
+    """``count`` consecutive samples, one window of one sample at a time."""
+    return [replay.next_window(1) for _ in range(count)]
 
 
 class TestPerturbedReplay:
@@ -229,28 +232,38 @@ class TestPerturbedReplay:
         reference = PassArrayReplay(base, seed, noise_rel, shift, inversion)
         sizes = np.random.default_rng(seed).integers(-20, 100, size=80)
         for n in sizes.tolist():
-            if n <= 0:
-                got, want = np.float64(replay.next_sample()), np.float64(reference.next_sample())
-            else:
-                got, want = replay.next_window(n), reference.next_window(n)
-            assert got.tobytes() == want.tobytes()
+            n = max(n, 1)
+            got, want = replay.next_window(n), reference.next_window(n)[-1]
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes()
+
+    def test_a_negative_factor_on_a_zero_sample_gives_positive_zero(self):
+        """As ``np.maximum(-0.0, 0.0)`` does; a pass of ``[1, 0]`` shows the factor's sign."""
+        base = Trace(samples=np.array([1.0, 0.0]), granularity_ms=250.0)
+        replay = PerturbedReplay(
+            base, seed=0, noise_rel=100.0, shift_enabled=False, inversion_enabled=False
+        )
+        negative_passes = 0
+        for _ in range(20):
+            negative_passes += replay.next_window(1) == 0.0
+            assert math.copysign(1.0, replay.next_window(1)) == 1.0
+        assert negative_passes > 0
 
     def test_identity_transformation(self):
         base = Trace(samples=np.arange(1.0, 11.0), granularity_ms=250.0)
         replay = PerturbedReplay(
             base, seed=0, noise_rel=0.0, shift_enabled=False, inversion_enabled=False
         )
-        out = [replay.next_sample() for _ in range(25)]
         expected = list(np.tile(base.samples, 3)[:25])
-        assert out == expected
+        assert stream(replay, 25) == expected
 
     def test_shift_only_preserves_multiset(self):
         base = Trace(samples=np.arange(1.0, 32.0), granularity_ms=250.0)
         replay = PerturbedReplay(
             base, seed=4, noise_rel=0.0, shift_enabled=True, inversion_enabled=False
         )
-        one_pass = replay.next_window(base.samples.size)
-        assert sorted(one_pass.tolist()) == sorted(base.samples.tolist())
+        one_pass = stream(replay, base.samples.size)
+        assert sorted(one_pass) == sorted(base.samples.tolist())
 
     def test_inversion_swaps_halves(self):
         base = Trace(samples=np.arange(1.0, 9.0), granularity_ms=250.0)
@@ -259,7 +272,7 @@ class TestPerturbedReplay:
         )
         seen = set()
         for _ in range(12):  # inversion is a per-pass coin flip
-            seen.add(tuple(replay.next_window(8).tolist()))
+            seen.add(tuple(stream(replay, 8)))
         assert tuple(base.samples.tolist()) in seen
         inverted = tuple(np.concatenate([base.samples[4:], base.samples[:4]]).tolist())
         assert inverted in seen
@@ -268,7 +281,7 @@ class TestPerturbedReplay:
         base = synthesize_trace(TraceSynthesisSpec(length=100, variability=15.0), 8, WIFI_BOUND)
         a, b = (PerturbedReplay(base, 123, noise_rel=0.10, shift_enabled=True,
                                 inversion_enabled=True) for _ in range(2))
-        assert np.array_equal(a.next_window(1000), b.next_window(1000))
+        assert stream(a, 1000) == stream(b, 1000)
 
     def test_samples_never_negative(self):
         base = synthesize_trace(
@@ -277,7 +290,7 @@ class TestPerturbedReplay:
         replay = PerturbedReplay(  # huge noise to force clamps
             base, seed=2, noise_rel=2.0, shift_enabled=True, inversion_enabled=True
         )
-        assert np.min(replay.next_window(5000)) >= 0.0
+        assert min(stream(replay, 5000)) >= 0.0
 
     def test_mean_preserved_with_default_noise(self):
         """Zero-mean multiplicative noise keeps the long-run mean of the base."""
@@ -287,7 +300,7 @@ class TestPerturbedReplay:
         replay = PerturbedReplay(
             base, seed=6, noise_rel=0.10, shift_enabled=True, inversion_enabled=True
         )
-        emitted = replay.next_window(1_000_000)
+        emitted = np.array(stream(replay, 1_000_000))
         assert abs(emitted.mean() - base.mean) / base.mean < 0.02
 
 
