@@ -9,8 +9,10 @@ train, transfer and baseline flags override keys of its ``[run]`` and
 ``train`` and ``transfer`` write ``manifest.ini`` (the resolved config),
 per-agent step and validation CSVs and the final weights as text and as a
 checkpoint that ``transfer --checkpoint`` reads; ``transfer`` is ``train``
-warm-started from that checkpoint. A bad config, profile, trace,
-checkpoint or ``run_validation.csv``, a missing file, or a checkpoint whose
+warm-started from that checkpoint. Each run's directory is written as the
+run ends. ``report DIR`` bands the ``run_<seed>`` under ``DIR`` as ``train``
+does, in seed order. A bad config, profile, trace, checkpoint or
+``run_validation.csv``, a path that cannot be opened, or a checkpoint whose
 network dims differ from the config's prints ``error: ...`` and returns 2.
 """
 
@@ -24,12 +26,13 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, apply_overrides, load_config
-from .metrics import band
 from .network import CheckpointError
 from .profiles import (
     ProfileError, enumerate_configs, load_profile, save_profile, synthesize_profile,
 )
-from .runner import run_baseline_suite, run_experiment, write_csv, write_experiment
+from .runner import (
+    ReportError, run_baseline_suite, run_experiment, write_band, write_csv, write_experiment,
+)
 from .traces import TraceError, load_trace, save_trace, synthesize_trace
 
 
@@ -67,12 +70,12 @@ def _add_common_train_flags(parser, training: bool) -> None:
 
 def cmd_train(args) -> int:
     config = _load_with_overrides(args)
-    experiment = run_experiment(config, args.checkpoint)
     out_dir = config.run.output_dir
-    mean, mn, mx = write_experiment(config, experiment, out_dir)
+    run_experiment(config, args.checkpoint, out_dir)
+    mean, mn, mx = write_experiment(config, out_dir)
     line = f"final validation C_lat: mean={mean:.4f} band=[{mn:.4f}, {mx:.4f}]"
     if args.checkpoint is None:
-        print(f"{line} ({len(experiment.runs)} runs) -> {out_dir}")
+        print(f"{line} ({config.run.n_runs} runs) -> {out_dir}")
     else:
         print(f"warm-started {line} -> {out_dir}")
     return 0
@@ -145,47 +148,15 @@ def cmd_traces(args) -> int:
     return 0
 
 
-class ReportError(ValueError):
-    """No ``run_validation.csv``, or one that cannot be read; the message says where."""
-
-
-def _read_validation(path) -> tuple[list[int], list[float]]:
-    """A ``run_validation.csv``'s ``steps_trained`` and ``c_lat`` columns."""
-    steps, rates = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh.read().splitlines()[1:], start=2):
-            try:
-                step, rate = line.split(",")
-                steps.append(int(step))
-                rates.append(float(rate))
-            except ValueError as exc:
-                raise ReportError(f"{path}:{lineno}: {exc}") from None
-    if not steps:
-        raise ReportError(f"{path}:1: no rows after the header")
-    return steps, rates
-
-
 def cmd_report(args) -> int:
-    """The band over the runs' curves, cut to the shortest; their steps must agree."""
-    runs = []
-    for entry in sorted(os.listdir(args.run_dir)):
-        path = os.path.join(args.run_dir, entry, "run_validation.csv")
-        if not os.path.isfile(path):
-            continue
-        steps, rates = _read_validation(path)
-        first_path, first_steps, _ = runs[0] if runs else (path, steps, rates)
-        for lineno, step, want in zip(range(2, len(steps) + 2), steps, first_steps):
-            if step != want:
-                raise ReportError(
-                    f"{path}:{lineno}: steps_trained {step} differs from {want} in {first_path}"
-                )
-        runs.append((path, steps, rates))
-    if not runs:
-        raise ReportError(f"no run_validation.csv files under {args.run_dir}")
-    mean, mn, mx = band([rates for _, _, rates in runs])
+    """The band over the ``run_<seed>`` directories' curves, in seed order."""
+    seeds = sorted({
+        int(entry[4:]) for entry in os.listdir(args.run_dir)
+        if entry.startswith("run_") and entry[4:].isdecimal()
+    })
     out = args.out or os.path.join(args.run_dir, "validation_band.csv")
-    write_csv(out, "x,mean,min,max", zip(runs[0][1], mean, mn, mx))
-    print(f"band over {len(runs)} runs -> {out}")
+    runs, _ = write_band(args.run_dir, seeds, out)
+    print(f"band over {runs} runs -> {out}")
     return 0
 
 
@@ -248,7 +219,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        ConfigError, CheckpointError, ProfileError, ReportError, TraceError, FileNotFoundError
+        ConfigError, CheckpointError, ProfileError, ReportError, TraceError, OSError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,16 +5,15 @@ agent) training run on one scenario. ``AgentBuilder`` holds a run's inputs
 (the config, profile and base traces that ``build_scenario`` resolves) and
 builds every env and agent from them. Every run is fully determined by the
 experiment config and its master seed, so identical invocations produce
-identical artifacts. ``run_experiment`` returns each seed's
-``FederationResult`` as it came from ``run_federation``; ``write_experiment``
-derives the per-run validation curves and the band over runs as it writes.
+identical artifacts. ``run_experiment`` writes each run's directory as the
+run ends, and ``write_experiment`` the experiment's files after the last;
+``train`` and ``report`` band the runs in master-seed order by ``write_band``.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -99,31 +98,25 @@ def build_scenario(config: ExperimentConfig) -> AgentBuilder:
     return AgentBuilder(config, profile, wifi, fiveg)
 
 
-class Experiment(NamedTuple):
-    """The runs of one experiment: each master seed's ``FederationResult``."""
-
-    dims: tuple[int, ...]  # network layer widths, input to output
-    runs: dict[int, FederationResult]
-
-
 def master_seeds(config: ExperimentConfig) -> list[int]:
     return [config.run.base_seed + i for i in range(config.run.n_runs)]
 
 
-def run_experiment(config: ExperimentConfig, checkpoint) -> Experiment:
+def run_experiment(config: ExperimentConfig, checkpoint, out_dir) -> None:
     """Run every master seed on one scenario, warm-started from ``checkpoint``
-    unless it is None; a checkpoint of other network dims is a ``ConfigError``."""
+    unless it is None, and write each seed's ``run_<seed>/`` under ``out_dir``
+    as its run ends; a checkpoint of other network dims is a ``ConfigError``."""
     builder = build_scenario(config)
     dims, weights = builder.dims(), None
     if checkpoint is not None:
         found, weights = load_checkpoint(checkpoint)
         if found != dims:
             raise ConfigError(f"checkpoint dims {found} do not match the config's {dims}")
-    runs = {
-        seed: run_federation(config.federation, builder, seed, weights, config.run.workers)
-        for seed in master_seeds(config)
-    }
-    return Experiment(dims, runs)
+    for seed in master_seeds(config):
+        _write_run(
+            os.path.join(out_dir, f"run_{seed}"), dims, config.run.validation_interval,
+            run_federation(config.federation, builder, seed, weights, config.run.workers),
+        )
 
 
 def run_baseline_suite(
@@ -168,76 +161,99 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_experiment(
-    config: ExperimentConfig, experiment: Experiment, out_dir
-) -> tuple[float, float, float]:
-    """Write the experiment's artifacts under ``out_dir``.
+def _write_run(run_dir, dims, interval: int, run: FederationResult) -> None:
+    """Write one run's logs, schedule and weights, and its curve: the mean over
+    its agents at each validation point they share."""
+    os.makedirs(run_dir, exist_ok=True)
+    for m, log in enumerate(run.agent_logs):
+        steps = log.steps
+        names = ["step", *STEP_LOG.names]
+        columns = [np.arange(1, len(steps) + 1), *(steps[name] for name in STEP_LOG.names)]
+        after_violated = names.index("violated") + 1
+        names.insert(after_violated, "ma_violations")
+        columns.insert(after_violated, moving_avg_violations(steps["violated"]))
+        write_csv(os.path.join(run_dir, f"agent_{m}.steps.csv"), ",".join(names), zip(*columns))
+        write_csv(
+            os.path.join(run_dir, f"agent_{m}.validation.csv"),
+            "k,steps_trained,c_lat",
+            ((s // interval, s, rate) for s, rate in zip(log.val_steps, log.val_rate)),
+        )
+    if run.schedule_rows:
+        write_csv(
+            os.path.join(run_dir, "schedule.csv"), ",".join(ScheduleRow._fields), run.schedule_rows
+        )
+    if run.agent_logs:  # every agent validates at step 0 once it trains
+        curve, _, _ = band([log.val_rate for log in run.agent_logs])
+        write_csv(
+            os.path.join(run_dir, "run_validation.csv"),
+            "steps_trained,c_lat",
+            zip(run.agent_logs[0].val_steps, curve),
+        )
+    np.savetxt(os.path.join(run_dir, "final_weights.txt"), run.final_weights)
+    save_checkpoint(os.path.join(run_dir, "final_weights.ckpt"), dims, run.final_weights)
 
-    Each run's curve is the mean over its agents at each validation point
-    they share; the band is the mean, min and max of the run curves at each
-    point they share. Returns the band's last point, NaN if it has none.
-    """
-    os.makedirs(out_dir, exist_ok=True)
+
+class ReportError(ValueError):
+    """No ``run_validation.csv``, or one that cannot be read; the message says where."""
+
+
+def _read_validation(path) -> tuple[list[int], list[float]]:
+    """A ``run_validation.csv``'s ``steps_trained`` and ``c_lat`` columns."""
+    steps, rates = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh.read().splitlines()[1:], start=2):
+            try:
+                step, rate = line.split(",")
+                steps.append(int(step))
+                rates.append(float(rate))
+            except ValueError as exc:
+                raise ReportError(f"{path}:{lineno}: {exc}") from None
+    if not steps:
+        raise ReportError(f"{path}:1: no rows after the header")
+    return steps, rates
+
+
+def write_band(parent, seeds, out) -> tuple[int, tuple[float, float, float]]:
+    """Write to ``out`` the mean, min and max, cut to the shortest, of the
+    curves of the ``run_<seed>`` under ``parent`` that have one, in ``seeds``'
+    order; their steps must agree. Returns the run count and the last point."""
+    runs = []
+    for path in (os.path.join(parent, f"run_{seed}", "run_validation.csv") for seed in seeds):
+        if not os.path.isfile(path):
+            continue
+        steps, rates = _read_validation(path)
+        first_path, first_steps, _ = runs[0] if runs else (path, steps, rates)
+        for lineno, step, want in zip(range(2, len(steps) + 2), steps, first_steps):
+            if step != want:
+                raise ReportError(
+                    f"{path}:{lineno}: steps_trained {step} differs from {want} in {first_path}"
+                )
+        runs.append((path, steps, rates))
+    if not runs:
+        raise ReportError(f"no run_validation.csv files under {parent}")
+    mean, mn, mx = band([rates for _, _, rates in runs])
+    write_csv(out, "x,mean,min,max", zip(runs[0][1], mean, mn, mx))
+    return len(runs), (float(mean[-1]), float(mn[-1]), float(mx[-1]))
+
+
+def write_experiment(config: ExperimentConfig, out_dir) -> tuple[float, float, float]:
+    """Write the manifest, the band over this experiment's runs (no other
+    ``run_*`` in ``out_dir``) and the summary once ``run_experiment`` has
+    written every run. Returns the band's last point, NaN if it has none."""
+    seeds = master_seeds(config)
     manifest = (
         f"# fedpart-version: {__version__}\n"
-        f"# master-seeds: {','.join(str(s) for s in master_seeds(config))}\n"
+        f"# master-seeds: {','.join(str(s) for s in seeds)}\n"
         + dump_config(config)
     )
     with open(os.path.join(out_dir, "manifest.ini"), "w", encoding="utf-8") as fh:
         fh.write(manifest)
-
-    interval = config.run.validation_interval
-    curves = []
-    for seed, run in experiment.runs.items():
-        run_dir = os.path.join(out_dir, f"run_{seed}")
-        os.makedirs(run_dir, exist_ok=True)
-        for m, log in enumerate(run.agent_logs):
-            steps = log.steps
-            names = ["step", *STEP_LOG.names]
-            columns = [np.arange(1, len(steps) + 1), *(steps[name] for name in STEP_LOG.names)]
-            after_violated = names.index("violated") + 1
-            names.insert(after_violated, "ma_violations")
-            columns.insert(after_violated, moving_avg_violations(steps["violated"]))
-            write_csv(
-                os.path.join(run_dir, f"agent_{m}.steps.csv"), ",".join(names), zip(*columns)
-            )
-            write_csv(
-                os.path.join(run_dir, f"agent_{m}.validation.csv"),
-                "k,steps_trained,c_lat",
-                ((s // interval, s, rate) for s, rate in zip(log.val_steps, log.val_rate)),
-            )
-        if run.schedule_rows:
-            write_csv(
-                os.path.join(run_dir, "schedule.csv"),
-                ",".join(ScheduleRow._fields),
-                run.schedule_rows,
-            )
-        if run.agent_logs:  # every agent validates at step 0 once it trains
-            curve, _, _ = band([log.val_rate for log in run.agent_logs])
-            curves.append(curve)
-            grid = run.agent_logs[0].val_steps  # 0, interval, 2 * interval, ... in every run
-            write_csv(
-                os.path.join(run_dir, "run_validation.csv"),
-                "steps_trained,c_lat",
-                zip(grid, curve),
-            )
-        np.savetxt(os.path.join(run_dir, "final_weights.txt"), run.final_weights)
-        save_checkpoint(
-            os.path.join(run_dir, "final_weights.ckpt"), experiment.dims, run.final_weights
-        )
-
     last = (float("nan"),) * 3
-    if curves:
-        mean, mn, mx = band(curves)
-        write_csv(
-            os.path.join(out_dir, "validation_band.csv"),
-            "x,mean,min,max",
-            zip(grid, mean, mn, mx),
-        )
-        last = (float(mean[-1]), float(mn[-1]), float(mx[-1]))
+    if config.federation.n_iterations:  # a run that trains no step writes no curve
+        _, last = write_band(out_dir, seeds, os.path.join(out_dir, "validation_band.csv"))
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(
             f"final_validation_c_lat mean={last[0]!r} min={last[1]!r} max={last[2]!r} "
-            f"runs={len(experiment.runs)}\n"
+            f"runs={len(seeds)}\n"
         )
     return last

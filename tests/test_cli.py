@@ -107,6 +107,28 @@ class TestProfileCommand:
         assert (profile.cut_points, profile.n_configs) == (3, 15)
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "DIR"],
+    ["transfer", "--checkpoint", "DIR"],
+    ["report", "FILE"],
+    ["profile", "validate", "DIR"],
+    ["traces", "stats", "DIR"],
+])
+def test_a_path_of_the_wrong_kind_is_an_error_naming_it(tmp_path, capsys, argv):
+    """Before, ``IsADirectoryError`` and ``NotADirectoryError`` escaped as a traceback."""
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "FILE").write_text("", encoding="utf-8")
+    path = str(tmp_path / argv[-1])
+    out = tmp_path / "out"
+    argv = [*argv[:-1], path]
+    if argv[0] in ("train", "transfer"):
+        argv += ["--mode", "single", "--runs", "1", "--output", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f": {path!r}\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestEnumerateCommand:
     @pytest.mark.parametrize("cuts, expected", [
         (12, "105\nfull-device=3 single-split=36 double-split=66 (cuts=12)\n"),
@@ -258,3 +280,17 @@ class TestEndToEnd:
         # Had transfer ignored the checkpoint, seed 7 would reproduce the first
         # run's final weights, which are the checkpoint's.
         assert not np.array_equal(weights, load_checkpoint(ckpt)[1])
+
+    def test_report_reproduces_trains_band_across_a_digit_boundary(self, tmp_path):
+        """By name, ``run_10`` sorts before ``run_8``; a band in that order
+        summed the runs in another order and changed the mean's last bits."""
+        ini = tmp_path / "tiny.ini"
+        ini.write_text(TINY_INI, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["train", "--config", str(ini), "--mode", "sync", "--agents", "3",
+                "--steps-per-agent", "60", "--freq-updates", "20", "--runs", "3",
+                "--seed", "8", "--output", str(out)]
+        assert cli.main(argv) == 0
+        trained = (out / "validation_band.csv").read_bytes()
+        assert cli.main(["report", str(out)]) == 0
+        assert (out / "validation_band.csv").read_bytes() == trained

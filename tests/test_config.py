@@ -103,9 +103,9 @@ class TestRoundTrip:
         used = []
         write = cli.write_experiment
 
-        def record(config, result, out_dir):
+        def record(config, out_dir):
             used.append(config)
-            return write(config, result, out_dir)
+            return write(config, out_dir)
 
         monkeypatch.setattr(cli, "write_experiment", record)
         ini = tmp_path / "tiny.ini"

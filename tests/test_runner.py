@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -196,20 +198,79 @@ def test_an_idle_agent_holds_its_buffer_log_weights_and_moments_only():
     assert held <= sum(a.nbytes for a in own) + slack, (held, [a.nbytes for a in own])
 
 
-def test_a_network_of_a_written_checkpoints_dims_takes_its_weights(tmp_path):
+def run_keeping_results(config, out_dir, monkeypatch) -> dict:
+    """Run and write ``config``'s experiment under ``out_dir``; return each
+    seed's ``FederationResult`` as ``run_federation`` gave it to the writer."""
+    results = {}
+    federate = runner.run_federation
+
+    def keeping(federation, builder, seed, *args):
+        results[seed] = federate(federation, builder, seed, *args)
+        return results[seed]
+
+    monkeypatch.setattr(runner, "run_federation", keeping)
+    runner.run_experiment(config, None, out_dir)
+    runner.write_experiment(config, out_dir)
+    return results
+
+
+def test_a_network_of_a_written_checkpoints_dims_takes_its_weights(tmp_path, monkeypatch):
     config = apply_overrides(
         parse_config(TINY_INI), run__n_runs=1, federation__agents=2,
         federation__steps_per_agent=20, federation__freq_updates=20,
     )
-    experiment = runner.run_experiment(config, None)
-    runner.write_experiment(config, experiment, tmp_path)
-    [(seed, run)] = experiment.runs.items()
+    [(seed, run)] = run_keeping_results(config, tmp_path, monkeypatch).items()
     dims, weights = load_checkpoint(tmp_path / f"run_{seed}" / "final_weights.ckpt")
     net = QNetwork(
         dims, config.agent.dropout_rates, rng=np.random.default_rng(0), dtype=np.float64
     )
     net.set_weights(weights)
     assert np.array_equal(net.get_weights(), run.final_weights)
+
+
+def test_no_run_outlives_its_write(tmp_path, monkeypatch):
+    """Each run's directory is written as the run ends, and the master keeps
+    none of its step logs while the next run trains."""
+    config = apply_overrides(
+        parse_config(TINY_INI), run__n_runs=3, federation__agents=2,
+        federation__steps_per_agent=20, federation__freq_updates=20,
+    )
+    logs, alive, written = [], [], []
+    federate = runner.run_federation
+
+    def watching(federation, builder, seed, *args):
+        gc.collect()
+        alive.append([ref() is not None for ref in logs])
+        written.append(sorted(p.name for p in tmp_path.iterdir()))
+        result = federate(federation, builder, seed, *args)
+        logs.append(weakref.ref(result.agent_logs[0].steps))
+        return result
+
+    monkeypatch.setattr(runner, "run_federation", watching)
+    runner.run_experiment(config, None, tmp_path)
+    assert alive == [[], [False], [False, False]]
+    assert written == [[], ["run_1000"], ["run_1000", "run_1001"]]
+
+
+def test_a_stale_run_directory_stays_out_of_the_band(tmp_path):
+    """A ``run_<seed>`` left by an earlier experiment with other seeds is not
+    one of this experiment's runs."""
+    base = apply_overrides(
+        parse_config(TINY_INI), run__n_runs=2, federation__agents=2,
+        federation__steps_per_agent=40, federation__freq_updates=20,
+    )
+
+    def experiment(out_dir, seed):
+        config = apply_overrides(base, run__base_seed=seed)
+        runner.run_experiment(config, None, out_dir)
+        runner.write_experiment(config, out_dir)
+
+    experiment(tmp_path / "reused", 9)
+    experiment(tmp_path / "reused", 3)
+    experiment(tmp_path / "fresh", 3)
+    assert (tmp_path / "reused" / "run_9" / "run_validation.csv").is_file()
+    for name in ("validation_band.csv", "summary.txt"):
+        assert (tmp_path / "reused" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
 def test_an_experiment_builds_its_scenario_once(tmp_path, monkeypatch):
@@ -236,7 +297,7 @@ def test_an_experiment_builds_its_scenario_once(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
-def test_an_experiment_validates_its_profile_once(monkeypatch):
+def test_an_experiment_validates_its_profile_once(tmp_path, monkeypatch):
     """Synthesis validates the profile; the six envs of three agents do not again."""
     calls = []
     validate = ApplicationProfile.validate
@@ -250,19 +311,17 @@ def test_an_experiment_validates_its_profile_once(monkeypatch):
         parse_config(TINY_INI), run__n_runs=1, federation__agents=3,
         federation__steps_per_agent=20, federation__freq_updates=20,
     )
-    runner.run_experiment(config, None)
+    runner.run_experiment(config, None, tmp_path)
     assert len(calls) == 1
 
 
-def test_schedule_csv_holds_the_runs_schedule_rows(tmp_path):
+def test_schedule_csv_holds_the_runs_schedule_rows(tmp_path, monkeypatch):
     config = apply_overrides(
         parse_config(TINY_INI), run__n_runs=1, federation__mode="async", federation__agents=3,
         federation__proportion_slow=0.34, federation__max_delay_slow=0.5,
         federation__steps_per_agent=40, federation__freq_updates=20,
     )
-    experiment = runner.run_experiment(config, None)
-    runner.write_experiment(config, experiment, tmp_path)
-    [(seed, run)] = experiment.runs.items()
+    [(seed, run)] = run_keeping_results(config, tmp_path, monkeypatch).items()
     assert {row.role for row in run.schedule_rows} == {"fast", "slow"}
     written = (tmp_path / f"run_{seed}" / "schedule.csv").read_text(encoding="utf-8")
     assert written.splitlines()[0] == "iteration,agent,role,steps,agg_index"
