@@ -7,7 +7,8 @@ Usage (from the repository root):
 ``REV`` (default ``HEAD~1``) is checked out with ``git worktree add
 --detach`` into a temporary directory. ``COMMANDS`` runs in that tree and in
 this one, each child with ``PYTHONPATH`` at its tree's ``src`` and one BLAS
-thread; a command line with ``{seed}`` runs at each of ``SEEDS``. Every
+thread; a command line with ``{seed}`` runs at each of ``SEEDS``, and
+``{inputs}`` names a directory holding the config files of ``INPUTS``. Every
 output file is compared byte for byte, except the ``output_dir`` line of
 ``manifest.ini``, as are standard output (with the output path replaced)
 and standard error. The script prints ``identical: N files from K command
@@ -34,13 +35,18 @@ ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM
 # lines may read what earlier ones wrote.
 BENCH = ["--workers", "1", "--proportion-slow", "0.0", "--max-delay-slow", "0.0",
          "--seed", "{seed}", "--runs", "1"]
-ASYNC = ["train", "--mode", "async", "--freq-updates", "300", "--proportion-slow", "0.34",
-         "--max-delay-slow", "0.5", "--seed", "{seed}", "--runs", "1", "--agents", "3",
-         "--steps-per-agent", "600"]
+STRAGGLERS = ["--mode", "async", "--freq-updates", "300", "--proportion-slow", "0.34",
+              "--max-delay-slow", "0.5", "--seed", "{seed}", "--runs", "1", "--agents", "3"]
+ASYNC = ["train", *STRAGGLERS, "--steps-per-agent", "600"]
 MULTI = ["--mode", "sync", "--agents", "2", "--steps-per-agent", "1000", "--freq-updates", "500",
          "--seed", "{seed}"]
 BASELINE = ["--seed", "{seed}", "--runs", "1", "--agents", "3", "--steps-per-agent", "2000",
             "--output", "{dir}"]
+# A replay buffer that wraps three times, and async stragglers whose phases
+# of 300-450 steps append to the step logs across the 1000-step window of
+# ``ma_violations``.
+INPUTS = {"wrap.ini": "[agent]\nbuffer_capacity = 600\nbatch_size = 64\n"}
+WRAP = ["train", "--config", "{inputs}/wrap.ini", *STRAGGLERS, "--steps-per-agent", "1800"]
 COMMANDS = {
     "single-long": [["train", "--mode", "single", "--freq-updates", "3000", *BENCH,
                      "--agents", "1", "--steps-per-agent", "3000", "--output", "{dir}"]],
@@ -48,6 +54,8 @@ COMMANDS = {
                   "--agents", "10", "--steps-per-agent", "1000", "--output", "{dir}"]],
     "async-identity": [[*ASYNC, "--workers", "1", "--output", "{dir}/w1"],
                        [*ASYNC, "--workers", "2", "--output", "{dir}/w2"]],
+    "replay-wrap": [[*WRAP, "--workers", "1", "--output", "{dir}/w1"],
+                    [*WRAP, "--workers", "2", "--output", "{dir}/w2"]],
     "baseline": [["baseline", "--objective", "latency", *BASELINE],
                  ["baseline", "--objective", "energy", *BASELINE]],
     "zero-step": [["train", "--mode", "single", "--seed", "{seed}", "--runs", "1",
@@ -92,9 +100,9 @@ def command_lines(commands: dict, seeds) -> list[tuple[str, list[list[str]]]]:
     return out
 
 
-def start(tree: Path, argv: list[str], workdir: Path) -> subprocess.Popen:
+def start(tree: Path, argv: list[str], workdir: Path, inputs: Path) -> subprocess.Popen:
     env = {**os.environ, **ONE_BLAS_THREAD, "PYTHONPATH": str(tree / "src")}
-    argv = [arg.replace("{dir}", str(workdir)) for arg in argv]
+    argv = [arg.replace("{dir}", str(workdir)).replace("{inputs}", str(inputs)) for arg in argv]
     return subprocess.Popen([sys.executable, "-m", "fedpart.cli", *argv], env=env, cwd=workdir,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
@@ -121,13 +129,17 @@ def compare(tree_a: Path, tree_b: Path, work: Path, commands=COMMANDS, seeds=SEE
     by side; return the number of files compared, the number of command lines
     and one line per difference."""
     files, lines, diffs = 0, 0, []
+    inputs = work / "inputs"
+    inputs.mkdir()
+    for name, text in INPUTS.items():
+        (inputs / name).write_text(text, encoding="utf-8")
     for label, group in command_lines(commands, seeds):
         dirs = (work / "a" / label, work / "b" / label)
         for d in dirs:
             d.mkdir(parents=True)
         for argv in group:
             lines += 1
-            procs = [start(tree, argv, d) for tree, d in zip((tree_a, tree_b), dirs)]
+            procs = [start(tree, argv, d, inputs) for tree, d in zip((tree_a, tree_b), dirs)]
             (out_a, err_a), (out_b, err_b) = (p.communicate() for p in procs)
             shown = " ".join(argv)
             for stream, x, y in (("stdout", out_a, out_b), ("stderr", err_a, err_b)):

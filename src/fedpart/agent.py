@@ -33,28 +33,36 @@ TARGET_BLOCK = 128  # rows per zero-padded target forward that refreshes the cac
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring over preallocated arrays, with cached targets.
+    """Fixed-capacity FIFO ring of transitions, each state stored once, with cached targets.
 
-    Next to each slot's next state, ``next_q`` holds the target network's
-    ``max_a Q_target(s')`` for it, valid where ``stale`` is False. ``push``
-    marks the slot it writes stale, and ``invalidate`` marks every slot stale;
+    ``push`` takes transitions of one continuing trajectory: each push's
+    ``state`` equals the previous push's ``next_state``. So a slot's next
+    state is the state of the slot written after it, and only the newest
+    transition's next state needs a row of its own: ``states`` has
+    ``capacity + 1`` rows, the last of them that one. ``states[:len(buffer)]``
+    are the stored transitions' states.
+
+    Next to each slot, ``next_q`` holds the target network's
+    ``max_a Q_target(s')`` for its next state, valid where ``stale`` is False.
+    ``push`` marks the slot it writes stale, and ``invalidate`` marks every slot stale;
     call it whenever the target weights change. When ``sample`` draws a stale
     slot, it first recomputes every stale slot in eval-mode forwards of
     ``TARGET_BLOCK`` rows, zero-padded. Blocks of at least 128 rows give the
     same bits as a 512-row forward on the OpenBLAS this was measured with
     (module docstring); unpadded small batches do not. Actions are stored in
-    the smallest unsigned type that holds ``n_actions - 1``.
+    the smallest unsigned type that holds ``n_actions - 1``. The arrays start
+    uninitialised: ``sample`` reads only slots below ``len(buffer)``, and
+    ``next_q`` only where a refresh wrote it.
     """
 
     def __init__(self, capacity: int, state_dim: int, n_actions: int, dtype):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_dim), dtype=dtype)
-        self.actions = np.zeros(capacity, dtype=np.min_scalar_type(n_actions - 1))
-        self.rewards = np.zeros(capacity, dtype=dtype)
-        self.next_states = np.zeros((capacity, state_dim), dtype=dtype)
-        self.next_q = np.zeros(capacity, dtype=dtype)
+        self.states = np.empty((capacity + 1, state_dim), dtype=dtype)
+        self.actions = np.empty(capacity, dtype=np.min_scalar_type(n_actions - 1))
+        self.rewards = np.empty(capacity, dtype=dtype)
+        self.next_q = np.empty(capacity, dtype=dtype)
         self.stale = np.ones(capacity, dtype=bool)
         self.size = 0
         self._head = 0
@@ -63,11 +71,12 @@ class ReplayBuffer:
         return self.size
 
     def push(self, state, action: int, reward: float, next_state) -> None:
+        """Store a transition; ``state`` must equal the previous push's ``next_state``."""
         i = self._head
         self.states[i] = state
         self.actions[i] = action
         self.rewards[i] = reward
-        self.next_states[i] = next_state
+        self.states[self.capacity] = next_state
         self.stale[i] = True
         self._head = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
@@ -86,11 +95,13 @@ class ReplayBuffer:
         idx = rng.integers(0, self.size, size=batch_size)
         if self.stale[idx].any():
             stale = np.flatnonzero(self.stale[: self.size])
-            block_shape = (TARGET_BLOCK, self.next_states.shape[1])
+            next_rows = (stale + 1) % self.capacity
+            next_rows[stale == (self._head - 1) % self.capacity] = self.capacity
+            block_shape = (TARGET_BLOCK, self.states.shape[1])
             for start in range(0, stale.size, TARGET_BLOCK):
                 rows = stale[start : start + TARGET_BLOCK]
-                block = np.zeros(block_shape, dtype=self.next_states.dtype)
-                block[: rows.size] = self.next_states[rows]
+                block = np.zeros(block_shape, dtype=self.states.dtype)
+                block[: rows.size] = self.states[next_rows[start : start + TARGET_BLOCK]]
                 q, _ = target_net.forward_cached(block, train=False)
                 self.next_q[rows] = q[: rows.size].max(axis=1)
             self.stale[stale] = False
@@ -224,7 +235,10 @@ class ValidationProbe:
 class DQNAgent:
     """Per-agent inner training loop with persistent buffer and counters.
 
-    ``log`` holds one ``STEP_LOG`` row per training step, across phases.
+    ``log`` holds one ``STEP_LOG`` row per step of the last training phase;
+    keeping the whole history is the caller's choice. ``set_weights`` builds
+    the target network afresh from the installed weights, so a caller may
+    drop ``target_net`` between a phase and the next ``set_weights``.
     """
 
     def __init__(
@@ -251,9 +265,13 @@ class DQNAgent:
         self.log = np.zeros(0, dtype=STEP_LOG)
 
     def set_weights(self, flat: np.ndarray) -> None:
-        """Install weights into both networks and restart optimizer moments."""
+        """Install weights into both networks and restart optimizer moments.
+
+        The target network is a fresh clone of the online one, which holds
+        the same bits as ``flat`` cast into its own.
+        """
         self.net.set_weights(flat)
-        self.target_net.set_weights(flat)
+        self.target_net = self.net.clone()
         self.buffer.invalidate()
         self.optimizer.reset()
 
@@ -272,19 +290,20 @@ class DQNAgent:
         ``batch_size - 1`` steps without one). The target network is synced
         after every ``target_update_freq`` updates.
 
-        Both networks free their scratch buffers on return: agents train one
-        at a time, so only the training agent holds a batch's worth, and the
-        next phase allocates them again.
+        ``log`` then holds the phase's ``STEP_LOG`` rows. Both networks free
+        their scratch buffers on return: agents train one at a time, so only
+        the training agent holds a batch's worth, and the next phase
+        allocates them again.
         """
         settings = self.settings
-        self.log = np.concatenate((self.log[: self.total_steps], np.zeros(steps, dtype=STEP_LOG)))
-        for _ in range(steps):
+        self.log = np.zeros(steps, dtype=STEP_LOG)
+        for i in range(steps):
             if self.validation.due(self.total_steps):
                 self.validation.run(self.net, self.total_steps)
             state = self._state_vec
             action = select_action(self.net, state, settings.epsilon, self._action_rng)
             step = self.env.step(action)
-            self.log[self.total_steps] = step
+            self.log[i] = step
             next_state = self.env.observe()
             self.buffer.push(state, action, -step.cost, next_state)
             self._state_vec = next_state

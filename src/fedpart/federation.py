@@ -11,7 +11,9 @@ agents continue from the fast-group average.
 Agents run in one ``AgentHost``: in the master with one worker, or one per
 forked worker process, each holding its partition of the agents. Every
 call goes to every worker with the whole round; each host runs the jobs of
-the agents it holds and returns those agents' own weight arrays by id.
+the agents it holds and returns those agents' own weight arrays and the
+phase's step-log rows by id. The master hands each agent's rows to the
+run's writer as a round returns, so no process keeps an agent's history.
 Weights and logs are bit-identical for any worker count.
 """
 
@@ -180,9 +182,8 @@ def slow_step_count(
 
 
 class AgentLog(NamedTuple):
-    """One agent's record of a run: its ``STEP_LOG`` rows and validation series."""
+    """One agent's validation series over a run."""
 
-    steps: np.ndarray
     val_steps: list[int]  # steps trained at each validation
     val_rate: list[float]  # C_lat, the violation rate, of each validation
 
@@ -210,8 +211,11 @@ class AgentHost:
 
     ``run_phases`` takes the round's ``(agent_id, weights, steps)`` jobs, runs
     those of the agents it holds in order, skips the rest, and returns
-    ``{agent_id: agent.net.flat}``: each agent's own array, which nothing
-    writes until that agent's next ``set_weights``, or an :class:`AgentError`.
+    ``{agent_id: (agent.net.flat, rows)}``, or raises an :class:`AgentError`.
+    The weights are the agent's own array, which nothing writes until that
+    agent's next ``set_weights``; ``rows`` are the phase's ``STEP_LOG`` rows,
+    which the agent no longer holds. An idle agent holds no target network
+    either: the next ``set_weights`` builds it again from the new weights.
     ``finalize`` returns each agent's ``AgentLog`` by id.
     """
 
@@ -230,14 +234,15 @@ class AgentHost:
                     raise AgentError(
                         f"agent {agent_id} raised {type(exc).__name__}: {exc}"
                     ) from exc
-                out[agent_id] = agent.net.flat
+                out[agent_id] = agent.net.flat, agent.log
+                agent.log = agent.target_net = None
         return out
 
     def finalize(self):
         logs = {}
         for i, agent in self.agents.items():
             agent.finalize_validation()
-            logs[i] = AgentLog(agent.log, agent.validation.steps_trained, agent.validation.rates)
+            logs[i] = AgentLog(agent.validation.steps_trained, agent.validation.rates)
         return logs
 
     def close(self):
@@ -350,6 +355,7 @@ def run_federation(
     master_seed: int,
     initial_weights: np.ndarray | None,
     workers: int,
+    log_phase,
 ) -> FederationResult:
     """Execute the full federated training loop.
 
@@ -357,12 +363,14 @@ def run_federation(
     returns a ``DQNAgent`` with its validation probe, and
     ``initial_weights(seed_sequence)`` returns a flat weight vector, called
     with the master seed's network stream when ``initial_weights`` is None.
+    ``log_phase(agent_index, rows)`` receives each phase's ``STEP_LOG`` rows,
+    in agent order, as each round returns; a round that raises hands over none.
     Above 1, ``workers`` forks that many processes, at most one per agent.
     An agent that raises, inline or pooled, is an ``AgentError`` naming the iteration.
     Weight math runs in float64. Per-agent seeds derive from
     ``master_seed``, so repeated runs are bit-identical regardless of
     ``workers``. With zero steps no agent is built: the initial weights
-    come back with empty logs.
+    come back with no validation series and no rows are logged.
     """
     agent_seqs, net_seq, sched_seq = derive_seed_sequences(config, master_seed)
     sched_rng = np.random.default_rng(sched_seq)
@@ -401,7 +409,11 @@ def run_federation(
                 returned = host.run_phases(jobs)
             except AgentError as exc:
                 raise AgentError(f"{exc} in iteration {iteration}") from exc.__cause__
-            thetas = [returned[m] for m in range(config.m_agents)]
+            thetas = []
+            for m in range(config.m_agents):
+                weights, phase_log = returned[m]
+                log_phase(m, phase_log)
+                thetas.append(weights)
             for m, weights in enumerate(thetas):
                 if not np.isfinite(weights).all():
                     raise FloatingPointError(
@@ -409,7 +421,7 @@ def run_federation(
                     )
             theta, next_init, rows = aggregate_round(iteration, thetas, steps, slow_mask)
             schedule_rows += rows
-            del returned, thetas, weights  # not through the next round's phases
+            del returned, thetas, weights, phase_log  # not through the next round's phases
 
         logs = host.finalize()
     finally:

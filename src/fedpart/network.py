@@ -11,7 +11,9 @@ scratch buffers, one set per batch size and network, and one flat gradient
 buffer, each allocated on first use and kept until ``release_scratch`` frees
 them: ``forward_cached`` and ``backward`` return arrays that are overwritten
 by the next call on the same network (a call on another network never
-touches them); copy them to keep them.
+touches them); copy them to keep them. Gradient buffers exist only for batch
+sizes that train, and a training forward keeps a dropped layer's mask in
+that layer's gradient buffer, which backward overwrites.
 The caller chooses the dtype: runs take it from ``[agent] dtype`` (float32
 unless set), and gradient checks use float64.
 """
@@ -124,27 +126,25 @@ class QNetwork:
     def n_hidden_layers(self) -> int:
         return len(self.dims) - 2
 
-    def _scratch_for(self, batch: int) -> dict[str, np.ndarray]:
-        s = self._scratch.get(batch)
-        if s is None:
-            s = {}
-            n_layers = len(self.weights)
-            for layer in range(n_layers):
-                width = self.dims[layer + 1]
+    def _scratch_for(self, batch: int, train: bool) -> dict[str, np.ndarray]:
+        """This batch size's forward buffers, and with ``train`` its gradient
+        buffers too: a batch size used only in eval mode holds none."""
+        s = self._scratch.setdefault(batch, {})
+        if not s:
+            for layer, width in enumerate(self.dims[1:]):
                 s[f"z{layer}"] = np.empty((batch, width), dtype=self.dtype)
+                if layer < self.n_hidden_layers:
+                    s[f"relu{layer}"] = np.empty((batch, width), dtype=bool)
+        if train and "g0" not in s:
+            for layer, width in enumerate(self.dims[1:]):
                 s[f"g{layer}"] = np.empty((batch, width), dtype=self.dtype)
-            for layer in range(self.n_hidden_layers):
-                width = self.dims[layer + 1]
-                s[f"relu{layer}"] = np.empty((batch, width), dtype=bool)
-                s[f"drop{layer}"] = np.empty((batch, width), dtype=self.dtype)
-            self._scratch[batch] = s
         return s
 
     # -- forward / backward -------------------------------------------------
 
     def _forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None):
         """Returns (q, cache) backed by scratch buffers for this batch size."""
-        scratch = self._scratch_for(x.shape[0])
+        scratch = self._scratch_for(x.shape[0], train)
         inputs = [x]
         relu_masks = []
         dropout_masks = []
@@ -160,7 +160,8 @@ class QNetwork:
                 if rng is None:
                     raise ValueError("training-mode forward with dropout needs an rng")
                 threshold, scale = self._dropout[layer]
-                keep = scratch[f"drop{layer}"]
+                # The layer's gradient buffer: backward overwrites it before reading it.
+                keep = scratch[f"g{layer}"]
                 words = rng.bit_generator.random_raw(-(-keep.size // 4))
                 bits = words.astype("<u8", copy=False).view("<u2")[: keep.size]
                 np.greater_equal(bits.reshape(keep.shape), threshold, out=keep, casting="unsafe")
@@ -186,7 +187,8 @@ class QNetwork:
     def forward_cached(self, x: np.ndarray, train: bool, rng=None):
         """(q, cache) for a 2-D batch; both reuse scratch storage (no copies).
 
-        They stay valid until the next forward or backward on this network;
+        They stay valid until the next forward or backward on this network
+        (``backward`` also overwrites the cache's dropout masks);
         ``release_scratch`` hands the storage to them alone.
         """
         arr = np.asarray(x, dtype=self.dtype)
@@ -203,7 +205,7 @@ class QNetwork:
         views aligned with the flat layout.
         """
         inputs, relu_masks, dropout_masks = cache
-        scratch = self._scratch_for(grad_q.shape[0])
+        scratch = self._scratch_for(grad_q.shape[0], True)
         if self.flat_grad is None:
             self.flat_grad = np.empty_like(self.flat)
             self._grads = self._layer_views(self.flat_grad)
@@ -231,7 +233,7 @@ class QNetwork:
 
     def output_grad_buffer(self, batch: int) -> np.ndarray:
         """Zeroed scratch array shaped like a batch of q-values."""
-        buf = self._scratch_for(batch)[f"g{self.n_hidden_layers}"]
+        buf = self._scratch_for(batch, True)[f"g{self.n_hidden_layers}"]
         buf.fill(0.0)
         return buf
 

@@ -5,14 +5,18 @@ agent) training run on one scenario. ``AgentBuilder`` holds a run's inputs
 (the config, profile and base traces that ``build_scenario`` resolves) and
 builds every env and agent from them. Every run is fully determined by the
 experiment config and its master seed, so identical invocations produce
-identical artifacts. ``run_experiment`` writes each run's directory as the
-run ends, and ``write_experiment`` the experiment's files after the last;
+identical artifacts. ``run_experiment`` appends each round's step-log rows
+to the agents' ``agent_<m>.steps.csv`` as the round returns
+(``StepLogWriter``), writes the rest of each run's directory as the run
+ends, and ``write_experiment`` the experiment's files after the last; a run
+that raises keeps the rows of its completed rounds and writes nothing else.
 ``train`` and ``report`` band the runs in master-seed order by ``write_band``.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +27,7 @@ from .baseline import run_baseline
 from .config import ConfigError, ExperimentConfig, dump_config
 from .env import STEP_LOG, OffloadEnv
 from .federation import FederationResult, ScheduleRow, derive_seed_sequences, run_federation
-from .metrics import band, moving_avg_violations
+from .metrics import MovingViolations, band
 from .network import load_checkpoint, save_checkpoint
 from .profiles import ApplicationProfile, load_profile, synthesize_profile
 from .traces import PerturbedReplay, Trace, load_trace, synthesize_trace
@@ -104,8 +108,10 @@ def master_seeds(config: ExperimentConfig) -> list[int]:
 
 def run_experiment(config: ExperimentConfig, checkpoint, out_dir) -> None:
     """Run every master seed on one scenario, warm-started from ``checkpoint``
-    unless it is None, and write each seed's ``run_<seed>/`` under ``out_dir``
-    as its run ends; a checkpoint of other network dims is a ``ConfigError``."""
+    unless it is None, and write each seed's ``run_<seed>/`` under ``out_dir``:
+    emptied as its run starts, so no file of an earlier experiment sits beside
+    it, then the step logs round by round and the rest as its run ends. A
+    checkpoint of other network dims is a ``ConfigError``."""
     builder = build_scenario(config)
     dims, weights = builder.dims(), None
     if checkpoint is not None:
@@ -113,10 +119,13 @@ def run_experiment(config: ExperimentConfig, checkpoint, out_dir) -> None:
         if found != dims:
             raise ConfigError(f"checkpoint dims {found} do not match the config's {dims}")
     for seed in master_seeds(config):
-        _write_run(
-            os.path.join(out_dir, f"run_{seed}"), dims, config.run.validation_interval,
-            run_federation(config.federation, builder, seed, weights, config.run.workers),
-        )
+        run_dir = os.path.join(out_dir, f"run_{seed}")
+        if os.path.isdir(run_dir):
+            shutil.rmtree(run_dir)
+        _write_run(run_dir, dims, config.run.validation_interval, run_federation(
+            config.federation, builder, seed, weights, config.run.workers,
+            StepLogWriter(run_dir).append,
+        ))
 
 
 def run_baseline_suite(
@@ -149,8 +158,12 @@ def write_csv(path, header: str, rows) -> None:
     """Write ``rows`` under ``header``: bools as 0/1, floats as their shortest repr."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_rows(fh, rows)
+
+
+def _write_rows(fh, rows) -> None:
+    for row in rows:
+        fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _fmt(value) -> str:
@@ -161,18 +174,50 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# ``agent_<m>.steps.csv``'s columns: the step count, then the ``STEP_LOG``
+# fields with the moving average of ``violated`` after it.
+_AFTER_VIOLATED = STEP_LOG.names.index("violated") + 1
+_STEPS_HEADER = ",".join(
+    ["step", *STEP_LOG.names[:_AFTER_VIOLATED], "ma_violations", *STEP_LOG.names[_AFTER_VIOLATED:]]
+)
+
+
+class StepLogWriter:
+    """Appends each agent's phases to its ``agent_<m>.steps.csv`` under
+    ``run_dir`` as the master receives them.
+
+    An agent's first phase writes the file afresh with its header. Per agent
+    it carries a :class:`MovingViolations`: the step count and the last
+    window of ``violated`` flags, so the ``step`` and ``ma_violations``
+    columns continue across phases as over the whole history.
+    """
+
+    def __init__(self, run_dir):
+        self.run_dir = run_dir
+        self._averages: dict[int, MovingViolations] = {}
+
+    def append(self, m: int, rows: np.ndarray) -> None:
+        average = self._averages.get(m)
+        if average is None:
+            os.makedirs(self.run_dir, exist_ok=True)
+            average = self._averages[m] = MovingViolations()
+        start = average.steps
+        columns = [np.arange(start + 1, start + len(rows) + 1), *(rows[n] for n in STEP_LOG.names)]
+        columns.insert(_AFTER_VIOLATED + 1, average.extend(rows["violated"]))
+        path = os.path.join(self.run_dir, f"agent_{m}.steps.csv")
+        if start == 0:
+            write_csv(path, _STEPS_HEADER, zip(*columns))
+        else:
+            with open(path, "a", encoding="utf-8") as fh:
+                _write_rows(fh, zip(*columns))
+
+
 def _write_run(run_dir, dims, interval: int, run: FederationResult) -> None:
-    """Write one run's logs, schedule and weights, and its curve: the mean over
-    its agents at each validation point they share."""
+    """Write what one run keeps to its end: the agents' validation series, the
+    schedule and the weights, and its curve, the mean over its agents at each
+    validation point they share."""
     os.makedirs(run_dir, exist_ok=True)
     for m, log in enumerate(run.agent_logs):
-        steps = log.steps
-        names = ["step", *STEP_LOG.names]
-        columns = [np.arange(1, len(steps) + 1), *(steps[name] for name in STEP_LOG.names)]
-        after_violated = names.index("violated") + 1
-        names.insert(after_violated, "ma_violations")
-        columns.insert(after_violated, moving_avg_violations(steps["violated"]))
-        write_csv(os.path.join(run_dir, f"agent_{m}.steps.csv"), ",".join(names), zip(*columns))
         write_csv(
             os.path.join(run_dir, f"agent_{m}.validation.csv"),
             "k,steps_trained,c_lat",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fedpart.agent import (
+    TARGET_BLOCK,
     AgentSettings,
     DQNAgent,
     ReplayBuffer,
@@ -9,10 +10,57 @@ from fedpart.agent import (
     select_action,
     train_step,
 )
-from fedpart.env import STEP_LOG
+from fedpart.env import OBS_DIM, STEP_LOG
 from fedpart.network import AdamOptimizer, QNetwork
 
 from conftest import make_net, make_tiny_agent, make_tiny_env, subnormal_count
+
+
+class TwoArrayReplayBuffer:
+    """The replay buffer as it was before states were stored once: ``next_states``
+    apart from ``states``, both zero-filled. Kept as the reference that
+    ``ReplayBuffer``'s samples and cached targets must equal."""
+
+    def __init__(self, capacity: int, state_dim: int, n_actions: int, dtype):
+        self.capacity = capacity
+        self.states = np.zeros((capacity, state_dim), dtype=dtype)
+        self.actions = np.zeros(capacity, dtype=np.min_scalar_type(n_actions - 1))
+        self.rewards = np.zeros(capacity, dtype=dtype)
+        self.next_states = np.zeros((capacity, state_dim), dtype=dtype)
+        self.next_q = np.zeros(capacity, dtype=dtype)
+        self.stale = np.ones(capacity, dtype=bool)
+        self.size = 0
+        self._head = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def push(self, state, action: int, reward: float, next_state) -> None:
+        i = self._head
+        self.states[i] = state
+        self.actions[i] = action
+        self.rewards[i] = reward
+        self.next_states[i] = next_state
+        self.stale[i] = True
+        self._head = (i + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def invalidate(self) -> None:
+        self.stale.fill(True)
+
+    def sample(self, batch_size: int, rng: np.random.Generator, target_net: QNetwork):
+        idx = rng.integers(0, self.size, size=batch_size)
+        if self.stale[idx].any():
+            stale = np.flatnonzero(self.stale[: self.size])
+            block_shape = (TARGET_BLOCK, self.next_states.shape[1])
+            for start in range(0, stale.size, TARGET_BLOCK):
+                rows = stale[start : start + TARGET_BLOCK]
+                block = np.zeros(block_shape, dtype=self.next_states.dtype)
+                block[: rows.size] = self.next_states[rows]
+                q, _ = target_net.forward_cached(block, train=False)
+                self.next_q[rows] = q[: rows.size].max(axis=1)
+            self.stale[stale] = False
+        return self.states[idx], self.actions[idx], self.rewards[idx], self.next_q[idx]
 
 
 class TestReplayBuffer:
@@ -55,6 +103,62 @@ class TestReplayBuffer:
         assert np.array_equal(s, np.repeat(a[:, None], 5, axis=1)) and np.array_equal(r, a)
         expected = [target.forward(np.full(5, i + 1)).max() for i in a]
         np.testing.assert_allclose(next_q, expected, rtol=1e-6)
+
+
+    def test_samples_and_targets_equal_the_two_array_reference(self):
+        """Through three wraps and two target changes, the single state store
+        samples the rows and refreshes the targets that a buffer storing each
+        next state apart does, bit for bit."""
+        capacity, dim, n_actions = 300, 5, 7
+        target = make_net((dim, 16, n_actions), (0.0,), 0, np.float32)
+        data = np.random.default_rng(3)
+        trajectory = data.random((3 * capacity + 51, dim))
+        buffers = [ReplayBuffer(capacity, dim, n_actions, np.float32),
+                   TwoArrayReplayBuffer(capacity, dim, n_actions, np.float32)]
+        rngs = [np.random.default_rng(4), np.random.default_rng(4)]
+        invalidations = 0
+        for t in range(len(trajectory) - 1):
+            action, reward = int(data.integers(0, n_actions)), float(data.normal())
+            for buf in buffers:
+                buf.push(trajectory[t], action, reward, trajectory[t + 1])
+            if t % 97 == 96:
+                got, want = (buf.sample(64, rng, target) for buf, rng in zip(buffers, rngs))
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                n = len(buffers[1])
+                fresh = ~buffers[1].stale[:n]
+                assert np.array_equal(buffers[0].stale[:n], buffers[1].stale[:n])
+                assert buffers[0].next_q[:n][fresh].tobytes() == buffers[1].next_q[:n][fresh].tobytes()
+            if t in (400, 800):
+                target.flat += np.float32(0.01)
+                for buf in buffers:
+                    buf.invalidate()
+                invalidations += 1
+        assert invalidations == 2 and buffers[0]._head == buffers[1]._head == 50  # three wraps
+
+    def test_an_unwritten_row_is_never_read(self, tiny_profile, tiny_settings):
+        """The arrays start uninitialised: an agent whose replay arrays hold NaN
+        states, rewards and targets and the largest action trains, through
+        wraps and a ``set_weights``, bit for bit as one whose arrays hold zeros."""
+        agents = [make_tiny_agent(tiny_profile, tiny_settings, env_seed=2, seed=6)
+                  for _ in range(2)]
+        for agent, fill in zip(agents, (np.nan, 0.0)):
+            buf = agent.buffer
+            buf.states.fill(fill)
+            buf.rewards.fill(fill)
+            buf.next_q.fill(fill)
+            buf.actions.fill(np.iinfo(buf.actions.dtype).max if np.isnan(fill) else 0)
+        for steps in (3 * tiny_settings.buffer_capacity, 40):
+            for agent in agents:
+                agent.run_training_phase(steps)
+            poisoned, zeroed = agents
+            assert poisoned.net.flat.tobytes() == zeroed.net.flat.tobytes()
+            assert poisoned.log.tobytes() == zeroed.log.tobytes()
+            weights = averaged_weights(zeroed, seed=9)
+            for agent in agents:
+                agent.set_weights(weights)
+        assert poisoned.total_steps > 3 * tiny_settings.buffer_capacity
+        assert np.isfinite(poisoned.net.flat).all()
 
 
 class TestSelectAction:
@@ -164,9 +268,18 @@ def fresh_512_row_max_q(target: QNetwork, next_states: np.ndarray) -> np.ndarray
     return out
 
 
+def stored_next_states(buf: ReplayBuffer) -> np.ndarray:
+    """Each stored transition's next state: the state of the slot written
+    after it, or the extra row for the newest transition."""
+    rows = (np.arange(len(buf)) + 1) % buf.capacity
+    rows[(buf._head - 1) % buf.capacity] = buf.capacity
+    return buf.states[rows]
+
+
 def run_uncached_phase(agent: DQNAgent, steps: int) -> np.ndarray:
     """Reference for ``run_training_phase``: the target net runs on every
-    update's 512 sampled next states, and the buffer's cache is never read."""
+    update's 512 sampled next states, which the agent's buffer, a
+    ``TwoArrayReplayBuffer``, stores apart; its cache is never read."""
     s, buf = agent.settings, agent.buffer
     log = np.zeros(steps, dtype=STEP_LOG)
     for i in range(steps):
@@ -192,7 +305,7 @@ class TestTargetCache:
         buf = agent.buffer
         fresh = ~buf.stale[: len(buf)]
         assert fresh.sum() >= CACHE_SETTINGS.batch_size  # the check covers most slots
-        expected = fresh_512_row_max_q(agent.target_net, buf.next_states[: len(buf)][fresh])
+        expected = fresh_512_row_max_q(agent.target_net, stored_next_states(buf)[fresh])
         assert np.array_equal(buf.next_q[: len(buf)][fresh], expected)
 
     def test_cached_targets_equal_a_fresh_512_row_forward(self, default_profile):
@@ -211,20 +324,21 @@ class TestTargetCache:
     def test_cached_agent_equals_uncached_reference(self, default_profile):
         cached = make_tiny_agent(default_profile, CACHE_SETTINGS, env_seed=8, seed=21)
         plain = make_tiny_agent(default_profile, CACHE_SETTINGS, env_seed=8, seed=21)
+        plain.buffer = TwoArrayReplayBuffer(
+            CACHE_SETTINGS.buffer_capacity, OBS_DIM, plain.env.n_actions, plain.net.dtype
+        )
         freq = CACHE_SETTINGS.target_update_freq
-        ref_logs = []
         for steps in (CACHE_SETTINGS.batch_size - 1 + 2 * freq + 10, freq - 20, freq):
             cached.run_training_phase(steps)
-            ref_logs.append(run_uncached_phase(plain, steps))
+            ref_log = run_uncached_phase(plain, steps)
             assert np.array_equal(cached.net.flat, plain.net.flat)
             assert np.array_equal(cached.target_net.flat, plain.target_net.flat)
+            for name in STEP_LOG.names:
+                assert np.array_equal(cached.log[name], ref_log[name]), name
             weights = averaged_weights(cached, seed=9)
             cached.set_weights(weights)
             plain.set_weights(weights)
-        ref_log = np.concatenate(ref_logs)
         assert cached.grad_updates == plain.grad_updates > 3 * freq
-        for name in STEP_LOG.names:
-            assert np.array_equal(cached.log[name], ref_log[name]), name
 
 
 class TestAgentLoop:

@@ -1,10 +1,12 @@
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedpart import cli, runner
-from fedpart.agent import AgentSettings
+from fedpart.agent import AgentSettings, DQNAgent
+from fedpart.federation import AgentError
 from fedpart.config import ExperimentConfig
 from fedpart.network import expected_weight_count, load_checkpoint, save_checkpoint
 from fedpart.profiles import load_profile
@@ -294,3 +296,46 @@ class TestEndToEnd:
         trained = (out / "validation_band.csv").read_bytes()
         assert cli.main(["report", str(out)]) == 0
         assert (out / "validation_band.csv").read_bytes() == trained
+
+    def test_a_failed_run_keeps_the_rows_of_its_completed_rounds(self, tmp_path, monkeypatch):
+        """Agent 1 of the second run raises in iteration 2: that run keeps two
+        rounds of rows per agent and nothing else, even in a directory that
+        held a whole run of that seed, and ``report`` bands the first run alone."""
+        ini = tmp_path / "tiny.ini"
+        ini.write_text(TINY_INI, encoding="utf-8")
+        common = ["--config", str(ini), "--mode", "sync", "--agents", "2",
+                  "--steps-per-agent", "60", "--freq-updates", "20", "--runs", "2", "--seed", "7"]
+        whole = tmp_path / "whole"
+        assert cli.main(["train", *common, "--output", str(whole)]) == 0
+
+        phase = DQNAgent.run_training_phase
+        calls = []
+
+        def raising(agent, steps):
+            calls.append(steps)
+            if len(calls) == 6 + 2 * 2 + 2:  # run 2, iteration 2, agent 1
+                raise ValueError("injected")
+            return phase(agent, steps)
+
+        monkeypatch.setattr(DQNAgent, "run_training_phase", raising)
+        failed = tmp_path / "failed"
+        shutil.copytree(whole, failed)
+        with pytest.raises(AgentError, match=r"^agent 1 raised ValueError: injected in iteration 2$"):
+            cli.main(["train", *common, "--output", str(failed)])
+        assert sorted(p.name for p in (failed / "run_8").iterdir()) == [
+            "agent_0.steps.csv", "agent_1.steps.csv"
+        ]
+        for m in range(2):
+            kept = (failed / "run_8" / f"agent_{m}.steps.csv").read_text(encoding="utf-8")
+            lines = (whole / "run_8" / f"agent_{m}.steps.csv").read_text(encoding="utf-8")
+            assert kept.splitlines() == lines.splitlines()[: 1 + 2 * 20]
+        for name in ("agent_0.steps.csv", "run_validation.csv", "final_weights.ckpt"):
+            assert (failed / "run_7" / name).read_bytes() == (whole / "run_7" / name).read_bytes()
+        band = tmp_path / "band.csv"
+        assert cli.main(["report", str(failed), "--out", str(band)]) == 0
+        assert band.read_text(encoding="utf-8").splitlines()[1:] == [
+            f"{step},{rate},{rate},{rate}" for step, rate in (
+                line.split(",") for line in
+                (whole / "run_7" / "run_validation.csv").read_text(encoding="utf-8").splitlines()[1:]
+            )
+        ]

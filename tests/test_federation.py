@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedpart.agent import AgentSettings, DQNAgent
+from fedpart.env import STEP_LOG
 from fedpart.federation import (
     AgentError,
     AgentHost,
@@ -166,6 +167,10 @@ class TestSchedule:
         assert slow_step_count(freq, 0.0, rng) == freq
 
 
+def discard(m, rows):
+    """A ``log_phase`` that keeps nothing."""
+
+
 class _Builder:
     """Tiny agents; in its second phase, agent ``poisoned`` returns a NaN
     weight and agent ``exits`` ends its process with exit code 3."""
@@ -214,14 +219,14 @@ class TestRunFederation:
                                   proportion_slow=slow)
         builder = _Builder(tiny_profile, tiny_settings, poisoned=1)
         with pytest.raises(FloatingPointError, match=r"agent 1 .* iteration 1$"):
-            run_federation(config, builder, 2, None, workers)
+            run_federation(config, builder, 2, None, workers, discard)
 
     def test_dead_pool_worker_names_its_agents_and_exit_code(self, tiny_profile, tiny_settings):
         config = FederationConfig(agents=3, steps_per_agent=60, freq_updates=20)
         builder = _Builder(tiny_profile, tiny_settings, poisoned=None, exits=2)
         # Two workers: agents 0 and 2 share worker 0, agent 1 has worker 1.
         with pytest.raises(RuntimeError, match=r"worker 0 for agents \[0, 2\] exited with code 3$"):
-            run_federation(config, builder, 2, None, 2)
+            run_federation(config, builder, 2, None, 2, discard)
 
     def test_a_dead_worker_is_reported_at_once_and_leaves_no_pool_process(self, default_profile):
         """The survivor's reply, five default networks, does not fit the pipe:
@@ -232,7 +237,7 @@ class TestRunFederation:
         with pytest.raises(RuntimeError, match=(
             r"^pool worker 0 for agents \[0, 2, 4, 6, 8\] exited with code 3$"
         )):
-            run_federation(config, builder, 2, None, 2)
+            run_federation(config, builder, 2, None, 2, discard)
         assert time.perf_counter() - start < 5.0
         assert multiprocessing.active_children() == []
 
@@ -240,11 +245,22 @@ class TestRunFederation:
         """Three workers put one agent in each: every worker count ends alike."""
         config = FederationConfig(agents=3, steps_per_agent=60, freq_updates=20)
         builder = _Builder(tiny_profile, tiny_settings, poisoned=None)
-        results = [run_federation(config, builder, 2, None, workers) for workers in (1, 2, 3)]
-        for result in results:
+        results, logged = [], []
+        for workers in (1, 2, 3):
+            phases = []
+            results.append(run_federation(
+                config, builder, 2, None, workers, lambda m, rows: phases.append((m, rows))
+            ))
+            logged.append(phases)
+        for result, phases in zip(results, logged):
             assert np.isfinite(result.final_weights).all()
             assert len(result.schedule_rows) == 9
             assert result.final_weights.tobytes() == results[0].final_weights.tobytes()
+            assert [m for m, _ in phases] == [0, 1, 2] * 3
+            assert all(rows.dtype == STEP_LOG and len(rows) == 20 for _, rows in phases)
+            assert [rows.tobytes() for _, rows in phases] == [
+                rows.tobytes() for _, rows in logged[0]
+            ]
 
 
 def _round_jobs(config, builder):
@@ -264,9 +280,41 @@ class TestHosts:
         host = AgentHost(builder, [(0, agent_seqs[0]), (2, agent_seqs[2])])
         returned = host.run_phases(jobs)
         assert sorted(returned) == [0, 2]
-        for m, weights in returned.items():
+        for m, (weights, rows) in returned.items():
             assert weights is host.agents[m].net.flat
-            assert host.agents[m].total_steps == config.freq_updates
+            assert host.agents[m].total_steps == len(rows) == config.freq_updates
+            assert host.agents[m].log is None  # handed over with the weights
+
+    def test_an_idle_agent_holds_no_target_net_and_trains_on_as_if_it_kept_one(
+        self, tiny_profile, tiny_settings
+    ):
+        """``set_weights`` clones the target from the online network; the
+        twins install the next weights into the target they kept, as agents
+        did before the host dropped it."""
+        config = FederationConfig(agents=2, steps_per_agent=80, freq_updates=40)
+        builder = _Builder(tiny_profile, tiny_settings, poisoned=None)
+        agent_seqs, jobs = _round_jobs(config, builder)
+        host = AgentHost(builder, enumerate(agent_seqs))
+        twin_seqs, _ = _round_jobs(config, builder)  # a spawned sequence spawns anew
+        twins = [builder.build(m, seq) for m, seq in enumerate(twin_seqs)]
+        theta = aggregate_mean([weights for weights, _ in host.run_phases(jobs).values()])
+        assert all(agent.target_net is None for agent in host.agents.values())
+        for twin, (_, weights, steps) in zip(twins, jobs):
+            twin.set_weights(weights)
+            twin.run_training_phase(steps)
+        returned = host.run_phases([(m, theta, config.freq_updates) for m in range(2)])
+        assert all(agent.target_net is None for agent in host.agents.values())
+        for m, twin in enumerate(twins):
+            kept = twin.target_net
+            twin.net.set_weights(theta)
+            kept.set_weights(theta)
+            twin.buffer.invalidate()
+            twin.optimizer.reset()
+            twin.run_training_phase(config.freq_updates)
+            assert twin.target_net is kept and twin.grad_updates > tiny_settings.target_update_freq
+            weights, rows = returned[m]
+            assert weights.tobytes() == twin.net.flat.tobytes()
+            assert rows.tobytes() == twin.log.tobytes()
 
     def test_the_pool_returns_every_agent_in_the_networks_dtype(
         self, tiny_profile, tiny_settings
@@ -281,7 +329,9 @@ class TestHosts:
             pool.close()
         assert not any(proc.is_alive() for proc in pool.procs)
         assert sorted(returned) == [0, 1, 2]
-        assert {weights.dtype for weights in returned.values()} == {np.dtype(tiny_settings.dtype)}
+        assert {weights.dtype for weights, _ in returned.values()} == {
+            np.dtype(tiny_settings.dtype)
+        }
 
 
 class _UnbuildableBuilder(_Builder):
@@ -302,7 +352,7 @@ class TestZeroSteps:
     ):
         config = FederationConfig(agents=3, steps_per_agent=0, freq_updates=20)
         builder = _UnbuildableBuilder(tiny_profile, tiny_settings, poisoned=None)
-        result = run_federation(config, builder, 2, None, workers)
+        result = run_federation(config, builder, 2, None, workers, discard)
         _, net_seq, _ = derive_seed_sequences(config, 2)
         n_actions = tiny_profile.n_configs + 1
         expected = tiny_settings.network(n_actions, np.random.default_rng(net_seq))
@@ -313,7 +363,7 @@ class TestZeroSteps:
         config = FederationConfig(agents=3, steps_per_agent=0, freq_updates=20)
         builder = _UnbuildableBuilder(tiny_profile, tiny_settings, poisoned=None)
         weights = np.linspace(-1.0, 1.0, 11)
-        result = run_federation(config, builder, 2, weights, 1)
+        result = run_federation(config, builder, 2, weights, 1, discard)
         assert np.array_equal(result.final_weights, weights)
         assert result.schedule_rows == [] and result.agent_logs == []
 
@@ -339,7 +389,7 @@ class TestAgentErrors:
         config = FederationConfig(agents=3, steps_per_agent=40, freq_updates=20)
         builder = _RaisingBuilder(tiny_profile, tiny_settings, poisoned=None)
         with pytest.raises(AgentError, match=AGENT_ERROR) as info:
-            run_federation(config, builder, 2, None, 1)
+            run_federation(config, builder, 2, None, 1, discard)
         cause = info.value.__cause__
         assert type(cause) is ValueError and str(cause) == "agent-side failure"
 
@@ -350,7 +400,7 @@ class TestAgentErrors:
         builder = _RaisingBuilder(tiny_profile, tiny_settings, poisoned=None)
         # Two workers: agent 1 has worker 1 to itself.
         with pytest.raises(AgentError, match=AGENT_ERROR):
-            run_federation(config, builder, 2, None, 2)
+            run_federation(config, builder, 2, None, 2, discard)
         err = capfd.readouterr().err  # the worker's own traceback
         assert "Traceback" in err and "ValueError: agent-side failure" in err
 
@@ -362,5 +412,5 @@ class TestAgentErrors:
         with pytest.raises(RuntimeError, match=(
             r"^pool worker 0 for agents \[0, 2\] raised AssertionError: agent 0 was built$"
         )) as info:
-            run_federation(config, builder, 2, None, 2)
+            run_federation(config, builder, 2, None, 2, discard)
         assert not isinstance(info.value, AgentError)

@@ -312,7 +312,7 @@ def parameter_defaults(path: Path) -> list[str]:
 # config value; everything the config sets is a required argument.
 KEPT_DEFAULTS = [
     "cli.py: main(argv=None)",
-    "metrics.py: moving_avg_violations(window=1000)",
+    "metrics.py: MovingViolations.__init__(window=1000)",
     "network.py: QNetwork.forward_cached(rng=None)",
     "network.py: AdamOptimizer.__init__(beta1=0.9)",
     "network.py: AdamOptimizer.__init__(beta2=0.999)",

@@ -1,15 +1,20 @@
 import gc
+import os
+import tempfile
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedpart import cli, runner
 from fedpart.baseline import run_baseline
 from fedpart.config import apply_overrides, parse_config
-from fedpart.env import cost_scales
+from fedpart.env import STEP_LOG, cost_scales
 from fedpart.federation import derive_seed_sequences
+from fedpart.metrics import moving_avg_violations
 from fedpart.network import QNetwork, expected_weight_count, load_checkpoint
 from fedpart.profiles import ApplicationProfile
 from fedpart.traces import PerturbedReplay
@@ -190,7 +195,7 @@ def test_an_idle_agent_holds_its_buffer_log_weights_and_moments_only():
     held = sum(stat.size for stat in snapshot.statistics("filename"))
     assert agent.grad_updates == 9
     buffer = agent.buffer
-    own = [buffer.states, buffer.actions, buffer.rewards, buffer.next_states, buffer.next_q,
+    own = [buffer.states, buffer.actions, buffer.rewards, buffer.next_q,
            buffer.stale, agent.log, agent.net.flat, agent.target_net.flat,
            agent.optimizer.m, agent.optimizer.v]
     slack = 32 * 1024
@@ -228,9 +233,81 @@ def test_a_network_of_a_written_checkpoints_dims_takes_its_weights(tmp_path, mon
     assert np.array_equal(net.get_weights(), run.final_weights)
 
 
+STREAM_INI = """\
+[profile]
+cut_points = 2
+
+[agent]
+hidden = 8
+dropout_rates = 0.1
+batch_size = 8
+buffer_capacity = 300
+
+[run]
+validation_interval = 1000000
+"""
+
+
+def test_what_the_master_and_idle_agents_hold_stops_growing_once_the_buffer_is_full(
+    tmp_path, monkeypatch
+):
+    """Measured as each round's rows are written, with the agents inline:
+    from round 3 to round 6 the traced memory grows by less than a byte per
+    step (the schedule's rows, about 1.4 KB), where a history kept in memory
+    would add three phases of rows per agent."""
+    agents, phase = 2, 400  # the buffer fills in round 1, the violation window in round 3
+    config = apply_overrides(
+        parse_config(STREAM_INI), run__n_runs=1, federation__agents=agents,
+        federation__steps_per_agent=6 * phase, federation__freq_updates=phase,
+    )
+    held = []
+    append = runner.StepLogWriter.append
+
+    def measuring(writer, m, rows):
+        append(writer, m, rows)
+        if m == agents - 1:
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+
+    monkeypatch.setattr(runner.StepLogWriter, "append", measuring)
+    tracemalloc.start()
+    try:
+        runner.run_experiment(config, None, tmp_path)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 6
+    steps, history = 3 * phase * agents, 3 * phase * agents * STEP_LOG.itemsize
+    assert held[5] - held[2] < steps < history, held
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 2500), min_size=1, max_size=5), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0))
+def test_streamed_steps_equal_the_whole_historys(lengths, seed, rate):
+    """Phases of unequal lengths, as async stragglers run them, appended one
+    by one: the step and ma_violations columns read as over the whole history."""
+    flags = np.random.default_rng(seed).random(sum(lengths)) < rate
+    with tempfile.TemporaryDirectory() as run_dir:
+        writer = runner.StepLogWriter(run_dir)
+        start = 0
+        for n in lengths:
+            rows = np.zeros(n, dtype=STEP_LOG)
+            rows["violated"] = flags[start : start + n]
+            writer.append(0, rows)
+            start += n
+        with open(os.path.join(run_dir, "agent_0.steps.csv"), encoding="utf-8") as fh:
+            header, *lines = fh.read().splitlines()
+    names = header.split(",")
+    table = [line.split(",") for line in lines]
+    assert [row[names.index("step")] for row in table] == [str(t) for t in range(1, start + 1)]
+    assert [row[names.index("ma_violations")] for row in table] == [
+        repr(float(v)) for v in moving_avg_violations(flags, 1000)
+    ]
+
+
 def test_no_run_outlives_its_write(tmp_path, monkeypatch):
     """Each run's directory is written as the run ends, and the master keeps
-    none of its step logs while the next run trains."""
+    nothing of a run while the next run trains."""
     config = apply_overrides(
         parse_config(TINY_INI), run__n_runs=3, federation__agents=2,
         federation__steps_per_agent=20, federation__freq_updates=20,
@@ -243,7 +320,7 @@ def test_no_run_outlives_its_write(tmp_path, monkeypatch):
         alive.append([ref() is not None for ref in logs])
         written.append(sorted(p.name for p in tmp_path.iterdir()))
         result = federate(federation, builder, seed, *args)
-        logs.append(weakref.ref(result.agent_logs[0].steps))
+        logs.append(weakref.ref(result))
         return result
 
     monkeypatch.setattr(runner, "run_federation", watching)
